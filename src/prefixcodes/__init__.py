@@ -8,7 +8,6 @@ a batched fill that produce bit-identical tables, and exhaustive oracles for
 cross-checking at small sizes.
 """
 
-from .choice import ChoiceLevelTable, per_option_fill, solve_choice
 from .core import (
     MAX_WEIGHT,
     UNREACHABLE,
@@ -37,11 +36,11 @@ from .gmr import (
     DPResult,
     LevelTable,
     backtrack,
-    extract_answer,
     leafseq_to_codewords,
     predecessors,
     prune_to_n,
     solve_batched,
+    solve_choice,
     solve_naive,
     telescoped_cost,
     valid_signature,
@@ -51,7 +50,6 @@ from .one_ended import (
     OneEndedTable,
     oe_predecessors,
     solve_one_ended,
-    solve_one_ended_naive,
 )
 from .oracle import (
     OracleBudget,
@@ -78,7 +76,6 @@ __all__ = [
     "ArityOverflow",
     "BudgetExceeded",
     "ChoiceLevelSpec",
-    "ChoiceLevelTable",
     "CodeBook",
     "DPResult",
     "GLengthsSpec",
@@ -108,13 +105,11 @@ __all__ = [
     "enumerate_choice",
     "enumerate_gmr",
     "enumerate_one_ended",
-    "extract_answer",
     "huffman_greedy",
     "kraft_slack",
     "leafseq_to_codewords",
     "normalize_weights",
     "oe_predecessors",
-    "per_option_fill",
     "predecessors",
     "prune_to_n",
     "solve_batched",
@@ -123,7 +118,6 @@ __all__ = [
     "solve_mixed_radix",
     "solve_naive",
     "solve_one_ended",
-    "solve_one_ended_naive",
     "solve_reserved_g",
     "solve_reserved_given",
     "telescoped_cost",

@@ -19,20 +19,10 @@ import time
 
 from .core import WeightSeq, normalize_weights
 from .errors import InvalidInput
-from .one_ended import solve_one_ended
-from .problems import (
-    GLengthsSpec,
-    MixedRadixSpec,
-    ReservedSpec,
-    solve_huffman_reference_adapter,
-    solve_mixed_radix,
-    solve_reserved_g,
-    solve_reserved_given,
-)
+from .problems import PROBLEMS, Params
 
 _SCALE = 10**6
 
-PROBLEMS = ("gmr", "huffman", "mixed-radix", "reserved-given", "reserved-g", "one-ended")
 DISTRIBUTIONS = ("uniform", "geometric", "zipf")
 
 
@@ -56,32 +46,23 @@ def reserved_given_lengths(n: int) -> tuple[int, ...]:
 
 def run_instance(problem: str, w: WeightSeq, algorithm: str, *,
                  radix: int = 2, g: int = 3) -> dict:
-    """Solve one instance cost-only; returns cost, cells and wall time."""
-    start = time.perf_counter()
-    if problem == "one-ended":
-        res = solve_one_ended(w, algorithm=algorithm, with_code=False)
-        cost, cells = res.cost, res.cells_updated
-    elif problem in ("gmr", "huffman"):
-        res = solve_huffman_reference_adapter(w, radix, algorithm=algorithm, want_code=False)
-        cost, cells = res.dp.cost, res.dp.cells_updated
-    elif problem == "mixed-radix":
-        res = solve_mixed_radix(w, MixedRadixSpec((radix,)), algorithm=algorithm, want_code=False)
-        cost, cells = res.dp.cost, res.dp.cells_updated
-    elif problem == "reserved-given":
-        spec = ReservedSpec(radix, reserved_given_lengths(w.n))
-        res = solve_reserved_given(w, spec, algorithm=algorithm, want_code=False)
-        cost, cells = res.dp.cost, res.dp.cells_updated
-    elif problem == "reserved-g":
-        res = solve_reserved_g(w, GLengthsSpec(radix, g), algorithm=algorithm, want_code=False)
-        cost, cells = res.dp.cost, res.dp.cells_updated
-    else:
+    """Solve one instance cost-only; returns cost, cells and wall time.
+
+    gmr and huffman both run constant arity ``radix``, mixed-radix the
+    single arity ``radix``, reserved-given :func:`reserved_given_lengths`.
+    """
+    if problem not in PROBLEMS:
         raise InvalidInput(f"unknown problem {problem!r}")
+    entry = PROBLEMS[problem]
+    params = Params(radix=radix, arities=(radix,), lengths=reserved_given_lengths(w.n), g=g)
+    start = time.perf_counter()
+    dp = entry.solve(w, entry.spec(params, w.n), algorithm=algorithm, want_code=False).dp
     return {
         "problem": problem,
         "algorithm": algorithm,
         "n": w.n,
-        "cost": cost,
-        "cells_updated": cells,
+        "cost": dp.cost,
+        "cells_updated": dp.cells_updated,
         "wall_time": time.perf_counter() - start,
     }
 

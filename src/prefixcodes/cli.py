@@ -16,28 +16,17 @@ import json
 import sys
 import time
 
-from . import bench, oracle
-from .core import LevelSpec, WeightSeq, normalize_weights
+from . import bench
+from .core import ALGORITHMS, LevelSpec, normalize_weights
 from .errors import (
     ArityOverflow,
     BudgetExceeded,
+    InvalidInput,
     NoFeasibleTree,
     PrefixCodeError,
 )
-from .gmr import leafseq_to_codewords, solve_batched, solve_naive
-from .one_ended import solve_one_ended
-from .problems import (
-    GLengthsSpec,
-    MixedRadixSpec,
-    ProblemResult,
-    ReservedSpec,
-    solve_huffman_reference_adapter,
-    solve_mixed_radix,
-    solve_reserved_g,
-    solve_reserved_given,
-)
+from .problems import PROBLEMS, Params
 
-PROBLEMS = ("gmr", "mixed-radix", "reserved-given", "reserved-g", "one-ended", "huffman")
 _SPEC_ALIASES = {"binary": 2, "ternary": 3, "quaternary": 4}
 
 
@@ -64,15 +53,33 @@ def _read_weights(args) -> list[int]:
     raise ValueError("provide --weights or --weights-file")
 
 
-def _level_spec(args, n: int) -> tuple[LevelSpec, int]:
-    """Level spec for the generic problem; returns (spec, max_level)."""
+def _read_spec_file(path: str) -> LevelSpec:
+    with open(path) as fh:
+        pairs = json.load(fh)
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)
+        for pair in pairs
+    ):
+        raise InvalidInput(f"{path}: expected a JSON array [[arity, edge_length], ...] "
+                           "of integer pairs")
+    return LevelSpec(pairs)
+
+
+def _params(args, n: int) -> Params:
+    """The shared problem parameters from the command line.  ``--spec`` and
+    ``--spec-file`` describe gmr's levels."""
+    levels = None
     if args.spec_file:
-        with open(args.spec_file) as fh:
-            pairs = json.load(fh)
-        spec = LevelSpec([(int(r), int(c)) for r, c in pairs])
-        return spec, spec.num_levels
-    radix = _SPEC_ALIASES.get(args.spec, args.radix) if args.spec else args.radix
-    return LevelSpec.constant(radix, 1, n), n
+        levels = _read_spec_file(args.spec_file)
+    elif args.spec:
+        levels = LevelSpec.constant(_SPEC_ALIASES[args.spec], 1, n)
+    return Params(
+        radix=args.radix,
+        arities=tuple(_parse_int_list(args.arities)) if args.arities else None,
+        lengths=tuple(_parse_int_list(args.lengths)) if args.lengths else None,
+        g=args.g,
+        levels=levels,
+    )
 
 
 def _words_as_json(codebook, order):
@@ -93,126 +100,53 @@ def _lengths_as_json(codebook, order):
     return out
 
 
-def _solve_problem(args, w: WeightSeq, want_code: bool) -> tuple[ProblemResult, dict]:
-    extra: dict = {}
-    if args.problem == "huffman":
-        res = solve_huffman_reference_adapter(w, args.radix, algorithm=args.algorithm,
-                                              want_code=want_code)
-    elif args.problem == "mixed-radix":
-        if not args.arities:
-            raise ValueError("--arities is required for mixed-radix")
-        res = solve_mixed_radix(w, MixedRadixSpec(tuple(_parse_int_list(args.arities))),
-                                algorithm=args.algorithm, want_code=want_code)
-    elif args.problem == "reserved-given":
-        if not args.lengths:
-            raise ValueError("--lengths is required for reserved-given")
-        res = solve_reserved_given(w, ReservedSpec(args.radix, tuple(_parse_int_list(args.lengths))),
-                                   algorithm=args.algorithm, want_code=want_code)
-    elif args.problem == "reserved-g":
-        if args.g is None:
-            raise ValueError("--g is required for reserved-g")
-        res = solve_reserved_g(w, GLengthsSpec(args.radix, args.g),
-                               algorithm=args.algorithm, want_code=want_code)
-    elif args.problem == "one-ended":
-        oe = solve_one_ended(w, algorithm=args.algorithm, with_code=want_code)
-        extra["expansions"] = [list(s) for s in oe.expansions]
-        return ProblemResult(oe.codebook, None), {
-            "cost": oe.cost, "cells_updated": oe.cells_updated, **extra}
-    else:  # gmr
-        spec, max_level = _level_spec(args, w.n)
-        solver = solve_naive if args.algorithm == "naive" else solve_batched
-        dp = solver(w, spec, max_level, keep_tables=want_code)
-        code = leafseq_to_codewords(dp.leaf_sequence, spec, w) if want_code else None
-        res = ProblemResult(code, dp)
-    dp = res.dp
-    extra["cost"] = dp.cost
-    extra["cells_updated"] = dp.cells_updated
-    if dp.expansions is not None:
-        extra["expansions"] = [list(s) for s in dp.expansions]
-        if dp.options is not None:
-            extra["options"] = list(dp.options)
-    return res, extra
-
-
 def cmd_solve(args) -> int:
     w = normalize_weights(_read_weights(args))
     want_code = args.output != "cost"
+    problem = PROBLEMS[args.problem]
     start = time.perf_counter()
-    res, extra = _solve_problem(args, w, want_code)
+    spec = problem.spec(_params(args, w.n), w.n)
+    res = problem.solve(w, spec, algorithm=args.algorithm, want_code=want_code)
     elapsed = time.perf_counter() - start
+    dp = res.dp
     doc = {
         "problem": args.problem,
         "n": w.n,
-        "cost": extra["cost"],
+        "cost": dp.cost,
         "algorithm": args.algorithm,
-        "cells_updated": extra["cells_updated"],
+        "cells_updated": dp.cells_updated,
         "lengths": _lengths_as_json(res.codebook, w.order) if res.codebook else None,
         "elapsed": elapsed if args.timing else None,
     }
     if args.output == "code":
         doc["codewords"] = _words_as_json(res.codebook, w.order)
     elif args.output == "leafseq":
-        seq = res.dp.leaf_sequence if res.dp else None
-        if seq is None and res.codebook is not None:
-            counts: dict[int, int] = {}
-            for length in res.codebook.lengths:
-                counts[length] = counts.get(length, 0) + 1
-            doc["leaf_sequence"] = {str(k): v for k, v in sorted(counts.items())}
-        else:
-            doc["leaf_sequence"] = {str(k): v for k, v in seq.items()}
+        doc["leaf_sequence"] = {str(k): v for k, v in dp.leaf_sequence.items()}
     elif args.output == "trace":
-        doc["expansions"] = extra.get("expansions")
-        doc["options"] = extra.get("options")
+        doc["expansions"] = [list(s) for s in dp.expansions]
+        doc["options"] = list(dp.options) if dp.options is not None else None
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
-def _oracle_cost(args, w: WeightSeq) -> int:
-    budget = oracle.OracleBudget(max_n=args.max_oracle_n,
-                                 max_depth=max(args.max_oracle_n, 8))
-    if args.problem == "one-ended":
-        return oracle.enumerate_one_ended(
-            w, budget=oracle.OracleBudget(max_n=min(args.max_oracle_n, 6),
-                                          max_depth=w.n + 2))
-    if args.problem == "huffman":
-        return oracle.huffman_greedy(w, args.radix)
-    if args.problem == "mixed-radix":
-        mr = MixedRadixSpec(tuple(_parse_int_list(args.arities)))
-        spec = LevelSpec([(mr.arity_for_level(i), 1) for i in range(1, w.n + 1)])
-        return oracle.enumerate_gmr(w, spec, w.n, budget)
-    if args.problem == "reserved-given":
-        from .problems import _meta_arity
-        lengths = tuple(_parse_int_list(args.lengths))
-        gaps = [b - a for a, b in zip((0,) + lengths, lengths)]
-        spec = LevelSpec([(_meta_arity(args.radix, gap), gap) for gap in gaps])
-        return oracle.enumerate_gmr(w, spec, len(gaps), budget)
-    if args.problem == "reserved-g":
-        from .core import ChoiceLevelSpec
-        from .problems import glengths_options
-        opts = glengths_options(args.radix, w.n)
-        big = oracle.OracleBudget(max_n=args.max_oracle_n, max_depth=max(args.g, 8),
-                                  max_option_sets=len(opts))
-        return oracle.enumerate_choice(w, ChoiceLevelSpec([opts] * args.g), args.g, big)
-    spec, max_level = _level_spec(args, w.n)
-    return oracle.enumerate_gmr(w, spec, max_level, budget)
-
-
 def cmd_verify(args) -> int:
     w = normalize_weights(_read_weights(args))
-    res, extra = _solve_problem(args, w, want_code=False)
-    oracle_cost = _oracle_cost(args, w)
-    agree = extra["cost"] == oracle_cost
+    problem = PROBLEMS[args.problem]
+    spec = problem.spec(_params(args, w.n), w.n)
+    cost = problem.solve(w, spec, algorithm=args.algorithm, want_code=False).dp.cost
+    oracle_cost = problem.oracle(w, spec, args.max_oracle_n)
+    agree = cost == oracle_cost
     doc = {
         "problem": args.problem,
         "n": w.n,
         "algorithm": args.algorithm,
-        "solver_cost": extra["cost"],
+        "solver_cost": cost,
         "oracle_cost": oracle_cost,
         "agree": agree,
     }
     print(json.dumps(doc, sort_keys=True))
     if not agree:
-        print(f"mismatch: solver={extra['cost']} oracle={oracle_cost}", file=sys.stderr)
+        print(f"mismatch: solver={cost} oracle={oracle_cost}", file=sys.stderr)
     return 0 if agree else 1
 
 
@@ -238,12 +172,13 @@ def cmd_bench(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--problem", required=True, choices=PROBLEMS)
-    p.add_argument("--algorithm", default="batched", choices=("naive", "batched"))
+    p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
+    p.add_argument("--algorithm", default="batched", choices=ALGORITHMS)
     p.add_argument("--weights", help="inline weights, e.g. '3 2 1 1'")
     p.add_argument("--weights-file", help="one integer per line, or a JSON array")
     p.add_argument("--radix", type=int, default=2, help="alphabet size (default 2)")
-    p.add_argument("--spec", help="named level spec for gmr: binary/ternary/quaternary")
+    p.add_argument("--spec", choices=tuple(_SPEC_ALIASES),
+                   help="named level spec for gmr: constant arity, unit edges")
     p.add_argument("--spec-file", help="JSON [[arity, edge_length], ...] for gmr")
     p.add_argument("--arities", help="mixed-radix per-position arities, e.g. '4 2 3'")
     p.add_argument("--lengths", help="reserved-given permitted lengths, e.g. '1 3 6'")
@@ -270,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling run; CSV on stdout")
-    p.add_argument("--problem", required=True, choices=bench.PROBLEMS)
+    p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p.add_argument("--sizes", default="50 100 200 400")
     p.add_argument("--algorithms", default="naive batched")
     p.add_argument("--distribution", default="uniform", choices=bench.DISTRIBUTIONS)

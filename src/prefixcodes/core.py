@@ -31,6 +31,14 @@ UNREACHABLE = float("inf")
 #: Largest accepted individual weight (unsigned 64-bit range).
 MAX_WEIGHT = 2**64 - 1
 
+#: Table fills every solver offers; they produce bit-identical tables.
+ALGORITHMS = ("naive", "batched")
+
+
+def check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+
 
 def _check_weight(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):

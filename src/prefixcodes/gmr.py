@@ -20,6 +20,11 @@ Two fill strategies produce bit-identical tables:
 Equal-cost predecessors resolve to the lexicographically smallest
 ``(m', b')`` (the largest ``b'`` on a diagonal), which keeps the two
 strategies' backtraces identical.
+
+``solve_choice`` runs the same level loop over a ``ChoiceLevelSpec``, whose
+levels each offer several (arity, edge length) options: every option is
+filled from the previous combined table, and the combined entry is the
+per-signature minimum, equal costs going to the smallest option index.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ from dataclasses import dataclass
 
 from .core import (
     UNREACHABLE,
+    ChoiceLevelSpec,
     CodeBook,
     LeafSequence,
     LevelSpec,
     WeightSeq,
+    check_algorithm,
     cost_of_leaf_sequence,
 )
 from .errors import (
@@ -47,11 +54,13 @@ Sig = tuple[int, int]
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Reachable signatures of one level: exact cost and argmin predecessor."""
+    """Reachable signatures of one level: exact cost and argmin predecessor,
+    plus the winning option index per entry for choice solves."""
 
     level: int
     costs: dict[Sig, int]
     preds: dict[Sig, Sig | None] | None
+    options: dict[Sig, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,8 @@ class DPResult:
     excess zero-weight leaves are pruned; ``leaf_sequence`` is pruned to
     exactly n leaves.  ``tables``, ``expansions`` and ``leaf_sequence`` are
     present only when the solver ran with ``keep_tables=True``.
-    ``options`` records the chosen per-level option index for choice solves.
+    ``options`` records the chosen per-level option index for choice solves
+    that keep their tables.
     """
 
     cost: int
@@ -124,7 +134,8 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
     Returns ``(costs, preds, zeros, cells)`` where ``zeros`` lists the
     ``(m, cost)`` pairs of finished-tree states ``(m, 0)`` in ascending m and
     ``cells`` counts evaluated candidates (predecessor visits for the naive
-    mode, gamma evaluations plus sweep steps for the batched mode).
+    mode, gamma evaluations plus sweep steps for the batched mode).  ``costs``
+    and ``preds`` share each key tuple, which keeps retained tables smaller.
     """
     costs: dict[Sig, int] = {}
     preds: dict[Sig, Sig | None] | None = {} if want_preds else None
@@ -147,10 +158,11 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
             else:
                 v, pred = v0, (m, 0)
             if v < INF:
-                costs[(m, 0)] = v
+                key = (m, 0)
+                costs[key] = v
                 zeros.append((m, v))
                 if want_preds:
-                    preds[(m, 0)] = pred
+                    preds[key] = pred
         return costs, preds, zeros, cells
 
     if mode == "batched":
@@ -170,14 +182,16 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
                         barg = rem // r
                 if best < INF:
                     if rem > 0:
-                        costs[(m, rem)] = best
+                        key = (m, rem)
+                        costs[key] = best
                         if want_preds:
-                            preds[(m, rem)] = (d - r * barg, barg)
+                            preds[key] = (d - r * barg, barg)
                     elif m == n:  # the only in-range (m, 0) state with d <= n
-                        costs[(m, 0)] = best
+                        key = (m, 0)
+                        costs[key] = best
                         zeros.append((m, best))
                         if want_preds:
-                            preds[(m, 0)] = (d - r * barg, barg)
+                            preds[key] = (d - r * barg, barg)
         for d in range(n + 1, n + r):
             # remaining finished-tree states; each is a full-window minimum
             B = d // r
@@ -185,10 +199,11 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
             cells += 2 * (B + 1)
             v, k = _argmin_suffix(cand, 0)
             if v < INF:
-                costs[(d, 0)] = v
+                key = (d, 0)
+                costs[key] = v
                 zeros.append((d, v))
                 if want_preds:
-                    preds[(d, 0)] = (d - r * k, k)
+                    preds[key] = (d - r * k, k)
         return costs, preds, zeros, cells
 
     # naive: every entry scans its own predecessor window
@@ -202,19 +217,21 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
             cells += B + 1 - lo
             v, k = _argmin_suffix(cand, lo)
             if v < INF:
-                costs[(d - b, b)] = v
+                key = (d - b, b)
+                costs[key] = v
                 if want_preds:
-                    preds[(d - b, b)] = (d - r * k, k)
+                    preds[key] = (d - r * k, k)
     for m in range(max(n, r), n + r):
         B = m // r
         cand = [get((m - r * bp, bp), INF) + c * wext[m - r * bp] for bp in range(B + 1)]
         cells += B + 1
         v, k = _argmin_suffix(cand, 0)
         if v < INF:
-            costs[(m, 0)] = v
+            key = (m, 0)
+            costs[key] = v
             zeros.append((m, v))
             if want_preds:
-                preds[(m, 0)] = (m - r * k, k)
+                preds[key] = (m - r * k, k)
     return costs, preds, zeros, cells
 
 
@@ -223,37 +240,57 @@ def _extended_suffix(w: WeightSeq, upto: int) -> list:
     return list(w.suffix) + [0] * max(0, upto - w.n)
 
 
-def _solve(w: WeightSeq, spec: LevelSpec, max_level, mode: str, keep_tables: bool) -> DPResult:
+def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> DPResult:
+    """The level loop for plain and choice specs alike.
+
+    A ``LevelSpec`` level has one option, a ``ChoiceLevelSpec`` level lists
+    its own.  Choice solves also count each option's stored entries as cells
+    and record the winning option per entry, whatever their option count.
+    """
+    check_algorithm(mode)
     n = w.n
-    if max_level is None:
-        max_level = n
     if max_level < 1:
         raise InvalidInput("max_level must be at least 1")
     if spec.num_levels < max_level:
-        raise InvalidInput(f"level spec covers {spec.num_levels} levels, need {max_level}")
+        raise InvalidInput(f"spec covers {spec.num_levels} levels, need {max_level}")
+    choice = isinstance(spec, ChoiceLevelSpec)
     wext = _extended_suffix(w, 2 * n)
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev, {(0, 1): None} if keep_tables else None)]
     best = None  # (cost, level, n');  tuple order implements the tie-break
     cells = 0
     for i in range(1, max_level + 1):
-        costs, preds, zeros, k = _fill_level(
-            prev, n, spec.arity(i), spec.edge_length(i), wext, mode, keep_tables
-        )
-        cells += k
-        for m, v in zeros:
-            cand = (v, i, m)
-            if best is None or cand < best:
-                best = cand
+        options = spec.options(i) if choice else ((spec.arity(i), spec.edge_length(i)),)
+        chosen = None
+        for j, (r, c) in enumerate(options):
+            fill, fill_preds, zeros, k = _fill_level(prev, n, r, c, wext, mode, keep_tables)
+            cells += k + len(fill) if choice else k
+            # the best finished state over all options is the best over each
+            # option's own finished states
+            for m, v in zeros:
+                cand = (v, i, m)
+                if best is None or cand < best:
+                    best = cand
+            if j == 0:
+                costs, preds = fill, fill_preds
+                if choice and keep_tables:
+                    chosen = dict.fromkeys(fill, 0)
+                continue
+            for key, v in fill.items():
+                if key not in costs or v < costs[key]:  # ties keep the smaller index
+                    costs[key] = v
+                    if keep_tables:
+                        preds[key] = fill_preds[key]
+                        chosen[key] = j
         if keep_tables:
-            tables.append(LevelTable(i, costs, preds))
+            tables.append(LevelTable(i, costs, preds, chosen))
         prev = costs
     if best is None:
         raise NoFeasibleTree(f"no full tree with >= {n} leaves within {max_level} levels")
     cost, level, nprime = best
     if not keep_tables:
         return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells)
-    expansions, full_seq = backtrack(tables, (level, nprime, cost))
+    expansions, full_seq, options = backtrack(tables, (level, nprime, cost))
     return DPResult(
         cost=cost,
         level=level,
@@ -262,54 +299,49 @@ def _solve(w: WeightSeq, spec: LevelSpec, max_level, mode: str, keep_tables: boo
         expansions=expansions,
         leaf_sequence=prune_to_n(full_seq, n),
         tables=tuple(tables),
+        options=options,
     )
 
 
 def solve_naive(w: WeightSeq, spec: LevelSpec, max_level: int | None = None, *,
                 keep_tables: bool = True) -> DPResult:
     """Fill every level table by direct minimization over predecessors."""
-    return _solve(w, spec, max_level, "naive", keep_tables)
+    return _solve(w, spec, w.n if max_level is None else max_level, "naive", keep_tables)
 
 
 def solve_batched(w: WeightSeq, spec: LevelSpec, max_level: int | None = None, *,
                   keep_tables: bool = True) -> DPResult:
     """Batched fill; identical tables and answer as :func:`solve_naive`."""
-    return _solve(w, spec, max_level, "batched", keep_tables)
+    return _solve(w, spec, w.n if max_level is None else max_level, "batched", keep_tables)
 
 
-def extract_answer(tables, w: WeightSeq, spec: LevelSpec) -> tuple[int, int, int]:
-    """Best finished tree over all filled levels.
-
-    Minimizes the cost of ``(n', 0)`` states; ties break toward the smallest
-    level, then the smallest leaf count.  Returns ``(level, n', cost)``.
-    """
-    best = None
-    for table in tables[1:]:
-        for (m, b), v in table.costs.items():
-            if b == 0:
-                cand = (v, table.level, m)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        raise NoFeasibleTree("no finished tree recorded in the tables")
-    cost, level, nprime = best
-    return level, nprime, cost
+def solve_choice(w: WeightSeq, cspec: ChoiceLevelSpec, max_level: int | None = None, *,
+                 algorithm: str = "batched", keep_tables: bool = True) -> DPResult:
+    """Minimum-cost tree over all per-level option assignments; the result's
+    ``options`` holds the chosen option index per level of the backtrace."""
+    if max_level is None:
+        max_level = cspec.num_levels
+    return _solve(w, cspec, max_level, algorithm, keep_tables)
 
 
 def backtrack(tables, answer: tuple[int, int, int]):
     """Follow stored predecessors from the answer state back to the root.
 
-    Returns the expansion sequence ``(0,1) -> ... -> (n',0)`` and the full
-    (unpruned) leaf sequence read off it: the leaves added by the level-i
-    expansion are ``m_i - m_{i-1}``.
+    Returns the expansion sequence ``(0,1) -> ... -> (n',0)``, the full
+    (unpruned) leaf sequence read off it -- the leaves added by the level-i
+    expansion are ``m_i - m_{i-1}`` -- and the chosen option index per level,
+    or None when the tables record no options.
     """
     level, nprime, _cost = answer
     sig: Sig = (nprime, 0)
     chain = [sig]
+    chosen: list[int] = []
     for i in range(level, 0, -1):
         table = tables[i]
         if table.preds is None or sig not in table.preds:
             raise InternalInconsistency(f"missing predecessor for {sig} at level {i}")
+        if table.options is not None:
+            chosen.append(table.options[sig])
         sig = table.preds[sig]
         chain.append(sig)
     if sig != (0, 1):
@@ -322,7 +354,8 @@ def backtrack(tables, answer: tuple[int, int, int]):
             raise InternalInconsistency("leaf count decreased along the backtrace")
         if added:
             counts[i] = added
-    return tuple(chain), LeafSequence(counts)
+    options = tuple(reversed(chosen)) if tables[level].options is not None else None
+    return tuple(chain), LeafSequence(counts), options
 
 
 def telescoped_cost(expansions, w: WeightSeq, spec: LevelSpec) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import UNREACHABLE, CodeBook, WeightSeq, check_prefix_free
+from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
 from .errors import InternalInconsistency, InvalidInput, NoFeasibleTree
 from .rmq import RMQIndex
 
@@ -185,12 +185,7 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
 
 def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
                     with_code: bool = True) -> OneEndedResult:
-    """RMQ-batched solver (or naive via ``algorithm="naive"``)."""
-    if algorithm not in ("batched", "naive"):
-        raise InvalidInput(f"unknown algorithm {algorithm!r}")
+    """RMQ-batched solver, or direct minimization over predecessors in
+    lexicographic state order with ``algorithm="naive"``."""
+    check_algorithm(algorithm)
     return _solve(w, algorithm, with_code)
-
-
-def solve_one_ended_naive(w: WeightSeq, *, with_code: bool = True) -> OneEndedResult:
-    """Direct minimization over predecessors in lexicographic state order."""
-    return _solve(w, "naive", with_code)

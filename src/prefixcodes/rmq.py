@@ -15,6 +15,8 @@ from .errors import InvalidInput, InvalidRange
 
 
 class RMQIndex:
+    """Argmin index over a fixed array; UNREACHABLE sorts above every cost."""
+
     __slots__ = ("_vals", "_rows", "build_ops")
 
     def __init__(self, values: Sequence):
@@ -58,12 +60,3 @@ class RMQIndex:
         if vb < va:
             return b
         return a if a < b else b
-
-
-def build(values: Sequence) -> RMQIndex:
-    """Build an argmin index over ``values`` (UNREACHABLE sorts above all costs)."""
-    return RMQIndex(values)
-
-
-def query(idx: RMQIndex, i: int, j: int) -> int:
-    return idx.query(i, j)

@@ -40,7 +40,6 @@ from prefixcodes import (
     solve_mixed_radix,
     solve_naive,
     solve_one_ended,
-    solve_one_ended_naive,
     solve_reserved_g,
     solve_reserved_given,
     telescoped_cost,
@@ -86,7 +85,7 @@ def test_criterion_2_one_ended_oracle_equivalence():
     for w in _criterion2_instances():
         want = enumerate_one_ended(w)
         assert solve_one_ended(w, with_code=False).cost == want
-        assert solve_one_ended_naive(w, with_code=False).cost == want
+        assert solve_one_ended(w, algorithm="naive", with_code=False).cost == want
     print("\nACCEPTANCE 2 PASS: one-ended naive/batched == oracle on 300 instances")
 
 
@@ -130,7 +129,7 @@ def test_criterion_4_naive_batched_bit_equality():
         assert_same_solution(rn, rb)
         gmr_checked += 1
     for w in _criterion4_one_ended_instances():
-        rn = solve_one_ended_naive(w, with_code=False)
+        rn = solve_one_ended(w, algorithm="naive", with_code=False)
         rb = solve_one_ended(w, with_code=False)
         assert rn.cost == rb.cost
         assert rn.expansions == rb.expansions

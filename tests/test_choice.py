@@ -9,9 +9,9 @@ from prefixcodes import (
     LevelSpec,
     NoFeasibleTree,
     OracleBudget,
+    backtrack,
     enumerate_choice,
     normalize_weights,
-    per_option_fill,
     solve_batched,
     solve_choice,
 )
@@ -56,25 +56,57 @@ class TestSolveChoice:
         res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4), 4)
         assert len(res.options) == res.level
         assert all(0 <= j < 2 for j in res.options)
+        chain, _full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost))
+        assert chain == res.expansions and options == res.options
+        assert options == tuple(res.tables[i].options[sig]
+                                for i, sig in enumerate(chain[1:], start=1))
+
+    def test_cost_only_mode_skips_tables_and_options(self):
+        w = normalize_weights([8, 1, 1, 1])
+        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4), 4, keep_tables=False)
+        assert res.cost == 16
+        assert res.tables is None and res.options is None
+
+    def test_unknown_algorithm_rejected(self):
+        w = normalize_weights([1, 1])
+        with pytest.raises(InvalidInput):
+            solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS]), algorithm="fast")
 
 
 class TestPerOptionFill:
+    """One option's level fill, seen through a single-option choice level."""
+
     def test_root_expansion_binary(self):
-        cspec = ChoiceLevelSpec([TWO_OPTIONS])
         w = normalize_weights([1, 1])
-        table = per_option_fill(cspec, 1, 0, {(0, 1): 0}, w)
-        assert table == {(0, 2): 2, (1, 1): 2, (2, 0): 2}
+        for algorithm in ("naive", "batched"):
+            res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS[:1]]), algorithm=algorithm)
+            assert res.tables[1].costs == {(0, 2): 2, (1, 1): 2, (2, 0): 2}
+            assert res.tables[1].options == dict.fromkeys(res.tables[1].costs, 0)
 
     def test_root_expansion_wide(self):
-        cspec = ChoiceLevelSpec([TWO_OPTIONS])
         w = normalize_weights([1, 1])
-        table = per_option_fill(cspec, 1, 1, {(0, 1): 0}, w)
-        assert table == {(4, 0): 4}  # edge length 2 charges 2 * W_0
+        for algorithm in ("naive", "batched"):
+            res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS[1:]]), algorithm=algorithm)
+            assert res.tables[1].costs == {(4, 0): 4}  # edge length 2 charges 2 * W_0
+
+    def test_combined_level_takes_the_cheaper_option(self):
+        # both options above on one level: (2, 0) costs 2, (4, 0) costs 4,
+        # and the binary-only states keep option 0
+        w = normalize_weights([1, 1])
+        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS]))
+        table = res.tables[1]
+        assert table.costs == {(0, 2): 2, (1, 1): 2, (2, 0): 2, (4, 0): 4}
+        assert table.options == {(0, 2): 0, (1, 1): 0, (2, 0): 0, (4, 0): 1}
+        assert res.options == (0,)
 
     def test_unreachable_propagates(self):
-        cspec = ChoiceLevelSpec([TWO_OPTIONS])
+        # (4, 0) is no valid binary state for n = 2, so level 2 is empty,
+        # and so is every level filled from it
         w = normalize_weights([1, 1])
-        assert per_option_fill(cspec, 1, 0, {}, w) == {}
+        res = solve_choice(w, ChoiceLevelSpec([[(4, 1)], [(2, 1)], [(2, 1)]]))
+        assert res.tables[1].costs == {(4, 0): 2}
+        assert res.tables[2].costs == {} and res.tables[3].costs == {}
+        assert res.cost == 2 and res.options == (0,)
 
 
 class TestInvariants:

@@ -88,6 +88,14 @@ class TestSolve:
         args = ("--problem", "huffman", "--weights", "3 2 1 1")
         assert run_cli("solve", *args).stdout == run_cli("solve", *args).stdout
 
+    def test_spec_file(self, tmp_path):
+        path = tmp_path / "levels.json"
+        path.write_text("[[2, 1], [3, 1]]")
+        doc = solve_json("--problem", "gmr", "--spec-file", str(path),
+                         "--weights", "1 1 1 1 1")
+        assert doc["cost"] == 10  # frozen from the exhaustive oracle
+        assert doc["lengths"] == [2, 2, 2, 2, 2]
+
     def test_timing_flag_fills_elapsed(self):
         doc = solve_json("--problem", "huffman", "--weights", "1 1", "--timing")
         assert isinstance(doc["elapsed"], float)
@@ -128,6 +136,33 @@ class TestExitCodes:
     def test_budget_is_5(self):
         run_cli("verify", "--problem", "gmr",
                 "--weights", "1 2 3 4 5 6 7 8 9 10 11 12", expect=5)
+
+    @pytest.mark.parametrize("problem", ["reserved-g", "huffman"])
+    def test_bench_unknown_algorithm_is_2(self, problem):
+        # once ran the naive (reserved-g) or batched (huffman) fill under the
+        # unknown label
+        proc = run_cli("bench", "--problem", problem, "--sizes", "8",
+                       "--algorithms", "foo", expect=2)
+        assert "unknown algorithm 'foo'" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unknown_spec_alias_is_2(self):
+        run_cli("solve", "--problem", "gmr", "--spec", "bogus", "--weights", "3 2 1",
+                expect=2)
+
+    @pytest.mark.parametrize("content", ["[[2], [3]]", '{"a": 1}', "[[2, 1, 1]]",
+                                         '[["2", 1]]', "[2, 1]"])
+    def test_malformed_spec_file_is_2(self, tmp_path, content):
+        path = tmp_path / "levels.json"
+        path.write_text(content)
+        proc = run_cli("solve", "--problem", "gmr", "--spec-file", str(path),
+                       "--weights", "3 2 1", expect=2)
+        assert "[[arity, edge_length], ...]" in proc.stderr
+
+    @pytest.mark.parametrize("problem", ["mixed-radix", "reserved-given", "reserved-g"])
+    def test_missing_problem_parameter_is_2(self, problem):
+        proc = run_cli("solve", "--problem", problem, "--weights", "3 2 1", expect=2)
+        assert f"{problem} requires" in proc.stderr
 
 
 class TestVerify:

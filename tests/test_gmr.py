@@ -12,7 +12,6 @@ from prefixcodes import (
     backtrack,
     check_prefix_free,
     cost_of_leaf_sequence,
-    extract_answer,
     huffman_greedy,
     kraft_slack,
     leafseq_to_codewords,
@@ -81,31 +80,38 @@ class TestSolvers:
         assert res.tables is None and res.expansions is None
 
 
+def _answer(res):
+    """The solver's answer as ``(level, n', cost)``, checked against a scan of
+    every finished ``(n', 0)`` state in its tables: minimum cost, then the
+    smallest level, then the smallest leaf count."""
+    scanned = min((v, t.level, m) for t in res.tables[1:] for (m, b), v in t.costs.items()
+                  if b == 0)
+    assert (res.cost, res.level, res.leaves_full) == scanned
+    return res.level, res.leaves_full, res.cost
+
+
 class TestExtractAnswer:
     def test_balanced(self):
         w = normalize_weights([1, 1, 1, 1])
-        res = solve_batched(w, BINARY(4))
-        assert extract_answer(res.tables, w, BINARY(4)) == (2, 4, 8)
+        assert _answer(solve_batched(w, BINARY(4))) == (2, 4, 8)
 
     def test_three_weights(self):
         # oracle-frozen: the optimal full tree has 3 leaves (1 + 2), cost 5
         w = normalize_weights([1, 1, 1])
-        res = solve_batched(w, BINARY(3))
-        assert extract_answer(res.tables, w, BINARY(3)) == (2, 3, 5)
+        assert _answer(solve_naive(w, BINARY(3))) == (2, 3, 5)
 
     def test_wide_root(self):
         w = normalize_weights([1, 1])
-        spec = LevelSpec.constant(4, 1, 2)
-        res = solve_batched(w, spec)
-        assert extract_answer(res.tables, w, spec) == (1, 4, 2)
+        assert _answer(solve_batched(w, LevelSpec.constant(4, 1, 2))) == (1, 4, 2)
 
 
 class TestBacktrack:
     def test_balanced_chain(self):
         res = solve_batched(normalize_weights([1, 1, 1, 1]), BINARY(4))
-        chain, full = backtrack(res.tables, (res.level, res.leaves_full, res.cost))
+        chain, full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost))
         assert chain == ((0, 1), (0, 2), (4, 0))
         assert full == LeafSequence({2: 4})
+        assert options is None
 
     def test_skewed_chain(self):
         res = solve_batched(normalize_weights([4, 1, 1]), BINARY(3))

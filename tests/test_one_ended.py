@@ -10,7 +10,6 @@ from prefixcodes import (
     normalize_weights,
     oe_predecessors,
     solve_one_ended,
-    solve_one_ended_naive,
 )
 
 
@@ -58,7 +57,7 @@ class TestSolvers:
 
     @pytest.mark.parametrize("weights,cost,words", FROZEN)
     def test_frozen_instances_naive(self, weights, cost, words):
-        res = solve_one_ended_naive(normalize_weights(weights))
+        res = solve_one_ended(normalize_weights(weights), algorithm="naive")
         assert res.cost == cost
         assert res.codebook.words == words
 
@@ -117,7 +116,7 @@ class TestNaiveBatchedAgreement:
             n = rng.randint(1, 40)
             w = normalize_weights(random_weights(rng, n))
             rb = solve_one_ended(w, with_code=False)
-            rn = solve_one_ended_naive(w, with_code=False)
+            rn = solve_one_ended(w, algorithm="naive", with_code=False)
             assert rb.cost == rn.cost
             assert rb.expansions == rn.expansions
             assert rb.table.costs == rn.table.costs

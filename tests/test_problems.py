@@ -6,6 +6,7 @@ from helpers import random_weights
 from prefixcodes import (
     ArityOverflow,
     GLengthsSpec,
+    InvalidInput,
     MixedRadixSpec,
     NoFeasibleTree,
     ReservedSpec,
@@ -169,3 +170,15 @@ class TestHuffmanAdapter:
             w = normalize_weights(random_weights(rng, n))
             res = solve_huffman_reference_adapter(w, r, want_code=False)
             assert res.dp.cost == huffman_greedy(w, r)
+
+
+@pytest.mark.parametrize("solve,spec", [
+    (solve_huffman_reference_adapter, 2),
+    (solve_mixed_radix, MixedRadixSpec((2, 3))),
+    (solve_reserved_given, ReservedSpec(2, (1, 3))),
+    (solve_reserved_g, GLengthsSpec(2, 2)),
+])
+def test_unknown_algorithm_rejected(solve, spec):
+    for want_code in (True, False):
+        with pytest.raises(InvalidInput):
+            solve(normalize_weights([3, 2, 1]), spec, algorithm="foo", want_code=want_code)
