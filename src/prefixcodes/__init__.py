@@ -28,7 +28,6 @@ from .errors import (
     InternalInconsistency,
     InvalidInput,
     InvalidLeafSequence,
-    InvalidRange,
     NoFeasibleTree,
     PrefixCodeError,
 )
@@ -68,7 +67,6 @@ from .problems import (
     solve_reserved_g,
     solve_reserved_given,
 )
-from .rmq import RMQIndex
 
 __version__ = "0.1.0"
 
@@ -83,7 +81,6 @@ __all__ = [
     "InternalInconsistency",
     "InvalidInput",
     "InvalidLeafSequence",
-    "InvalidRange",
     "LeafSequence",
     "LevelSpec",
     "LevelTable",
@@ -95,7 +92,6 @@ __all__ = [
     "OracleBudget",
     "PrefixCodeError",
     "ProblemResult",
-    "RMQIndex",
     "ReservedSpec",
     "UNREACHABLE",
     "WeightSeq",

@@ -30,16 +30,23 @@ from .problems import PROBLEMS, Params
 _SPEC_ALIASES = {"binary": 2, "ternary": 3, "quaternary": 4}
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Integers separated by spaces or commas; errors name the ``flag``."""
     parts = text.replace(",", " ").split()
     if not parts:
-        raise ValueError("empty integer list")
-    return [int(p) for p in parts]
+        raise ValueError(f"{flag}: empty integer list")
+    values = []
+    for p in parts:
+        try:
+            values.append(int(p))
+        except ValueError:
+            raise ValueError(f"{flag}: {p!r} is not an integer") from None
+    return values
 
 
 def _read_weights(args) -> list[int]:
     if args.weights is not None:
-        return _parse_int_list(args.weights)
+        return _parse_int_list(args.weights, "--weights")
     if args.weights_file is not None:
         with open(args.weights_file) as fh:
             text = fh.read()
@@ -75,8 +82,8 @@ def _params(args, n: int) -> Params:
         levels = LevelSpec.constant(_SPEC_ALIASES[args.spec], 1, n)
     return Params(
         radix=args.radix,
-        arities=tuple(_parse_int_list(args.arities)) if args.arities else None,
-        lengths=tuple(_parse_int_list(args.lengths)) if args.lengths else None,
+        arities=tuple(_parse_int_list(args.arities, "--arities")) if args.arities else None,
+        lengths=tuple(_parse_int_list(args.lengths, "--lengths")) if args.lengths else None,
         g=args.g,
         levels=levels,
     )
@@ -151,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes)
+    sizes = _parse_int_list(args.sizes, "--sizes")
     algorithms = args.algorithms.replace(",", " ").split()
     rows = bench.run_scaling(args.problem, sizes, algorithms,
                              distribution=args.distribution, seed=args.seed,

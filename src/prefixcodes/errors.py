@@ -31,7 +31,3 @@ class BudgetExceeded(PrefixCodeError):
 
 class InternalInconsistency(PrefixCodeError):
     """A solver produced self-contradictory state; indicates a bug."""
-
-
-class InvalidRange(PrefixCodeError):
-    """An out-of-bounds or reversed query window."""

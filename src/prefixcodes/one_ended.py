@@ -10,18 +10,20 @@ serves all levels.
 
 The batched fill processes states in diagonals ``d = m + b``.  Within one
 diagonal the candidate value gamma(b') depends only on the predecessor's bad
-count, and a state's predecessors form the window ceil(b/2) <= b' <= b, so a
-range-minimum index over gamma answers each state in O(1).  Ties resolve to
-the smallest b', matching the naive scan order.
+count, and a state's predecessors form the window
+max(1, ceil(b/2)) <= b' <= min(b, floor(d/2)).  Both ends of that window only
+move up as b grows, so a sliding-window minimum (a monotone deque) answers
+every state of the diagonal in amortized O(1).  Ties resolve to the smallest
+b', matching the naive scan order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
 from .errors import InternalInconsistency, InvalidInput, NoFeasibleTree
-from .rmq import RMQIndex
 
 Sig = tuple[int, int]
 
@@ -37,7 +39,7 @@ class OneEndedResult:
     cost: int
     codebook: CodeBook | None
     expansions: tuple[Sig, ...]
-    table: OneEndedTable
+    table: OneEndedTable | None  # None for cost-only solves
     cells_updated: int
 
 
@@ -97,24 +99,32 @@ def _fill_batched(w: WeightSeq):
     cells = 0
     for d in range(2, 3 * n):
         half = d // 2
-        cand = [get((d - 2 * bp, bp), INF) + wext[d - 2 * bp] for bp in range(1, half + 1)]
+        # cand[bp] = gamma(bp); index 0 is never in a window
+        cand = [INF] + [get((d - 2 * bp, bp), INF) + wext[d - 2 * bp]
+                        for bp in range(1, half + 1)]
         cells += half
-        if not cand:
-            continue
-        idx = RMQIndex(cand)
-        cells += idx.build_ops
+        window: deque[int] = deque()  # b' ascending, gamma non-decreasing
+        pushed = 0
         for b in range(max(1, d - n), min(2 * n - 1, d) + 1):
             m = d - b
             lo = max(1, (b + 1) // 2)
             hi = min(b, half)
             if lo > hi:
                 continue
-            k = idx.query(lo - 1, hi - 1)
+            while pushed < hi:
+                pushed += 1
+                v = cand[pushed]
+                while window and cand[window[-1]] > v:  # strict: ties keep the smaller b'
+                    window.pop()
+                window.append(pushed)
+            while window[0] < lo:
+                window.popleft()
             cells += 1
-            v = cand[k]
+            bp = window[0]
+            v = cand[bp]
             if v < INF:
                 costs[(m, b)] = v
-                preds[(m, b)] = (d - 2 * (k + 1), k + 1)
+                preds[(m, b)] = (d - 2 * bp, bp)
     return costs, preds, cells
 
 
@@ -178,14 +188,15 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
         cost=cost,
         codebook=codebook,
         expansions=expansions,
-        table=OneEndedTable(costs, preds),
+        table=OneEndedTable(costs, preds) if with_code else None,
         cells_updated=cells,
     )
 
 
 def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
                     with_code: bool = True) -> OneEndedResult:
-    """RMQ-batched solver, or direct minimization over predecessors in
-    lexicographic state order with ``algorithm="naive"``."""
+    """Diagonal-batched solver with a sliding-window minimum, or direct
+    minimization over predecessors in lexicographic state order with
+    ``algorithm="naive"``.  The DP table is kept only when ``with_code``."""
     check_algorithm(algorithm)
     return _solve(w, algorithm, with_code)

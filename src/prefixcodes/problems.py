@@ -179,11 +179,15 @@ def glengths_options(r: int, n: int) -> tuple[tuple[int, int], ...]:
 
 def solve_reserved_g(w: WeightSeq, gspec: GLengthsSpec, *, algorithm: str = "batched",
                      want_code: bool = True) -> ProblemResult:
-    """At most g distinct codeword lengths, the lengths themselves are free."""
+    """At most g distinct codeword lengths, the lengths themselves are free.
+
+    n weights use at most n distinct lengths, so only min(g, n) levels are
+    filled."""
     r = gspec.radix
     options = glengths_options(r, w.n)
-    cspec = ChoiceLevelSpec([options] * gspec.g)
-    dp = solve_choice(w, cspec, gspec.g, algorithm=algorithm, keep_tables=want_code)
+    levels = min(gspec.g, w.n)
+    cspec = ChoiceLevelSpec([options] * levels)
+    dp = solve_choice(w, cspec, levels, algorithm=algorithm, keep_tables=want_code)
     code = None
     if want_code:
         depths = [0]

@@ -129,8 +129,8 @@ def test_criterion_4_naive_batched_bit_equality():
         assert_same_solution(rn, rb)
         gmr_checked += 1
     for w in _criterion4_one_ended_instances():
-        rn = solve_one_ended(w, algorithm="naive", with_code=False)
-        rb = solve_one_ended(w, with_code=False)
+        rn = solve_one_ended(w, algorithm="naive")
+        rb = solve_one_ended(w)
         assert rn.cost == rb.cost
         assert rn.expansions == rb.expansions
         assert rn.table.costs == rb.table.costs

@@ -57,6 +57,16 @@ class TestSolve:
         doc = solve_json("--problem", "reserved-g", "--g", "2", "--weights", "4 1 1")
         assert doc["cost"] == 8
 
+    def test_reserved_g_budget_beyond_n_changes_nothing(self):
+        # n weights use at most n distinct lengths
+        weights = "9 5 3 2 1 1"
+        for output in ("cost", "code", "leafseq", "trace"):
+            at_n = solve_json("--problem", "reserved-g", "--g", "6", "--weights", weights,
+                              "--output", output)
+            wide = solve_json("--problem", "reserved-g", "--g", "1000", "--weights", weights,
+                              "--output", output)
+            assert wide == at_n
+
     def test_output_modes(self):
         cost = solve_json("--problem", "huffman", "--weights", "3 2 1 1",
                           "--output", "cost")
@@ -158,6 +168,16 @@ class TestExitCodes:
         proc = run_cli("solve", "--problem", "gmr", "--spec-file", str(path),
                        "--weights", "3 2 1", expect=2)
         assert "[[arity, edge_length], ...]" in proc.stderr
+
+    @pytest.mark.parametrize("flag,args", [
+        ("--weights", ("solve", "--problem", "huffman")),
+        ("--arities", ("solve", "--problem", "mixed-radix", "--weights", "3 2 1")),
+        ("--lengths", ("solve", "--problem", "reserved-given", "--weights", "3 2 1")),
+        ("--sizes", ("bench", "--problem", "huffman")),
+    ])
+    def test_bad_integer_names_the_flag(self, flag, args):
+        proc = run_cli(*args, flag, "2 x", expect=2)
+        assert f"{flag}: 'x' is not an integer" in proc.stderr
 
     @pytest.mark.parametrize("problem", ["mixed-radix", "reserved-given", "reserved-g"])
     def test_missing_problem_parameter_is_2(self, problem):

@@ -109,18 +109,30 @@ class TestSolvers:
                 bad = nxt
 
 
+# Weight draws for the agreement test.  Small ranges and all-equal weights
+# make many predecessor windows tie, which the batched fill must resolve to
+# the smallest b' exactly as the naive scan does.
+WEIGHT_DRAWS = {
+    "0..50": lambda rng, n: random_weights(rng, n),
+    "0..2": lambda rng, n: random_weights(rng, n, 0, 2),
+    "all-equal": lambda rng, n: [rng.randint(1, 50)] * n,
+}
+
+
 class TestNaiveBatchedAgreement:
     def test_tables_answers_and_traces(self):
-        rng = random.Random(41)
-        for _ in range(30):
-            n = rng.randint(1, 40)
-            w = normalize_weights(random_weights(rng, n))
-            rb = solve_one_ended(w, with_code=False)
-            rn = solve_one_ended(w, algorithm="naive", with_code=False)
-            assert rb.cost == rn.cost
-            assert rb.expansions == rn.expansions
-            assert rb.table.costs == rn.table.costs
-            assert rb.table.preds == rn.table.preds
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(41)
+            for _ in range(30):
+                n = rng.randint(1, 40)
+                w = normalize_weights(draw(rng, n))
+                rb = solve_one_ended(w)
+                rn = solve_one_ended(w, algorithm="naive")
+                assert rb.cost == rn.cost, name
+                assert rb.expansions == rn.expansions, name
+                assert rb.table.costs == rn.table.costs, name
+                assert rb.table.preds == rn.table.preds, name
+        assert solve_one_ended(w, with_code=False).table is None
 
 
 class TestAgainstWordSetEnumeration:
