@@ -56,7 +56,16 @@ def _read_weights(args) -> list[int]:
             if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
                 raise ValueError("weights file JSON must be an array of integers")
             return data
-        return [int(line.split()[0]) for line in text.splitlines() if line.strip()]
+        values = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                token = line.split()[0]
+                try:
+                    values.append(int(token))
+                except ValueError:
+                    raise ValueError(f"{args.weights_file}: line {lineno}: "
+                                     f"{token!r} is not an integer") from None
+        return values
     raise ValueError("provide --weights or --weights-file")
 
 

@@ -17,14 +17,16 @@ Two fill strategies produce bit-identical tables:
   are finished by checking the only two possible predecessors of each
   ``(m, 0)`` state.
 
-Equal-cost predecessors resolve to the lexicographically smallest
-``(m', b')`` (the largest ``b'`` on a diagonal), which keeps the two
-strategies' backtraces identical.
-
 ``solve_choice`` runs the same level loop over a ``ChoiceLevelSpec``, whose
 levels each offer several (arity, edge length) options: every option is
 filled from the previous combined table, and the combined entry is the
-per-signature minimum, equal costs going to the smallest option index.
+per-signature minimum.
+
+The fills store costs only, so equal-cost predecessors are resolved in one
+place: ``backtrack`` recovers each step from the previous level's costs,
+trying options in index order and, within an option, predecessors in
+ascending ``m'`` order (the largest ``b'`` on a diagonal).  Both fills
+therefore share one backtrace.
 """
 
 from __future__ import annotations
@@ -54,13 +56,11 @@ Sig = tuple[int, int]
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Reachable signatures of one level: exact cost and argmin predecessor,
-    plus the winning option index per entry for choice solves."""
+    """Reachable signatures of one level and their exact minimum costs;
+    predecessors and options are recovered from these by ``backtrack``."""
 
     level: int
     costs: dict[Sig, int]
-    preds: dict[Sig, Sig | None] | None
-    options: dict[Sig, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,15 @@ def predecessors(i: int, sig: Sig, spec: LevelSpec, n: int) -> list[Sig]:
     return out
 
 
-def _argmin_suffix(cand: list, lo: int):
-    """Min of cand[lo:] and the largest index attaining it (smallest m')."""
-    window = cand[lo:]
-    v = min(window)
-    k = lo + len(window) - 1 - window[::-1].index(v)
-    return v, k
-
-
-def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_preds: bool):
+def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str):
     """Fill one level from the previous one.
 
-    Returns ``(costs, preds, zeros, cells)`` where ``zeros`` lists the
-    ``(m, cost)`` pairs of finished-tree states ``(m, 0)`` in ascending m and
-    ``cells`` counts evaluated candidates (predecessor visits for the naive
-    mode, gamma evaluations plus sweep steps for the batched mode).  ``costs``
-    and ``preds`` share each key tuple, which keeps retained tables smaller.
+    Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
+    pairs of finished-tree states ``(m, 0)`` in ascending m and ``cells``
+    counts evaluated candidates (predecessor visits for the naive mode, gamma
+    evaluations plus sweep steps for the batched mode).
     """
     costs: dict[Sig, int] = {}
-    preds: dict[Sig, Sig | None] | None = {} if want_preds else None
     zeros: list[tuple[int, int]] = []
     cells = 0
     get = prev.get
@@ -150,20 +140,12 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
         # remain, each with at most two candidates: itself one level up
         # (W_m = 0 there) and (m - r, 1).
         for m in range(r, r + n):
-            v1 = get((m - r, 1), INF) + c * wext[m - r]
-            v0 = get((m, 0), INF)
+            v = min(get((m - r, 1), INF) + c * wext[m - r], get((m, 0), INF))
             cells += 2
-            if v1 <= v0:
-                v, pred = v1, (m - r, 1)
-            else:
-                v, pred = v0, (m, 0)
             if v < INF:
-                key = (m, 0)
-                costs[key] = v
+                costs[(m, 0)] = v
                 zeros.append((m, v))
-                if want_preds:
-                    preds[key] = pred
-        return costs, preds, zeros, cells
+        return costs, zeros, cells
 
     if mode == "batched":
         for d in range(1, n + 1):
@@ -172,39 +154,27 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
             cand = [get((d - r * bp, bp), INF) + c * wext[d - r * bp] for bp in range(B + 1)]
             cells += (B + 1) + (d - t + 1)
             best = INF
-            barg = -1
             for m in range(t, d + 1):
                 rem = d - m
                 if rem % r == 0:
                     v = cand[rem // r]
-                    if v < best:  # strict: the earlier (larger) b' wins ties
+                    if v < best:
                         best = v
-                        barg = rem // r
                 if best < INF:
                     if rem > 0:
-                        key = (m, rem)
-                        costs[key] = best
-                        if want_preds:
-                            preds[key] = (d - r * barg, barg)
+                        costs[(m, rem)] = best
                     elif m == n:  # the only in-range (m, 0) state with d <= n
-                        key = (m, 0)
-                        costs[key] = best
+                        costs[(m, 0)] = best
                         zeros.append((m, best))
-                        if want_preds:
-                            preds[key] = (d - r * barg, barg)
         for d in range(n + 1, n + r):
             # remaining finished-tree states; each is a full-window minimum
             B = d // r
-            cand = [get((d - r * bp, bp), INF) + c * wext[d - r * bp] for bp in range(B + 1)]
+            v = min(get((d - r * bp, bp), INF) + c * wext[d - r * bp] for bp in range(B + 1))
             cells += 2 * (B + 1)
-            v, k = _argmin_suffix(cand, 0)
             if v < INF:
-                key = (d, 0)
-                costs[key] = v
+                costs[(d, 0)] = v
                 zeros.append((d, v))
-                if want_preds:
-                    preds[key] = (d - r * k, k)
-        return costs, preds, zeros, cells
+        return costs, zeros, cells
 
     # naive: every entry scans its own predecessor window
     for d in range(2, n + 1):
@@ -215,24 +185,17 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str, want_
             if lo > B:
                 continue
             cells += B + 1 - lo
-            v, k = _argmin_suffix(cand, lo)
+            v = min(cand[lo:])
             if v < INF:
-                key = (d - b, b)
-                costs[key] = v
-                if want_preds:
-                    preds[key] = (d - r * k, k)
+                costs[(d - b, b)] = v
     for m in range(max(n, r), n + r):
         B = m // r
-        cand = [get((m - r * bp, bp), INF) + c * wext[m - r * bp] for bp in range(B + 1)]
+        v = min(get((m - r * bp, bp), INF) + c * wext[m - r * bp] for bp in range(B + 1))
         cells += B + 1
-        v, k = _argmin_suffix(cand, 0)
         if v < INF:
-            key = (m, 0)
-            costs[key] = v
+            costs[(m, 0)] = v
             zeros.append((m, v))
-            if want_preds:
-                preds[key] = (m - r * k, k)
-    return costs, preds, zeros, cells
+    return costs, zeros, cells
 
 
 def _extended_suffix(w: WeightSeq, upto: int) -> list:
@@ -240,12 +203,18 @@ def _extended_suffix(w: WeightSeq, upto: int) -> list:
     return list(w.suffix) + [0] * max(0, upto - w.n)
 
 
+def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
+    """The (arity, edge length) options of level ``i``: one for a ``LevelSpec``."""
+    if isinstance(spec, ChoiceLevelSpec):
+        return spec.options(i)
+    return ((spec.arity(i), spec.edge_length(i)),)
+
+
 def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> DPResult:
     """The level loop for plain and choice specs alike.
 
-    A ``LevelSpec`` level has one option, a ``ChoiceLevelSpec`` level lists
-    its own.  Choice solves also count each option's stored entries as cells
-    and record the winning option per entry, whatever their option count.
+    Choice solves also count each option's stored entries as cells, whatever
+    their option count.
     """
     check_algorithm(mode)
     n = w.n
@@ -256,14 +225,13 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> 
     choice = isinstance(spec, ChoiceLevelSpec)
     wext = _extended_suffix(w, 2 * n)
     prev: dict[Sig, int] = {(0, 1): 0}
-    tables = [LevelTable(0, prev, {(0, 1): None} if keep_tables else None)]
+    tables = [LevelTable(0, prev)]
     best = None  # (cost, level, n');  tuple order implements the tie-break
     cells = 0
     for i in range(1, max_level + 1):
-        options = spec.options(i) if choice else ((spec.arity(i), spec.edge_length(i)),)
-        chosen = None
-        for j, (r, c) in enumerate(options):
-            fill, fill_preds, zeros, k = _fill_level(prev, n, r, c, wext, mode, keep_tables)
+        costs = None
+        for r, c in _level_options(spec, i):
+            fill, zeros, k = _fill_level(prev, n, r, c, wext, mode)
             cells += k + len(fill) if choice else k
             # the best finished state over all options is the best over each
             # option's own finished states
@@ -271,26 +239,21 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> 
                 cand = (v, i, m)
                 if best is None or cand < best:
                     best = cand
-            if j == 0:
-                costs, preds = fill, fill_preds
-                if choice and keep_tables:
-                    chosen = dict.fromkeys(fill, 0)
+            if costs is None:
+                costs = fill
                 continue
             for key, v in fill.items():
-                if key not in costs or v < costs[key]:  # ties keep the smaller index
+                if v < costs.get(key, UNREACHABLE):
                     costs[key] = v
-                    if keep_tables:
-                        preds[key] = fill_preds[key]
-                        chosen[key] = j
         if keep_tables:
-            tables.append(LevelTable(i, costs, preds, chosen))
+            tables.append(LevelTable(i, costs))
         prev = costs
     if best is None:
         raise NoFeasibleTree(f"no full tree with >= {n} leaves within {max_level} levels")
     cost, level, nprime = best
     if not keep_tables:
         return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells)
-    expansions, full_seq, options = backtrack(tables, (level, nprime, cost))
+    expansions, full_seq, options = backtrack(tables, (level, nprime, cost), spec, w)
     return DPResult(
         cost=cost,
         level=level,
@@ -324,25 +287,46 @@ def solve_choice(w: WeightSeq, cspec: ChoiceLevelSpec, max_level: int | None = N
     return _solve(w, cspec, max_level, algorithm, keep_tables)
 
 
-def backtrack(tables, answer: tuple[int, int, int]):
-    """Follow stored predecessors from the answer state back to the root.
+def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):
+    """``(option index, predecessor, its cost)`` of the first candidate of
+    ``sig`` whose cost plus ``c * W_m'`` is ``cost``; None if none is."""
+    m, b = sig
+    d = m + b
+    for j, (r, c) in enumerate(options):
+        if not valid_signature(m, b, n=w.n, arity=r):
+            continue
+        for bp in range(d // r, (b + r - 1) // r - 1, -1):  # ascending m'
+            pred = (d - r * bp, bp)
+            v = prev.get(pred)
+            if v is not None and v + c * w.tail_weight(pred[0]) == cost:
+                return j, pred, v
+    return None
+
+
+def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq):
+    """Recover the answer's predecessors from the finished cost tables.
+
+    At level ``i`` the options are tried in index order, skipping those for
+    whose arity ``sig`` is no valid signature.  An option's candidates are the
+    ``(d - r * b', b')`` present in level ``i - 1``; the first one, in
+    ascending ``m'`` order, whose cost plus ``c * W_m'`` equals ``sig``'s
+    stored cost is its predecessor.
 
     Returns the expansion sequence ``(0,1) -> ... -> (n',0)``, the full
     (unpruned) leaf sequence read off it -- the leaves added by the level-i
     expansion are ``m_i - m_{i-1}`` -- and the chosen option index per level,
-    or None when the tables record no options.
+    or None for a plain ``LevelSpec``.
     """
-    level, nprime, _cost = answer
+    level, nprime, cost = answer
     sig: Sig = (nprime, 0)
     chain = [sig]
     chosen: list[int] = []
     for i in range(level, 0, -1):
-        table = tables[i]
-        if table.preds is None or sig not in table.preds:
-            raise InternalInconsistency(f"missing predecessor for {sig} at level {i}")
-        if table.options is not None:
-            chosen.append(table.options[sig])
-        sig = table.preds[sig]
+        step = _attaining_step(tables[i - 1].costs, sig, _level_options(spec, i), w, cost)
+        if step is None:
+            raise InternalInconsistency(f"no predecessor attains the cost of {sig} at level {i}")
+        j, sig, cost = step
+        chosen.append(j)
         chain.append(sig)
     if sig != (0, 1):
         raise InternalInconsistency(f"backtrace ended at {sig}, expected (0, 1)")
@@ -354,7 +338,7 @@ def backtrack(tables, answer: tuple[int, int, int]):
             raise InternalInconsistency("leaf count decreased along the backtrace")
         if added:
             counts[i] = added
-    options = tuple(reversed(chosen)) if tables[level].options is not None else None
+    options = tuple(reversed(chosen)) if isinstance(spec, ChoiceLevelSpec) else None
     return tuple(chain), LeafSequence(counts), options
 
 

@@ -13,8 +13,11 @@ diagonal the candidate value gamma(b') depends only on the predecessor's bad
 count, and a state's predecessors form the window
 max(1, ceil(b/2)) <= b' <= min(b, floor(d/2)).  Both ends of that window only
 move up as b grows, so a sliding-window minimum (a monotone deque) answers
-every state of the diagonal in amortized O(1).  Ties resolve to the smallest
-b', matching the naive scan order.
+every state of the diagonal in amortized O(1).
+
+Both fills store costs only.  The chain walk in ``_solve`` recovers each
+step from the finished table: among ``oe_predecessors`` of a state, the first
+(smallest b') whose cost plus W_m' equals the state's cost wins ties.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ Sig = tuple[int, int]
 
 @dataclass(frozen=True)
 class OneEndedTable:
+    """The finished level-free table: minimum cost of every reachable state."""
+
     costs: dict[Sig, int]
-    preds: dict[Sig, Sig | None]
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,6 @@ def _fill_naive(w: WeightSeq):
     n = w.n
     INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
-    preds: dict[Sig, Sig | None] = {(0, 1): None}
     get = costs.get
     suffix = w.suffix
     cells = 0
@@ -75,25 +78,21 @@ def _fill_naive(w: WeightSeq):
                 continue
             d = m + b
             best = INF
-            arg = None
             for bp in range(max(1, (b + 1) // 2), min(b, d // 2) + 1):
                 mp = d - 2 * bp  # mp <= m <= n always (2*bp >= b)
                 v = get((mp, bp), INF) + suffix[mp]
                 cells += 1
-                if v < best:  # strict: the smaller b' wins ties
+                if v < best:
                     best = v
-                    arg = (mp, bp)
             if best < INF:
                 costs[(m, b)] = best
-                preds[(m, b)] = arg
-    return costs, preds, cells
+    return costs, cells
 
 
 def _fill_batched(w: WeightSeq):
     n = w.n
     INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
-    preds: dict[Sig, Sig | None] = {(0, 1): None}
     get = costs.get
     wext = list(w.suffix) + [0] * (2 * n)  # indices up to 3n
     cells = 0
@@ -114,18 +113,16 @@ def _fill_batched(w: WeightSeq):
             while pushed < hi:
                 pushed += 1
                 v = cand[pushed]
-                while window and cand[window[-1]] > v:  # strict: ties keep the smaller b'
+                while window and cand[window[-1]] > v:
                     window.pop()
                 window.append(pushed)
             while window[0] < lo:
                 window.popleft()
             cells += 1
-            bp = window[0]
-            v = cand[bp]
+            v = cand[window[0]]
             if v < INF:
                 costs[(m, b)] = v
-                preds[(m, b)] = (d - 2 * bp, bp)
-    return costs, preds, cells
+    return costs, cells
 
 
 def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
@@ -158,7 +155,7 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
     n = w.n
     if n < 1:
         raise InvalidInput("need at least one weight")
-    costs, preds, cells = _fill_naive(w) if mode == "naive" else _fill_batched(w)
+    costs, cells = _fill_naive(w) if mode == "naive" else _fill_batched(w)
     best = None
     for b in range(1, max(1, 2 * n - 2) + 1):
         v = costs.get((n, b))
@@ -171,11 +168,15 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
     cost, b_final = best
     sig: Sig = (n, b_final)
     chain = [sig]
+    target = cost
     while sig != (0, 1):
-        nxt = preds.get(sig)
-        if nxt is None:
-            raise InternalInconsistency(f"broken predecessor chain at {sig}")
-        sig = nxt
+        for pred in oe_predecessors(sig, n):
+            v = costs.get(pred)
+            if v is not None and v + w.suffix[pred[0]] == target:
+                break
+        else:
+            raise InternalInconsistency(f"no predecessor attains the cost of {sig}")
+        sig, target = pred, v
         chain.append(sig)
     chain.reverse()
     expansions = tuple(chain)
@@ -188,7 +189,7 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
         cost=cost,
         codebook=codebook,
         expansions=expansions,
-        table=OneEndedTable(costs, preds) if with_code else None,
+        table=OneEndedTable(costs) if with_code else None,
         cells_updated=cells,
     )
 

@@ -8,7 +8,9 @@ code, so agreement between the two is a meaningful check.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -87,7 +89,8 @@ def enumerate_one_ended(
     how many of the available 1-children become weighted leaves and how many
     nodes are expanded further.  Subtrees that could never receive a weighted
     leaf are skipped -- dropping them never changes the cost.  Weights are
-    assigned shallowest-first.
+    assigned shallowest-first, so the cheapest completion of a partial tree
+    depends only on ``(level, internals, placed)`` and is memoized on it.
     """
     budget = budget or OracleBudget(max_n=6, max_depth=8)
     n = w.n
@@ -98,29 +101,27 @@ def enumerate_one_ended(
     if max_depth > budget.max_depth:
         raise BudgetExceeded(f"max_depth={max_depth} exceeds oracle budget {budget.max_depth}")
 
-    best: list[int | None] = [None]
-
-    def dfs(level: int, internals: int, placed: int, cost: int) -> None:
+    @functools.cache
+    def rest(level: int, internals: int, placed: int):
+        """Least cost of placing the remaining weights; infinite when impossible."""
         if level > max_depth:
-            return
+            return math.inf
+        best = math.inf
         # `internals` parents each contribute one 0-node and one 1-node here.
         for goods in range(min(internals, n - placed) + 1):
-            add = level * (w.suffix[placed] - w.suffix[placed + goods])
+            cost = level * (w.suffix[placed] - w.suffix[placed + goods])
             now = placed + goods
-            if now == n:
-                total = cost + add
-                if best[0] is None or total < best[0]:
-                    best[0] = total
-                continue
-            # every expanded node must eventually host a weighted leaf
-            max_expand = min(2 * internals - goods, n - now)
-            for expand in range(1, max_expand + 1):
-                dfs(level + 1, expand, now, cost + add)
+            if now < n:
+                # every expanded node must eventually host a weighted leaf
+                max_expand = min(2 * internals - goods, n - now)
+                cost += min(rest(level + 1, expand, now) for expand in range(1, max_expand + 1))
+            best = min(best, cost)
+        return best
 
-    dfs(1, 1, 0, 0)
-    if best[0] is None:
+    best = rest(1, 1, 0)
+    if best == math.inf:
         raise NoFeasibleTree("no one-ended tree within the depth limit")
-    return best[0]
+    return best
 
 
 def huffman_greedy(w: WeightSeq, r: int) -> int:

@@ -253,10 +253,12 @@ def _enumerate_levels(w: WeightSeq, spec: LevelSpec, max_n: int) -> int:
 
 
 def _enumerate_glengths(w: WeightSeq, gspec: GLengthsSpec, max_n: int) -> int:
+    # n weights use at most n distinct lengths, as in solve_reserved_g
     options = glengths_options(gspec.radix, w.n)
-    budget = oracle.OracleBudget(max_n=max_n, max_depth=max(gspec.g, 8),
+    levels = min(gspec.g, w.n)
+    budget = oracle.OracleBudget(max_n=max_n, max_depth=max(levels, 8),
                                  max_option_sets=len(options))
-    return oracle.enumerate_choice(w, ChoiceLevelSpec([options] * gspec.g), gspec.g, budget)
+    return oracle.enumerate_choice(w, ChoiceLevelSpec([options] * levels), levels, budget)
 
 
 def _enumerate_one_ended(w: WeightSeq, _spec, max_n: int) -> int:

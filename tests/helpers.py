@@ -20,11 +20,11 @@ def random_gmr_instance(rng: random.Random, max_n: int = 8, max_level: int = 5,
 
 
 def tables_match(res_a, res_b) -> bool:
-    """Bit-equality of all finite entries and stored predecessors."""
+    """Bit-equality of all finite entries."""
     if len(res_a.tables) != len(res_b.tables):
         return False
     for ta, tb in zip(res_a.tables, res_b.tables):
-        if ta.costs != tb.costs or ta.preds != tb.preds:
+        if ta.costs != tb.costs:
             return False
     return True
 

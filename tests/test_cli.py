@@ -127,6 +127,12 @@ class TestWeightInputs:
     def test_missing_weights(self):
         run_cli("solve", "--problem", "huffman", expect=2)
 
+    def test_bad_file_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("3\n\n2\nx\n1\n")
+        proc = run_cli("solve", "--problem", "huffman", "--weights-file", str(path), expect=2)
+        assert f"{path}: line 4: 'x' is not an integer" in proc.stderr
+
     def test_negative_weight(self):
         run_cli("solve", "--problem", "huffman", "--weights", "3 -1", expect=2)
 
@@ -206,6 +212,12 @@ class TestVerify:
     def test_other_problems(self, problem, extra):
         proc = run_cli("verify", "--problem", problem, "--weights", "5 3 2 1", *extra)
         assert json.loads(proc.stdout)["agree"]
+
+    def test_reserved_g_oracle_stops_at_n_levels(self):
+        # enumerating all 40 levels would not finish; n = 3 needs only 3
+        proc = run_cli("verify", "--problem", "reserved-g", "--g", "40", "--weights", "3 2 1")
+        doc = json.loads(proc.stdout)
+        assert doc["agree"] and doc["solver_cost"] == doc["oracle_cost"]
 
 
 class TestBench:

@@ -5,6 +5,7 @@ from helpers import assert_same_solution, random_gmr_instance
 
 from prefixcodes import (
     InsufficientLeaves,
+    InternalInconsistency,
     InvalidInput,
     LeafSequence,
     LevelSpec,
@@ -107,8 +108,10 @@ class TestExtractAnswer:
 
 class TestBacktrack:
     def test_balanced_chain(self):
-        res = solve_batched(normalize_weights([1, 1, 1, 1]), BINARY(4))
-        chain, full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost))
+        w = normalize_weights([1, 1, 1, 1])
+        res = solve_batched(w, BINARY(4))
+        chain, full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost),
+                                         BINARY(4), w)
         assert chain == ((0, 1), (0, 2), (4, 0))
         assert full == LeafSequence({2: 4})
         assert options is None
@@ -122,6 +125,28 @@ class TestBacktrack:
         res = solve_batched(normalize_weights([5]), BINARY(1))
         assert res.expansions == ((0, 1), (2, 0))
         assert res.leaf_sequence == LeafSequence({1: 1})
+
+    @pytest.mark.parametrize("solve", [solve_naive, solve_batched])
+    @pytest.mark.parametrize("weights,answer,chain,seq", [
+        ([1] * 6, (3, 6, 16), ((0, 1), (0, 2), (2, 2), (6, 0)), {2: 2, 3: 4}),
+        # every candidate ties; taking the largest m' first changes the chain
+        ([0] * 5, (3, 5, 0), ((0, 1), (1, 1), (1, 2), (5, 0)), {1: 1, 3: 4}),
+    ])
+    def test_tied_weights_take_the_smallest_predecessor(self, solve, weights, answer,
+                                                        chain, seq):
+        # values frozen from the solver that stored its argmin predecessors
+        res = solve(normalize_weights(weights), BINARY(len(weights)))
+        assert (res.level, res.leaves_full, res.cost) == answer
+        assert res.expansions == chain
+        assert res.leaf_sequence == LeafSequence(seq)
+
+    def test_bumped_cost_breaks_the_backtrace(self):
+        w = normalize_weights([4, 1, 1])
+        res = solve_batched(w, BINARY(3))
+        answer = (res.level, res.leaves_full, res.cost)
+        res.tables[1].costs[(1, 1)] += 1  # on the chain (0,1) -> (1,1) -> (3,0)
+        with pytest.raises(InternalInconsistency):
+            backtrack(res.tables, answer, BINARY(3), w)
 
 
 class TestPrune:

