@@ -2,7 +2,10 @@
 
 The metric is ``cells_updated`` -- the number of candidate evaluations the
 solver performed -- so complexity claims are machine-independent.  Wall time
-is reported alongside for orientation only.
+is reported alongside for orientation only.  Every instance is solved with
+``cutoff=False``: the level loop fills all of its levels, as the paper's
+complexity bounds count them, instead of stopping once no deeper level can
+beat the best finished tree as a plain solve does.
 
 Weight distributions (all produce exact integers):
 
@@ -46,7 +49,8 @@ def reserved_given_lengths(n: int) -> tuple[int, ...]:
 
 def run_instance(problem: str, w: WeightSeq, algorithm: str, *,
                  radix: int = 2, g: int = 3) -> dict:
-    """Solve one instance cost-only; returns cost, cells and wall time.
+    """Solve one instance cost-only and full-depth; returns cost, cells and
+    wall time.
 
     gmr and huffman both run constant arity ``radix``, mixed-radix the
     single arity ``radix``, reserved-given :func:`reserved_given_lengths`.
@@ -56,7 +60,8 @@ def run_instance(problem: str, w: WeightSeq, algorithm: str, *,
     entry = PROBLEMS[problem]
     params = Params(radix=radix, arities=(radix,), lengths=reserved_given_lengths(w.n), g=g)
     start = time.perf_counter()
-    dp = entry.solve(w, entry.spec(params, w.n), algorithm=algorithm, want_code=False).dp
+    dp = entry.solve(w, entry.spec(params, w.n), algorithm=algorithm, want_code=False,
+                     cutoff=False).dp
     return {
         "problem": problem,
         "algorithm": algorithm,

@@ -22,6 +22,12 @@ levels each offer several (arity, edge length) options: every option is
 filled from the previous combined table, and the combined entry is the
 per-signature minimum.
 
+The level loop stops after the first level whose cheapest state costs at
+least the best finished tree seen so far.  Expansions never lower a cost and
+ties go to the shallower level, so no deeper level could change the answer or
+its backtrace; ``cutoff=False`` fills every level, as the complexity harness
+measures.
+
 The fills store costs only, so equal-cost predecessors are resolved in one
 place: ``backtrack`` recovers each step from the previous level's costs,
 trying options in index order and, within an option, predecessors in
@@ -70,7 +76,10 @@ class DPResult:
     ``leaves_full`` is the leaf count of the winning full tree before the
     excess zero-weight leaves are pruned; ``leaf_sequence`` is pruned to
     exactly n leaves.  ``tables``, ``expansions`` and ``leaf_sequence`` are
-    present only when the solver ran with ``keep_tables=True``.
+    present only when the solver ran with ``keep_tables=True``; the tables
+    run from level 0 to ``levels_filled``, the last level the level loop
+    filled before it stopped (see ``_solve``).  One-ended answers, whose DP
+    has no levels, leave ``levels_filled`` None.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
     """
@@ -79,6 +88,7 @@ class DPResult:
     level: int
     leaves_full: int
     cells_updated: int
+    levels_filled: int | None = None
     expansions: tuple[Sig, ...] | None = None
     leaf_sequence: LeafSequence | None = None
     tables: tuple | None = None
@@ -210,8 +220,19 @@ def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
     return ((spec.arity(i), spec.edge_length(i)),)
 
 
-def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> DPResult:
+def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
+           cutoff: bool = True) -> DPResult:
     """The level loop for plain and choice specs alike.
+
+    With ``cutoff`` the loop stops after the first level whose cheapest
+    state costs at least the best finished ``(m, 0)`` seen so far, or that
+    is empty.  Every expansion adds ``c * W_m >= 0``, so no deeper state can
+    cost less than its level-``i`` ancestor, and ties between finished trees
+    go to the shallower level: no deeper level can change the answer or its
+    backtrace.  An empty level leaves every later level empty.  The stop
+    reads only table values, so naive and batched fills stop at the same
+    level.  ``cutoff=False`` fills all ``max_level`` levels, as the
+    complexity harness measures.
 
     Choice solves also count each option's stored entries as cells, whatever
     their option count.
@@ -248,17 +269,23 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> 
         if keep_tables:
             tables.append(LevelTable(i, costs))
         prev = costs
+        bound = UNREACHABLE if best is None else best[0]
+        if cutoff and min(costs.values(), default=UNREACHABLE) >= bound:
+            break
+    levels_filled = i
     if best is None:
         raise NoFeasibleTree(f"no full tree with >= {n} leaves within {max_level} levels")
     cost, level, nprime = best
     if not keep_tables:
-        return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells)
+        return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells,
+                        levels_filled=levels_filled)
     expansions, full_seq, options = backtrack(tables, (level, nprime, cost), spec, w)
     return DPResult(
         cost=cost,
         level=level,
         leaves_full=nprime,
         cells_updated=cells,
+        levels_filled=levels_filled,
         expansions=expansions,
         leaf_sequence=prune_to_n(full_seq, n),
         tables=tuple(tables),
@@ -267,24 +294,27 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool) -> 
 
 
 def solve_naive(w: WeightSeq, spec: LevelSpec, max_level: int | None = None, *,
-                keep_tables: bool = True) -> DPResult:
-    """Fill every level table by direct minimization over predecessors."""
-    return _solve(w, spec, w.n if max_level is None else max_level, "naive", keep_tables)
+                keep_tables: bool = True, cutoff: bool = True) -> DPResult:
+    """Fill the level tables by direct minimization over predecessors."""
+    return _solve(w, spec, w.n if max_level is None else max_level, "naive", keep_tables,
+                  cutoff=cutoff)
 
 
 def solve_batched(w: WeightSeq, spec: LevelSpec, max_level: int | None = None, *,
-                  keep_tables: bool = True) -> DPResult:
+                  keep_tables: bool = True, cutoff: bool = True) -> DPResult:
     """Batched fill; identical tables and answer as :func:`solve_naive`."""
-    return _solve(w, spec, w.n if max_level is None else max_level, "batched", keep_tables)
+    return _solve(w, spec, w.n if max_level is None else max_level, "batched", keep_tables,
+                  cutoff=cutoff)
 
 
 def solve_choice(w: WeightSeq, cspec: ChoiceLevelSpec, max_level: int | None = None, *,
-                 algorithm: str = "batched", keep_tables: bool = True) -> DPResult:
+                 algorithm: str = "batched", keep_tables: bool = True,
+                 cutoff: bool = True) -> DPResult:
     """Minimum-cost tree over all per-level option assignments; the result's
     ``options`` holds the chosen option index per level of the backtrace."""
     if max_level is None:
         max_level = cspec.num_levels
-    return _solve(w, cspec, max_level, algorithm, keep_tables)
+    return _solve(w, cspec, max_level, algorithm, keep_tables, cutoff=cutoff)
 
 
 def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):

@@ -90,16 +90,16 @@ class ProblemResult:
     dp: DPResult
 
 
-def _run(w, spec, max_level, algorithm, want_code):
+def _run(w, spec, max_level, algorithm, want_code, cutoff):
     check_algorithm(algorithm)
     solver = solve_naive if algorithm == "naive" else solve_batched
-    return solver(w, spec, max_level, keep_tables=want_code)
+    return solver(w, spec, max_level, keep_tables=want_code, cutoff=cutoff)
 
 
 def _solve_levels(w: WeightSeq, spec: LevelSpec, *, algorithm: str,
-                  want_code: bool) -> ProblemResult:
-    """Solve over all levels of ``spec`` and emit its codewords directly."""
-    dp = _run(w, spec, spec.num_levels, algorithm, want_code)
+                  want_code: bool, cutoff: bool = True) -> ProblemResult:
+    """Solve over the levels of ``spec`` and emit its codewords directly."""
+    dp = _run(w, spec, spec.num_levels, algorithm, want_code, cutoff)
     code = leafseq_to_codewords(dp.leaf_sequence, spec, w) if want_code else None
     return ProblemResult(code, dp)
 
@@ -109,18 +109,19 @@ def _mixed_levels(mrspec: MixedRadixSpec, n: int) -> LevelSpec:
 
 
 def solve_mixed_radix(w: WeightSeq, mrspec: MixedRadixSpec, *, algorithm: str = "batched",
-                      want_code: bool = True) -> ProblemResult:
+                      want_code: bool = True, cutoff: bool = True) -> ProblemResult:
     """Arity varies by codeword position, all edges length 1."""
-    return _solve_levels(w, _mixed_levels(mrspec, w.n), algorithm=algorithm, want_code=want_code)
+    return _solve_levels(w, _mixed_levels(mrspec, w.n), algorithm=algorithm, want_code=want_code,
+                         cutoff=cutoff)
 
 
 def solve_huffman_reference_adapter(w: WeightSeq, r: int, *, algorithm: str = "batched",
-                                    want_code: bool = True) -> ProblemResult:
+                                    want_code: bool = True, cutoff: bool = True) -> ProblemResult:
     """Constant arity r, unit edges: plain r-ary Huffman as a GMR instance."""
     if r < 2:
         raise InvalidInput("alphabet size must be >= 2")
     return _solve_levels(w, LevelSpec.constant(r, 1, w.n), algorithm=algorithm,
-                         want_code=want_code)
+                         want_code=want_code, cutoff=cutoff)
 
 
 def _meta_arity(r: int, gap: int) -> int:
@@ -148,7 +149,7 @@ def _expand_to_radix(seq: LeafSequence, depth_of_level, r: int, w: WeightSeq) ->
 
 
 def solve_reserved_given(w: WeightSeq, rspec: ReservedSpec, *, algorithm: str = "batched",
-                         want_code: bool = True) -> ProblemResult:
+                         want_code: bool = True, cutoff: bool = True) -> ProblemResult:
     """All codeword lengths must come from the given set."""
     spec = _reserved_levels(rspec)
     capacity = rspec.radix ** rspec.lengths[-1]
@@ -156,7 +157,7 @@ def solve_reserved_given(w: WeightSeq, rspec: ReservedSpec, *, algorithm: str = 
         raise NoFeasibleTree(
             f"only {capacity} words of permitted lengths exist, need {w.n}"
         )
-    dp = _run(w, spec, spec.num_levels, algorithm, want_code)
+    dp = _run(w, spec, spec.num_levels, algorithm, want_code, cutoff)
     code = None
     if want_code:
         code = _expand_to_radix(dp.leaf_sequence, lambda k: rspec.lengths[k - 1], rspec.radix, w)
@@ -178,7 +179,7 @@ def glengths_options(r: int, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def solve_reserved_g(w: WeightSeq, gspec: GLengthsSpec, *, algorithm: str = "batched",
-                     want_code: bool = True) -> ProblemResult:
+                     want_code: bool = True, cutoff: bool = True) -> ProblemResult:
     """At most g distinct codeword lengths, the lengths themselves are free.
 
     n weights use at most n distinct lengths, so only min(g, n) levels are
@@ -187,7 +188,8 @@ def solve_reserved_g(w: WeightSeq, gspec: GLengthsSpec, *, algorithm: str = "bat
     options = glengths_options(r, w.n)
     levels = min(gspec.g, w.n)
     cspec = ChoiceLevelSpec([options] * levels)
-    dp = solve_choice(w, cspec, levels, algorithm=algorithm, keep_tables=want_code)
+    dp = solve_choice(w, cspec, levels, algorithm=algorithm, keep_tables=want_code,
+                      cutoff=cutoff)
     code = None
     if want_code:
         depths = [0]
@@ -218,9 +220,10 @@ class Params:
 @dataclass(frozen=True)
 class Problem:
     """One named problem.  ``spec(params, n)`` builds its spec once;
-    ``solve(w, spec, algorithm=..., want_code=...)`` and
-    ``oracle(w, spec, max_n)`` both read that spec.  The oracle shares no DP
-    code; the exhaustive ones refuse instances above ``max_n`` weights."""
+    ``solve(w, spec, algorithm=..., want_code=..., cutoff=True)`` and
+    ``oracle(w, spec, max_n)`` both read that spec.  ``cutoff=False`` makes
+    the level loop fill every level (see ``gmr._solve``).  The oracle shares
+    no DP code; the exhaustive ones refuse instances above ``max_n`` weights."""
 
     spec: Callable[[Params, int], Any]
     solve: Callable[..., ProblemResult]
@@ -233,7 +236,9 @@ def _required(value, what: str, problem: str):
     return value
 
 
-def _solve_one_ended(w: WeightSeq, _spec, *, algorithm: str, want_code: bool):
+def _solve_one_ended(w: WeightSeq, _spec, *, algorithm: str, want_code: bool,
+                     cutoff: bool = True):
+    # the one-ended DP has no levels to cut off, so ``cutoff`` changes nothing
     res = one_ended.solve_one_ended(w, algorithm=algorithm, with_code=want_code)
     book = res.codebook
     dp = DPResult(

@@ -32,6 +32,7 @@ def tables_match(res_a, res_b) -> bool:
 def assert_same_solution(res_a, res_b):
     assert res_a.cost == res_b.cost
     assert (res_a.level, res_a.leaves_full) == (res_b.level, res_b.leaves_full)
+    assert res_a.levels_filled == res_b.levels_filled
     assert res_a.expansions == res_b.expansions
     assert res_a.leaf_sequence == res_b.leaf_sequence
     assert tables_match(res_a, res_b)

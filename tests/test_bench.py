@@ -1,0 +1,19 @@
+import pytest
+
+from prefixcodes import bench
+
+# cells_updated of the full-depth fill (cutoff=False) at n = 50.  Bench CSV
+# rows, demo 05 and acceptance criterion 6 read these counts, so they must
+# not come from a solve that stops early.
+FULL_DEPTH_CELLS = {
+    "gmr": (555_100, 101_350),
+    "huffman": (555_100, 101_350),
+    "reserved-given": (34_684, 7_274),
+    "reserved-g": (71_841, 28_926),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(FULL_DEPTH_CELLS))
+def test_scaling_cells_are_full_depth(problem):
+    rows = bench.run_scaling(problem, [50], ["naive", "batched"], seed=1)
+    assert tuple(row["cells_updated"] for row in rows) == FULL_DEPTH_CELLS[problem]

@@ -102,9 +102,16 @@ class TestPerOptionFill:
         # (4, 0) is no valid binary state for n = 2, so level 2 is empty,
         # and so is every level filled from it
         w = normalize_weights([1, 1])
-        res = solve_choice(w, ChoiceLevelSpec([[(4, 1)], [(2, 1)], [(2, 1)]]))
+        cspec = ChoiceLevelSpec([[(4, 1)], [(2, 1)], [(2, 1)]])
+        res = solve_choice(w, cspec, cutoff=False)
         assert res.tables[1].costs == {(4, 0): 2}
         assert res.tables[2].costs == {} and res.tables[3].costs == {}
+        assert res.cost == 2 and res.options == (0,)
+        # by default the loop stops after level 1: its only state is the
+        # finished (4, 0), so no deeper level can beat it, and the empty
+        # level 2 is never filled
+        res = solve_choice(w, cspec)
+        assert res.levels_filled == 1 and len(res.tables) == 2
         assert res.cost == 2 and res.options == (0,)
 
 

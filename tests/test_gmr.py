@@ -4,6 +4,8 @@ import pytest
 from helpers import assert_same_solution, random_gmr_instance
 
 from prefixcodes import (
+    UNREACHABLE,
+    ChoiceLevelSpec,
     InsufficientLeaves,
     InternalInconsistency,
     InvalidInput,
@@ -20,6 +22,7 @@ from prefixcodes import (
     predecessors,
     prune_to_n,
     solve_batched,
+    solve_choice,
     solve_naive,
     telescoped_cost,
 )
@@ -274,3 +277,84 @@ class TestInvariants:
             assert check_prefix_free(cb.words)
             assert kraft_slack(res.leaf_sequence, spec) >= 0
             assert all(a <= b for a, b in zip(cb.lengths, cb.lengths[1:]))
+
+
+# Tie-heavy weight draws: zero weights and equal weights give many equal-cost
+# states, where a cut-off one level too early or too late would show.
+WEIGHT_DRAWS = (
+    lambda rng, n: [rng.randint(0, 1) for _ in range(n)],
+    lambda rng, n: [rng.randint(0, 2) for _ in range(n)],
+    lambda rng, n: [rng.randint(0, 3)] * n,
+    lambda rng, n: [rng.randint(0, 10**6) for _ in range(n)],
+)
+OPTIONS = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 3)]
+
+
+def _cutoff_instances(seed: int, per_draw: int):
+    """``per_draw`` random ``(w, spec, max_level)`` triples per weight draw,
+    alternating plain and choice specs, with up to n + 2 levels so that the
+    cut-off has deep levels to skip."""
+    rng = random.Random(seed)
+    for draw in WEIGHT_DRAWS:
+        for k in range(per_draw):
+            n = rng.randint(1, 10)
+            ml = rng.randint(1, n + 2)
+            w = normalize_weights(draw(rng, n))
+            if k % 2:
+                spec = ChoiceLevelSpec([rng.sample(OPTIONS, rng.randint(1, 3)) for _ in range(ml)])
+            else:
+                spec = LevelSpec([rng.choice(OPTIONS) for _ in range(ml)])
+            yield w, spec, ml
+
+
+def _solve_any(w, spec, ml, algorithm, **kw):
+    if isinstance(spec, ChoiceLevelSpec):
+        return solve_choice(w, spec, ml, algorithm=algorithm, **kw)
+    return (solve_naive if algorithm == "naive" else solve_batched)(w, spec, ml, **kw)
+
+
+class TestCutoff:
+    def test_cutoff_changes_no_answer_randomized(self):
+        feasible = stopped_early = 0
+        for w, spec, ml in _cutoff_instances(seed=505, per_draw=300):
+            try:
+                _solve_any(w, spec, ml, "batched", keep_tables=False, cutoff=False)
+            except NoFeasibleTree:
+                for algorithm in ("naive", "batched"):
+                    with pytest.raises(NoFeasibleTree):
+                        _solve_any(w, spec, ml, algorithm)
+                continue
+            feasible += 1
+            for algorithm in ("naive", "batched"):
+                full = _solve_any(w, spec, ml, algorithm, cutoff=False)
+                cut = _solve_any(w, spec, ml, algorithm)
+                assert (cut.cost, cut.level, cut.leaves_full) == (
+                    full.cost, full.level, full.leaves_full)
+                assert cut.expansions == full.expansions
+                assert cut.leaf_sequence == full.leaf_sequence
+                assert cut.options == full.options
+                assert full.levels_filled == ml == len(full.tables) - 1
+                assert cut.levels_filled == len(cut.tables) - 1
+                assert cut.tables == full.tables[:len(cut.tables)]
+            stopped_early += cut.levels_filled < ml
+        assert feasible >= 1000 and stopped_early > feasible // 2
+
+    def test_levels_filled_is_first_dominated_level(self):
+        # a test-side scan of the full tables: the first level whose cheapest
+        # state costs at least the cheapest finished state so far
+        for w, spec, ml in _cutoff_instances(seed=606, per_draw=60):
+            for algorithm in ("naive", "batched"):
+                try:
+                    full = _solve_any(w, spec, ml, algorithm, cutoff=False)
+                except NoFeasibleTree:
+                    continue
+                best = UNREACHABLE
+                expected = ml
+                for table in full.tables[1:]:
+                    best = min([best] + [v for (m, b), v in table.costs.items() if b == 0])
+                    if min(table.costs.values(), default=UNREACHABLE) >= best:
+                        expected = table.level
+                        break
+                assert _solve_any(w, spec, ml, algorithm).levels_filled == expected
+                cost_only = _solve_any(w, spec, ml, algorithm, keep_tables=False)
+                assert cost_only.levels_filled == expected
