@@ -18,7 +18,6 @@ from .core import (
     WeightSeq,
     check_prefix_free,
     cost_of_leaf_sequence,
-    kraft_slack,
     normalize_weights,
 )
 from .errors import (
@@ -34,20 +33,14 @@ from .errors import (
 from .gmr import (
     DPResult,
     LevelTable,
-    backtrack,
     leafseq_to_codewords,
-    predecessors,
-    prune_to_n,
     solve_batched,
     solve_choice,
     solve_naive,
-    telescoped_cost,
-    valid_signature,
 )
 from .one_ended import (
     OneEndedResult,
     OneEndedTable,
-    oe_predecessors,
     solve_one_ended,
 )
 from .oracle import (
@@ -95,19 +88,14 @@ __all__ = [
     "ReservedSpec",
     "UNREACHABLE",
     "WeightSeq",
-    "backtrack",
     "check_prefix_free",
     "cost_of_leaf_sequence",
     "enumerate_choice",
     "enumerate_gmr",
     "enumerate_one_ended",
     "huffman_greedy",
-    "kraft_slack",
     "leafseq_to_codewords",
     "normalize_weights",
-    "oe_predecessors",
-    "predecessors",
-    "prune_to_n",
     "solve_batched",
     "solve_choice",
     "solve_huffman_reference_adapter",
@@ -116,6 +104,4 @@ __all__ = [
     "solve_one_ended",
     "solve_reserved_g",
     "solve_reserved_given",
-    "telescoped_cost",
-    "valid_signature",
 ]

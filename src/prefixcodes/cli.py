@@ -29,6 +29,17 @@ from .problems import PROBLEMS, Params
 
 _SPEC_ALIASES = {"binary": 2, "ternary": 3, "quaternary": 4}
 
+#: The problem-parameter flags each problem reads; giving any other is an
+#: error rather than silently ignored.  gmr takes at most one of its three.
+_PROBLEM_FLAGS = {
+    "gmr": ("--radix", "--spec", "--spec-file"),
+    "huffman": ("--radix",),
+    "mixed-radix": ("--arities",),
+    "reserved-given": ("--radix", "--lengths"),
+    "reserved-g": ("--radix", "--g"),
+    "one-ended": (),
+}
+
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """Integers separated by spaces or commas; errors name the ``flag``."""
@@ -84,13 +95,21 @@ def _read_spec_file(path: str) -> LevelSpec:
 def _params(args, n: int) -> Params:
     """The shared problem parameters from the command line.  ``--spec`` and
     ``--spec-file`` describe gmr's levels."""
+    allowed = _PROBLEM_FLAGS[args.problem]
+    flags = ("--radix", "--spec", "--spec-file", "--arities", "--lengths", "--g")
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    for flag in given:
+        if flag not in allowed:
+            raise InvalidInput(f"{flag} is not read by {args.problem}")
+    if args.problem == "gmr" and len(given) > 1:
+        raise InvalidInput(f"gmr takes at most one of {', '.join(allowed)}; got {' '.join(given)}")
     levels = None
     if args.spec_file:
         levels = _read_spec_file(args.spec_file)
     elif args.spec:
         levels = LevelSpec.constant(_SPEC_ALIASES[args.spec], 1, n)
     return Params(
-        radix=args.radix,
+        radix=2 if args.radix is None else args.radix,
         arities=tuple(_parse_int_list(args.arities, "--arities")) if args.arities else None,
         lengths=tuple(_parse_int_list(args.lengths, "--lengths")) if args.lengths else None,
         g=args.g,
@@ -169,6 +188,10 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
     algorithms = args.algorithms.replace(",", " ").split()
+    if not algorithms:
+        raise ValueError("--algorithms: empty algorithm list")
+    if args.repetitions < 1:
+        raise ValueError(f"--repetitions: must be at least 1, got {args.repetitions}")
     rows = bench.run_scaling(args.problem, sizes, algorithms,
                              distribution=args.distribution, seed=args.seed,
                              repetitions=args.repetitions, radix=args.radix,
@@ -192,7 +215,7 @@ def _add_common(p):
     p.add_argument("--algorithm", default="batched", choices=ALGORITHMS)
     p.add_argument("--weights", help="inline weights, e.g. '3 2 1 1'")
     p.add_argument("--weights-file", help="one integer per line, or a JSON array")
-    p.add_argument("--radix", type=int, default=2, help="alphabet size (default 2)")
+    p.add_argument("--radix", type=int, help="alphabet size (default 2)")
     p.add_argument("--spec", choices=tuple(_SPEC_ALIASES),
                    help="named level spec for gmr: constant arity, unit edges")
     p.add_argument("--spec-file", help="JSON [[arity, edge_length], ...] for gmr")

@@ -262,23 +262,15 @@ class CodeBook:
     cost: int
 
 
-def kraft_slack(seq: LeafSequence, spec: LevelSpec) -> int:
+def _kraft_slack(seq: LeafSequence, spec: LevelSpec) -> int:
     """Remaining node budget on the terminal level after placing all leaves.
 
     Zero means the tree is exactly full, positive means spare slots, negative
-    means the sequence is unrealizable.
+    means the sequence is unrealizable.  ``spec`` must cover the sequence.
     """
-    deepest = seq.deepest
-    if deepest == 0:
-        return 1  # bare root, nothing placed
-    if spec.num_levels < deepest:
-        raise InvalidInput("level spec does not cover the sequence's deepest level")
-    budget = 1
-    slack = 1
-    for i in range(1, deepest + 1):
-        budget = budget * spec.arity(i)
-        slack = budget - seq.count(i)
-        budget = slack
+    slack = 1  # the root
+    for i in range(1, seq.deepest + 1):
+        slack = slack * spec.arity(i) - seq.count(i)
     return slack
 
 
@@ -290,7 +282,7 @@ def cost_of_leaf_sequence(seq: LeafSequence, w: WeightSeq, spec: LevelSpec) -> i
     """
     if seq.deepest > 0 and spec.num_levels < seq.deepest:
         raise InvalidLeafSequence("level spec does not cover the sequence")
-    if kraft_slack(seq, spec) < 0:
+    if _kraft_slack(seq, spec) < 0:
         raise InvalidLeafSequence(f"{seq!r} is not realizable under {spec!r}")
     if seq.total < w.n:
         raise InsufficientLeaves(f"{seq.total} leaves cannot host {w.n} weights")

@@ -13,9 +13,13 @@ Two fill strategies produce bit-identical tables:
 * ``solve_batched`` groups the entries of one level whose signatures share
   ``d = m + b``, precomputes the candidate value ``gamma(b')`` for each
   predecessor on that diagonal, and folds a running minimum while sweeping
-  ``m`` upward, so a whole batch costs O(d).  Levels whose arity exceeds n
-  are finished by checking the only two possible predecessors of each
-  ``(m, 0)`` state.
+  ``m`` upward, so a whole batch costs O(d).  A level whose arity exceeds n
+  reaches only finished ``(m, 0)`` states, each with two candidates, and
+  both fills scan those directly.
+
+A finished state ``(m, 0)`` with ``m >= n`` may also be the previous
+level's ``(m, 0)`` carried down at the same cost: ``W_m = 0``, so that tree
+pays no further edge.
 
 ``solve_choice`` runs the same level loop over a ``ChoiceLevelSpec``, whose
 levels each offer several (arity, edge length) options: every option is
@@ -32,7 +36,9 @@ The fills store costs only, so equal-cost predecessors are resolved in one
 place: ``backtrack`` recovers each step from the previous level's costs,
 trying options in index order and, within an option, predecessors in
 ascending ``m'`` order (the largest ``b'`` on a diagonal).  Both fills
-therefore share one backtrace.
+therefore share one backtrace.  A winning tree with n' > n leaves has all
+its n' - n excess zero-weight leaves on the answer level, so the backtrace's
+leaf sequence simply stops counting at n.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from .core import (
     cost_of_leaf_sequence,
 )
 from .errors import (
-    InsufficientLeaves,
     InternalInconsistency,
     InvalidInput,
     InvalidLeafSequence,
@@ -73,9 +78,10 @@ class LevelTable:
 class DPResult:
     """Solver output.
 
-    ``leaves_full`` is the leaf count of the winning full tree before the
-    excess zero-weight leaves are pruned; ``leaf_sequence`` is pruned to
-    exactly n leaves.  ``tables``, ``expansions`` and ``leaf_sequence`` are
+    ``leaves_full`` is the leaf count n' of the winning full tree; its
+    ``n' - n`` excess zero-weight leaves all lie on the answer level, and
+    ``leaf_sequence`` leaves them out, so it holds exactly n leaves.
+    ``tables``, ``expansions`` and ``leaf_sequence`` are
     present only when the solver ran with ``keep_tables=True``; the tables
     run from level 0 to ``levels_filled``, the last level the level loop
     filled before it stopped (see ``_solve``).  One-ended answers, whose DP
@@ -95,7 +101,7 @@ class DPResult:
     options: tuple[int, ...] | None = None
 
 
-def valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
+def _valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
     """Validity of ``(m, b)`` on a level with the given arity."""
     if m < 0 or b < 0:
         return False
@@ -104,39 +110,21 @@ def valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
     return max(n, arity) <= m <= n + arity - 1
 
 
-def predecessors(i: int, sig: Sig, spec: LevelSpec, n: int) -> list[Sig]:
-    """All valid level-(i-1) signatures that expand to ``sig`` at level ``i``.
-
-    ``(m', b')`` qualifies when ``m = m' + b' * r_i - b`` with
-    ``0 <= b <= b' * r_i``; returned in ascending ``(m', b')`` order.
-    """
-    m, b = sig
-    r = spec.arity(i)
-    if not valid_signature(m, b, n=n, arity=r):
-        raise InvalidInput(f"({m}, {b}) is not a valid level-{i} signature")
-    d = m + b
-    out = []
-    for bp in range((b + r - 1) // r, d // r + 1):
-        mp = d - r * bp
-        if i == 1:
-            ok = (mp, bp) == (0, 1)
-        elif bp > 0:
-            ok = mp + bp <= n
-        else:
-            ok = valid_signature(mp, 0, n=n, arity=spec.arity(i - 1))
-        if ok:
-            out.append((mp, bp))
-    out.sort()
-    return out
-
-
-def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str):
+def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str):
     """Fill one level from the previous one.
 
     Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
     pairs of finished-tree states ``(m, 0)`` in ascending m and ``cells``
     counts evaluated candidates (predecessor visits for the naive mode, gamma
     evaluations plus sweep steps for the batched mode).
+
+    A finished state's ``b' = 0`` candidate is its own previous entry, with
+    no weight term since ``W_m = 0`` for ``m >= n``; every other candidate
+    has ``m' <= n``, so ``suffix`` is read within its range.  The batched
+    sweep runs only when ``r <= n``.  A wider level reaches no ``b > 0``
+    state (that needs ``m' + b' * r <= n`` with ``b' >= 1``), so the
+    per-state scan below handles it alone: each ``(m, 0)`` then has the two
+    candidates ``(m, 0)`` and ``(m - r, 1)``.
     """
     costs: dict[Sig, int] = {}
     zeros: list[tuple[int, int]] = []
@@ -144,24 +132,11 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str):
     get = prev.get
     INF = UNREACHABLE
 
-    if r > n:
-        # No signature with b > 0 is reachable on such a level: a predecessor
-        # would need m' + b' * r <= n with b' >= 1.  Only the (m, 0) states
-        # remain, each with at most two candidates: itself one level up
-        # (W_m = 0 there) and (m - r, 1).
-        for m in range(r, r + n):
-            v = min(get((m - r, 1), INF) + c * wext[m - r], get((m, 0), INF))
-            cells += 2
-            if v < INF:
-                costs[(m, 0)] = v
-                zeros.append((m, v))
-        return costs, zeros, cells
-
-    if mode == "batched":
+    if mode == "batched" and r <= n:
         for d in range(1, n + 1):
             B = d // r
             t = d - r * B
-            cand = [get((d - r * bp, bp), INF) + c * wext[d - r * bp] for bp in range(B + 1)]
+            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
             cells += (B + 1) + (d - t + 1)
             best = INF
             for m in range(t, d + 1):
@@ -176,41 +151,30 @@ def _fill_level(prev: dict, n: int, r: int, c: int, wext: list, mode: str):
                     elif m == n:  # the only in-range (m, 0) state with d <= n
                         costs[(m, 0)] = best
                         zeros.append((m, best))
-        for d in range(n + 1, n + r):
-            # remaining finished-tree states; each is a full-window minimum
+        # the remaining finished states are full-window minima, counted as
+        # a gamma evaluation plus a sweep step per candidate
+        first, per_candidate = n + 1, 2
+    else:
+        # naive: every entry scans its own predecessor window
+        for d in range(r, n + 1):
             B = d // r
-            v = min(get((d - r * bp, bp), INF) + c * wext[d - r * bp] for bp in range(B + 1))
-            cells += 2 * (B + 1)
-            if v < INF:
-                costs[(d, 0)] = v
-                zeros.append((d, v))
-        return costs, zeros, cells
-
-    # naive: every entry scans its own predecessor window
-    for d in range(2, n + 1):
-        B = d // r
-        cand = [get((d - r * bp, bp), INF) + c * wext[d - r * bp] for bp in range(B + 1)]
-        for b in range(1, d + 1):
-            lo = (b + r - 1) // r
-            if lo > B:
-                continue
-            cells += B + 1 - lo
-            v = min(cand[lo:])
-            if v < INF:
-                costs[(d - b, b)] = v
-    for m in range(max(n, r), n + r):
+            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
+            for b in range(1, r * B + 1):
+                lo = (b + r - 1) // r
+                cells += B + 1 - lo
+                v = min(cand[lo:])
+                if v < INF:
+                    costs[(d - b, b)] = v
+        first, per_candidate = max(n, r), 1
+    for m in range(first, n + r):
         B = m // r
-        v = min(get((m - r * bp, bp), INF) + c * wext[m - r * bp] for bp in range(B + 1))
-        cells += B + 1
+        v = min(get((m - r * bp, bp), INF) + c * suffix[m - r * bp] for bp in range(1, B + 1))
+        v = min(v, get((m, 0), INF))
+        cells += per_candidate * (B + 1)
         if v < INF:
             costs[(m, 0)] = v
             zeros.append((m, v))
     return costs, zeros, cells
-
-
-def _extended_suffix(w: WeightSeq, upto: int) -> list:
-    """Suffix weights W_0..W_upto with zeros past n (deeper indices cost nothing)."""
-    return list(w.suffix) + [0] * max(0, upto - w.n)
 
 
 def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
@@ -244,7 +208,6 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
     if spec.num_levels < max_level:
         raise InvalidInput(f"spec covers {spec.num_levels} levels, need {max_level}")
     choice = isinstance(spec, ChoiceLevelSpec)
-    wext = _extended_suffix(w, 2 * n)
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
     best = None  # (cost, level, n');  tuple order implements the tie-break
@@ -252,7 +215,7 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
     for i in range(1, max_level + 1):
         costs = None
         for r, c in _level_options(spec, i):
-            fill, zeros, k = _fill_level(prev, n, r, c, wext, mode)
+            fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode)
             cells += k + len(fill) if choice else k
             # the best finished state over all options is the best over each
             # option's own finished states
@@ -279,7 +242,7 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
     if not keep_tables:
         return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells,
                         levels_filled=levels_filled)
-    expansions, full_seq, options = backtrack(tables, (level, nprime, cost), spec, w)
+    expansions, leaf_sequence, options = backtrack(tables, (level, nprime, cost), spec, w)
     return DPResult(
         cost=cost,
         level=level,
@@ -287,7 +250,7 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
         cells_updated=cells,
         levels_filled=levels_filled,
         expansions=expansions,
-        leaf_sequence=prune_to_n(full_seq, n),
+        leaf_sequence=leaf_sequence,
         tables=tuple(tables),
         options=options,
     )
@@ -323,7 +286,7 @@ def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):
     m, b = sig
     d = m + b
     for j, (r, c) in enumerate(options):
-        if not valid_signature(m, b, n=w.n, arity=r):
+        if not _valid_signature(m, b, n=w.n, arity=r):
             continue
         for bp in range(d // r, (b + r - 1) // r - 1, -1):  # ascending m'
             pred = (d - r * bp, bp)
@@ -342,12 +305,18 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq):
     ascending ``m'`` order, whose cost plus ``c * W_m'`` equals ``sig``'s
     stored cost is its predecessor.
 
-    Returns the expansion sequence ``(0,1) -> ... -> (n',0)``, the full
-    (unpruned) leaf sequence read off it -- the leaves added by the level-i
-    expansion are ``m_i - m_{i-1}`` -- and the chosen option index per level,
-    or None for a plain ``LevelSpec``.
+    Returns the expansion sequence ``(0,1) -> ... -> (n',0)``, the n-leaf
+    sequence read off it -- the level-``i`` expansion labels
+    ``min(m_i, n) - m_{i-1}`` leaves -- and the chosen option index per
+    level, or None for a plain ``LevelSpec``.
+
+    All ``n' - n`` excess zero-weight leaves lie on the answer level: its
+    step has ``b' >= 1``, since a ``(n', 0)`` predecessor would be an
+    equal-cost, shallower answer, so ``m_{L-1} + b' <= n`` and every earlier
+    ``m_i`` is below n.
     """
     level, nprime, cost = answer
+    n = w.n
     sig: Sig = (nprime, 0)
     chain = [sig]
     chosen: list[int] = []
@@ -363,38 +332,13 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq):
     chain.reverse()
     counts = {}
     for i in range(1, len(chain)):
-        added = chain[i][0] - chain[i - 1][0]
+        added = min(chain[i][0], n) - chain[i - 1][0]
         if added < 0:
             raise InternalInconsistency("leaf count decreased along the backtrace")
         if added:
             counts[i] = added
     options = tuple(reversed(chosen)) if isinstance(spec, ChoiceLevelSpec) else None
     return tuple(chain), LeafSequence(counts), options
-
-
-def telescoped_cost(expansions, w: WeightSeq, spec: LevelSpec) -> int:
-    """Recompute a backtrace's cost as the telescoped sum of c_i * W_{m_{i-1}}."""
-    total = 0
-    for i in range(1, len(expansions)):
-        total += spec.edge_length(i) * w.tail_weight(expansions[i - 1][0])
-    return total
-
-
-def prune_to_n(seq: LeafSequence, n: int) -> LeafSequence:
-    """Drop the deepest leaves one by one until exactly ``n`` remain."""
-    excess = seq.total - n
-    if excess < 0:
-        raise InsufficientLeaves(f"cannot prune {seq.total} leaves down to {n}")
-    if excess == 0:
-        return seq
-    counts = seq.as_dict()
-    for level in sorted(counts, reverse=True):
-        cut = min(excess, counts[level])
-        counts[level] -= cut
-        excess -= cut
-        if not excess:
-            break
-    return LeafSequence(counts)
 
 
 def _index_to_word(index: int, radices: list[int]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ move up as b grows, so a sliding-window minimum (a monotone deque) answers
 every state of the diagonal in amortized O(1).
 
 Both fills store costs only.  The chain walk in ``_solve`` recovers each
-step from the finished table: among ``oe_predecessors`` of a state, the first
+step from the finished table: among ``_oe_predecessors`` of a state, the first
 (smallest b') whose cost plus W_m' equals the state's cost wins ties.
 """
 
@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
-from .errors import InternalInconsistency, InvalidInput, NoFeasibleTree
+from .errors import InternalInconsistency, NoFeasibleTree
 
 Sig = tuple[int, int]
 
@@ -47,22 +47,15 @@ class OneEndedResult:
     cells_updated: int
 
 
-def oe_predecessors(sig: Sig, n: int) -> list[Sig]:
-    """Valid states that expand to ``sig``: m = m' + 2b' - b with b/2 <= b' <= b.
+def _oe_predecessors(sig: Sig) -> list[Sig]:
+    """States that expand to ``sig``: m = m' + 2b' - b with b/2 <= b' <= b.
 
     Ascending b' order; every predecessor is lexicographically smaller than
     ``sig`` (m' < m, or m' = m with b = 2b').
     """
     m, b = sig
-    if not (0 <= m <= n and 1 <= b <= 2 * n - 1):
-        raise InvalidInput(f"({m}, {b}) is not a valid signature for n={n}")
     d = m + b
-    out = []
-    for bp in range(max(1, (b + 1) // 2), min(b, d // 2) + 1):
-        mp = d - 2 * bp
-        if mp <= n and bp <= 2 * n - 1:
-            out.append((mp, bp))
-    return out
+    return [(d - 2 * bp, bp) for bp in range(max(1, (b + 1) // 2), min(b, d // 2) + 1)]
 
 
 def _fill_naive(w: WeightSeq):
@@ -153,8 +146,6 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
 
 def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
     n = w.n
-    if n < 1:
-        raise InvalidInput("need at least one weight")
     costs, cells = _fill_naive(w) if mode == "naive" else _fill_batched(w)
     best = None
     for b in range(1, max(1, 2 * n - 2) + 1):
@@ -170,7 +161,7 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
     chain = [sig]
     target = cost
     while sig != (0, 1):
-        for pred in oe_predecessors(sig, n):
+        for pred in _oe_predecessors(sig):
             v = costs.get(pred)
             if v is not None and v + w.suffix[pred[0]] == target:
                 break

@@ -19,6 +19,39 @@ def random_gmr_instance(rng: random.Random, max_n: int = 8, max_level: int = 5,
     return w, LevelSpec(levels), ml
 
 
+def telescoped_cost(expansions, w, spec: LevelSpec) -> int:
+    """A backtrace's cost as the telescoped sum of c_i * W_{m_{i-1}}."""
+    return sum(spec.edge_length(i) * w.tail_weight(expansions[i - 1][0])
+               for i in range(1, len(expansions)))
+
+
+def _valid_signature(m: int, b: int, n: int, arity: int) -> bool:
+    if b > 0:
+        return 0 <= m and m + b <= n
+    return max(n, arity) <= m <= n + arity - 1
+
+
+def predecessors(i: int, sig, spec: LevelSpec, n: int) -> list:
+    """All valid level-(i-1) signatures that expand to ``sig`` at level ``i``,
+    enumerated from the definition: ``(m', b')`` qualifies when
+    ``m = m' + b' * r_i - b`` with ``0 <= b <= b' * r_i``.  Ascending
+    ``(m', b')`` order; raises ValueError for an invalid ``sig``."""
+    m, b = sig
+    r = spec.arity(i)
+    if not _valid_signature(m, b, n, r):
+        raise ValueError(f"({m}, {b}) is not a valid level-{i} signature")
+    out = []
+    for bp in range((b + r - 1) // r, (m + b) // r + 1):
+        mp = m + b - r * bp
+        if i == 1:
+            ok = (mp, bp) == (0, 1)
+        else:
+            ok = _valid_signature(mp, bp, n, spec.arity(i - 1))
+        if ok:
+            out.append((mp, bp))
+    return sorted(out)
+
+
 def tables_match(res_a, res_b) -> bool:
     """Bit-equality of all finite entries."""
     if len(res_a.tables) != len(res_b.tables):

@@ -21,7 +21,7 @@ is the FAIL signal.  Tolerances are fixed here, not tuned elsewhere:
 import random
 
 import pytest
-from helpers import assert_same_solution, random_weights
+from helpers import assert_same_solution, random_weights, telescoped_cost
 
 from prefixcodes import (
     GLengthsSpec,
@@ -42,7 +42,6 @@ from prefixcodes import (
     solve_one_ended,
     solve_reserved_g,
     solve_reserved_given,
-    telescoped_cost,
 )
 from prefixcodes import bench as bench_mod
 

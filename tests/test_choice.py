@@ -9,12 +9,12 @@ from prefixcodes import (
     LevelSpec,
     NoFeasibleTree,
     OracleBudget,
-    backtrack,
     enumerate_choice,
     normalize_weights,
     solve_batched,
     solve_choice,
 )
+from prefixcodes.gmr import backtrack
 
 TWO_OPTIONS = [(2, 1), (4, 2)]
 

@@ -190,6 +190,45 @@ class TestExitCodes:
         proc = run_cli("solve", "--problem", problem, "--weights", "3 2 1", expect=2)
         assert f"{problem} requires" in proc.stderr
 
+    @pytest.mark.parametrize("problem,extra,flag", [
+        # once printed the binary answer (cost 13) and exited 0
+        ("huffman", ["--spec", "ternary"], "--spec"),
+        ("huffman", ["--arities", "2 3"], "--arities"),
+        ("gmr", ["--lengths", "1 3"], "--lengths"),
+        ("mixed-radix", ["--arities", "2 3", "--radix", "3"], "--radix"),
+        ("reserved-given", ["--lengths", "1 3", "--g", "2"], "--g"),
+        ("reserved-g", ["--g", "2", "--spec-file", "LEVELS"], "--spec-file"),
+        ("one-ended", ["--radix", "2"], "--radix"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_flag_the_problem_ignores_is_2(self, tmp_path, command, problem, extra, flag):
+        levels = tmp_path / "levels.json"
+        levels.write_text("[[2, 1], [2, 1], [2, 1], [2, 1]]")
+        extra = [str(levels) if arg == "LEVELS" else arg for arg in extra]
+        proc = run_cli(command, "--problem", problem, "--weights", "3 2 1 1", *extra, expect=2)
+        assert f"{flag} is not read by {problem}" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("extra", [["--radix", "3", "--spec", "binary"],
+                                       ["--spec", "binary", "--spec-file", "LEVELS"]])
+    def test_gmr_takes_one_level_description(self, tmp_path, extra):
+        levels = tmp_path / "levels.json"
+        levels.write_text("[[2, 1], [2, 1], [2, 1], [2, 1]]")
+        extra = [str(levels) if arg == "LEVELS" else arg for arg in extra]
+        proc = run_cli("solve", "--problem", "gmr", "--weights", "3 2 1 1", *extra, expect=2)
+        assert "gmr takes at most one of --radix, --spec, --spec-file" in proc.stderr
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--repetitions", "0"], "--repetitions: must be at least 1"),
+        (["--repetitions", "-2"], "--repetitions: must be at least 1"),
+        (["--algorithms", ""], "--algorithms: empty algorithm list"),
+    ])
+    def test_bench_empty_run_is_2(self, extra, message):
+        # once printed a header-only CSV and exited 0
+        proc = run_cli("bench", "--problem", "huffman", "--sizes", "8", *extra, expect=2)
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestVerify:
     def test_gmr_binary(self):

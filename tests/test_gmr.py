@@ -1,36 +1,40 @@
 import random
 
 import pytest
-from helpers import assert_same_solution, random_gmr_instance
+from helpers import (
+    assert_same_solution,
+    predecessors,
+    random_gmr_instance,
+    random_weights,
+    telescoped_cost,
+)
 
 from prefixcodes import (
     UNREACHABLE,
     ChoiceLevelSpec,
-    InsufficientLeaves,
     InternalInconsistency,
     InvalidInput,
     LeafSequence,
     LevelSpec,
     NoFeasibleTree,
-    backtrack,
     check_prefix_free,
     cost_of_leaf_sequence,
     huffman_greedy,
-    kraft_slack,
     leafseq_to_codewords,
     normalize_weights,
-    predecessors,
-    prune_to_n,
     solve_batched,
     solve_choice,
     solve_naive,
-    telescoped_cost,
 )
+from prefixcodes.core import _kraft_slack
+from prefixcodes.gmr import backtrack
 
 BINARY = lambda k: LevelSpec.constant(2, 1, k)  # noqa: E731
 
 
 class TestPredecessors:
+    """The test-side enumerator that checks the naive fill below."""
+
     def test_forced_single(self):
         assert predecessors(2, (2, 1), BINARY(2), 4) == [(1, 1)]
 
@@ -42,7 +46,7 @@ class TestPredecessors:
         assert predecessors(2, (3, 0), LevelSpec.constant(3, 1, 2), 3) == [(0, 1), (3, 0)]
 
     def test_rejects_invalid_signature(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(ValueError):
             predecessors(1, (1, 4), BINARY(1), 4)  # m + b > n
 
 
@@ -153,21 +157,27 @@ class TestBacktrack:
 
 
 class TestPrune:
+    """The leaf sequence leaves out the excess zero-weight leaves, which all
+    lie on the answer level."""
+
     def test_prunes_deepest(self):
-        assert prune_to_n(LeafSequence({2: 4}), 3) == LeafSequence({2: 3})
+        # a full ternary tree has an odd leaf count: 5 for 4 weights
+        for solve in (solve_naive, solve_batched):
+            res = solve(normalize_weights([1, 1, 1, 1]), LevelSpec.constant(3, 1, 4))
+            assert (res.cost, res.level, res.leaves_full) == (6, 2, 5)
+            assert res.expansions == ((0, 1), (2, 1), (5, 0))
+            assert res.leaf_sequence == LeafSequence({1: 2, 2: 2})
 
     def test_noop_when_exact(self):
-        assert prune_to_n(LeafSequence({1: 1, 2: 2}), 3) == LeafSequence({1: 1, 2: 2})
+        res = solve_batched(normalize_weights([4, 1, 1]), BINARY(3))
+        assert res.leaves_full == 3
+        assert res.leaf_sequence == LeafSequence({1: 1, 2: 2})
 
     def test_shallow_only(self):
-        assert prune_to_n(LeafSequence({1: 4}), 2) == LeafSequence({1: 2})
-
-    def test_crosses_levels(self):
-        assert prune_to_n(LeafSequence({1: 2, 2: 2}), 1) == LeafSequence({1: 1})
-
-    def test_too_few(self):
-        with pytest.raises(InsufficientLeaves):
-            prune_to_n(LeafSequence({1: 1}), 2)
+        for arity in (4, 2**70):
+            res = solve_batched(normalize_weights([1, 1]), LevelSpec.constant(arity, 1, 2))
+            assert (res.level, res.leaves_full) == (1, arity)
+            assert res.leaf_sequence == LeafSequence({1: 2})
 
 
 class TestCodewords:
@@ -208,6 +218,20 @@ class TestInvariants:
                 continue
             rb = solve_batched(w, spec, ml)
             assert_same_solution(rn, rb)
+        # levels wider than n, alone or between narrow ones
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            ml = rng.randint(1, 4)
+            spec = LevelSpec([(rng.choice((2, 3, 2**20, 2**70)), rng.randint(1, 3))
+                              for _ in range(ml)])
+            w = normalize_weights(random_weights(rng, n))
+            try:
+                rn = solve_naive(w, spec, ml)
+            except NoFeasibleTree:
+                with pytest.raises(NoFeasibleTree):
+                    solve_batched(w, spec, ml)
+                continue
+            assert_same_solution(rn, solve_batched(w, spec, ml))
 
     def test_batch_monotone_in_m(self):
         rng = random.Random(7)
@@ -228,6 +252,7 @@ class TestInvariants:
 
     def test_telescoping_identity(self):
         rng = random.Random(99)
+        excess = 0
         for _ in range(30):
             w, spec, ml = random_gmr_instance(rng, max_n=10, max_level=4)
             try:
@@ -236,6 +261,14 @@ class TestInvariants:
                 continue
             assert telescoped_cost(res.expansions, w, spec) == res.cost
             assert cost_of_leaf_sequence(res.leaf_sequence, w, spec) == res.cost
+            # the chain's per-level leaf counts, less the excess on the answer level
+            chain = res.expansions
+            counts = {i: chain[i][0] - chain[i - 1][0] for i in range(1, len(chain))}
+            counts[res.level] -= res.leaves_full - w.n
+            assert res.leaf_sequence == LeafSequence(counts)
+            assert res.leaf_sequence.total == w.n
+            excess += res.leaves_full > w.n
+        assert excess > 0
 
     def test_huffman_consistency_random(self):
         rng = random.Random(5)
@@ -247,23 +280,27 @@ class TestInvariants:
             assert res.cost == huffman_greedy(w, r)
 
     def test_naive_fill_agrees_with_predecessor_enumeration(self):
-        # every stored entry must equal the min over its declared predecessors
+        # every valid signature with a reachable predecessor is stored, at the
+        # min over its enumerated predecessors, and nothing else is stored;
+        # all levels are filled, so finished states carried down are checked
         rng = random.Random(31)
         for _ in range(10):
             w, spec, ml = random_gmr_instance(rng, max_n=7, max_level=3)
+            n = w.n
             try:
-                res = solve_naive(w, spec, ml)
+                res = solve_naive(w, spec, ml, cutoff=False)
             except NoFeasibleTree:
                 continue
             for i in range(1, len(res.tables)):
-                prev, cur = res.tables[i - 1], res.tables[i]
-                for (m, b), v in cur.costs.items():
-                    cands = [
-                        prev.costs[p] + spec.edge_length(i) * w.tail_weight(p[0])
-                        for p in predecessors(i, (m, b), spec, w.n)
-                        if p in prev.costs
-                    ]
-                    assert cands and min(cands) == v
+                prev, cur = res.tables[i - 1].costs, res.tables[i].costs
+                r = spec.arity(i)
+                sigs = [(m, b) for b in range(1, n + 1) for m in range(n + 1 - b)]
+                sigs += [(m, 0) for m in range(max(n, r), n + r)]
+                assert set(cur) <= set(sigs)
+                for sig in sigs:
+                    cands = [prev[p] + spec.edge_length(i) * w.tail_weight(p[0])
+                             for p in predecessors(i, sig, spec, n) if p in prev]
+                    assert cur.get(sig) == (min(cands) if cands else None)
 
     def test_emitted_codes_are_prefix_free_with_nonneg_slack(self):
         rng = random.Random(13)
@@ -275,7 +312,7 @@ class TestInvariants:
                 continue
             cb = leafseq_to_codewords(res.leaf_sequence, spec, w)
             assert check_prefix_free(cb.words)
-            assert kraft_slack(res.leaf_sequence, spec) >= 0
+            assert _kraft_slack(res.leaf_sequence, spec) >= 0
             assert all(a <= b for a, b in zip(cb.lengths, cb.lengths[1:]))
 
 

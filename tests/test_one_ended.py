@@ -5,27 +5,22 @@ import pytest
 from helpers import random_weights
 
 from prefixcodes import (
-    InvalidInput,
     check_prefix_free,
     normalize_weights,
-    oe_predecessors,
     solve_one_ended,
 )
+from prefixcodes.one_ended import _oe_predecessors
 
 
 class TestPredecessors:
     def test_first_expansion(self):
-        assert oe_predecessors((1, 1), 2) == [(0, 1)]
+        assert _oe_predecessors((1, 1)) == [(0, 1)]
 
     def test_all_bad(self):
-        assert oe_predecessors((0, 2), 2) == [(0, 1)]
+        assert _oe_predecessors((0, 2)) == [(0, 1)]
 
     def test_two_candidates(self):
-        assert oe_predecessors((2, 2), 3) == [(2, 1), (0, 2)]
-
-    def test_rejects_invalid(self):
-        with pytest.raises(InvalidInput):
-            oe_predecessors((4, 1), 3)
+        assert _oe_predecessors((2, 2)) == [(2, 1), (0, 2)]
 
     def test_lexicographic_progress(self):
         rng = random.Random(3)
@@ -33,7 +28,7 @@ class TestPredecessors:
             n = rng.randint(1, 12)
             m = rng.randint(0, n)
             b = rng.randint(1, 2 * n - 1)
-            for mp, bp in oe_predecessors((m, b), n):
+            for mp, bp in _oe_predecessors((m, b)):
                 assert (mp, bp) < (m, b)
                 assert mp < m or (mp == m and b == 2 * bp)
 
