@@ -92,15 +92,21 @@ def _read_spec_file(path: str) -> LevelSpec:
     return LevelSpec(pairs)
 
 
-def _params(args, n: int) -> Params:
-    """The shared problem parameters from the command line.  ``--spec`` and
-    ``--spec-file`` describe gmr's levels."""
-    allowed = _PROBLEM_FLAGS[args.problem]
-    flags = ("--radix", "--spec", "--spec-file", "--arities", "--lengths", "--g")
+def _given_flags(args, flags, allowed) -> list[str]:
+    """The ``flags`` given on the command line; one not in ``allowed`` is an error."""
     given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
     for flag in given:
         if flag not in allowed:
             raise InvalidInput(f"{flag} is not read by {args.problem}")
+    return given
+
+
+def _params(args, n: int) -> Params:
+    """The shared problem parameters from the command line.  ``--spec`` and
+    ``--spec-file`` describe gmr's levels."""
+    allowed = _PROBLEM_FLAGS[args.problem]
+    given = _given_flags(args, ("--radix", "--spec", "--spec-file", "--arities", "--lengths",
+                                "--g"), allowed)
     if args.problem == "gmr" and len(given) > 1:
         raise InvalidInput(f"gmr takes at most one of {', '.join(allowed)}; got {' '.join(given)}")
     levels = None
@@ -186,6 +192,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    allowed = _PROBLEM_FLAGS[args.problem]
+    if "--arities" in allowed:  # bench's --radix is mixed-radix's single arity
+        allowed += ("--radix",)
+    _given_flags(args, ("--radix", "--g"), allowed)
+    radix = 2 if args.radix is None else args.radix
     sizes = _parse_int_list(args.sizes, "--sizes")
     algorithms = args.algorithms.replace(",", " ").split()
     if not algorithms:
@@ -194,7 +205,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--repetitions: must be at least 1, got {args.repetitions}")
     rows = bench.run_scaling(args.problem, sizes, algorithms,
                              distribution=args.distribution, seed=args.seed,
-                             repetitions=args.repetitions, radix=args.radix,
+                             repetitions=args.repetitions, radix=radix,
                              g=args.g if args.g is not None else 3)
     writer = csv.writer(sys.stdout)
     writer.writerow(["problem", "algorithm", "n", "cells_updated", "wall_time"])
@@ -203,7 +214,7 @@ def cmd_bench(args) -> int:
         writer.writerow([row["problem"], row["algorithm"], row["n"],
                          row["cells_updated"], wall])
     print(f"# params distribution={args.distribution} seed={args.seed} "
-          f"repetitions={args.repetitions} radix={args.radix}")
+          f"repetitions={args.repetitions} radix={radix}")
     for (problem, algorithm), slope in sorted(bench.slope_summary(rows).items()):
         if slope is not None:
             print(f"# slope problem={problem} algorithm={algorithm} value={slope:.4f}")
@@ -250,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distribution", default="uniform", choices=bench.DISTRIBUTIONS)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--radix", type=int, default=2)
-    p.add_argument("--g", type=int)
+    p.add_argument("--radix", type=int, help="alphabet size or mixed-radix arity (default 2)")
+    p.add_argument("--g", type=int, help="reserved-g distinct-length budget (default 3)")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser

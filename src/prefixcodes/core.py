@@ -226,9 +226,6 @@ class LeafSequence:
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._counts
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._counts)
-
     @property
     def total(self) -> int:
         return sum(c for _, c in self._counts)

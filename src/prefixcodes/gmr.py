@@ -5,7 +5,8 @@ labeled so far, ``b`` bottom-level nodes tagged for expansion.  Starting from
 the root state ``(0, 1)``, each level-``i`` expansion turns every tagged node
 into ``r_i`` children and charges ``c_i * W_m'`` -- one more edge length for
 every still-unplaced weight.  The level tables map reachable valid signatures
-to their minimum partial cost; absent entries mean UNREACHABLE.
+to their minimum partial cost; absent entries mean UNREACHABLE.  The spec's
+levels are the only depth limit: a spec of L levels admits trees of up to L levels.
 
 Two fill strategies produce bit-identical tables:
 
@@ -29,8 +30,8 @@ per-signature minimum.
 The level loop stops after the first level whose cheapest state costs at
 least the best finished tree seen so far.  Expansions never lower a cost and
 ties go to the shallower level, so no deeper level could change the answer or
-its backtrace; ``cutoff=False`` fills every level, as the complexity harness
-measures.
+its backtrace; ``cutoff=False`` fills every level of the spec, as the
+complexity harness measures.
 
 The fills store costs only, so equal-cost predecessors are resolved in one
 place: ``backtrack`` recovers each step from the previous level's costs,
@@ -57,7 +58,6 @@ from .core import (
 )
 from .errors import (
     InternalInconsistency,
-    InvalidInput,
     InvalidLeafSequence,
     NoFeasibleTree,
 )
@@ -184,9 +184,9 @@ def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
     return ((spec.arity(i), spec.edge_length(i)),)
 
 
-def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
+def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
            cutoff: bool = True) -> DPResult:
-    """The level loop for plain and choice specs alike.
+    """The level loop over the levels of ``spec``, plain and choice alike.
 
     With ``cutoff`` the loop stops after the first level whose cheapest
     state costs at least the best finished ``(m, 0)`` seen so far, or that
@@ -195,7 +195,7 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
     go to the shallower level: no deeper level can change the answer or its
     backtrace.  An empty level leaves every later level empty.  The stop
     reads only table values, so naive and batched fills stop at the same
-    level.  ``cutoff=False`` fills all ``max_level`` levels, as the
+    level.  ``cutoff=False`` fills every level of the spec, as the
     complexity harness measures.
 
     Choice solves also count each option's stored entries as cells, whatever
@@ -203,16 +203,12 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
     """
     check_algorithm(mode)
     n = w.n
-    if max_level < 1:
-        raise InvalidInput("max_level must be at least 1")
-    if spec.num_levels < max_level:
-        raise InvalidInput(f"spec covers {spec.num_levels} levels, need {max_level}")
     choice = isinstance(spec, ChoiceLevelSpec)
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
     best = None  # (cost, level, n');  tuple order implements the tie-break
     cells = 0
-    for i in range(1, max_level + 1):
+    for i in range(1, spec.num_levels + 1):
         costs = None
         for r, c in _level_options(spec, i):
             fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode)
@@ -237,7 +233,7 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
             break
     levels_filled = i
     if best is None:
-        raise NoFeasibleTree(f"no full tree with >= {n} leaves within {max_level} levels")
+        raise NoFeasibleTree(f"no full tree with >= {n} leaves within {spec.num_levels} levels")
     cost, level, nprime = best
     if not keep_tables:
         return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells,
@@ -256,28 +252,23 @@ def _solve(w: WeightSeq, spec, max_level: int, mode: str, keep_tables: bool, *,
     )
 
 
-def solve_naive(w: WeightSeq, spec: LevelSpec, max_level: int | None = None, *,
-                keep_tables: bool = True, cutoff: bool = True) -> DPResult:
+def solve_naive(w: WeightSeq, spec: LevelSpec, *, keep_tables: bool = True,
+                cutoff: bool = True) -> DPResult:
     """Fill the level tables by direct minimization over predecessors."""
-    return _solve(w, spec, w.n if max_level is None else max_level, "naive", keep_tables,
-                  cutoff=cutoff)
+    return _solve(w, spec, "naive", keep_tables, cutoff=cutoff)
 
 
-def solve_batched(w: WeightSeq, spec: LevelSpec, max_level: int | None = None, *,
-                  keep_tables: bool = True, cutoff: bool = True) -> DPResult:
+def solve_batched(w: WeightSeq, spec: LevelSpec, *, keep_tables: bool = True,
+                  cutoff: bool = True) -> DPResult:
     """Batched fill; identical tables and answer as :func:`solve_naive`."""
-    return _solve(w, spec, w.n if max_level is None else max_level, "batched", keep_tables,
-                  cutoff=cutoff)
+    return _solve(w, spec, "batched", keep_tables, cutoff=cutoff)
 
 
-def solve_choice(w: WeightSeq, cspec: ChoiceLevelSpec, max_level: int | None = None, *,
-                 algorithm: str = "batched", keep_tables: bool = True,
-                 cutoff: bool = True) -> DPResult:
+def solve_choice(w: WeightSeq, cspec: ChoiceLevelSpec, *, algorithm: str = "batched",
+                 keep_tables: bool = True, cutoff: bool = True) -> DPResult:
     """Minimum-cost tree over all per-level option assignments; the result's
     ``options`` holds the chosen option index per level of the backtrace."""
-    if max_level is None:
-        max_level = cspec.num_levels
-    return _solve(w, cspec, max_level, algorithm, keep_tables, cutoff=cutoff)
+    return _solve(w, cspec, algorithm, keep_tables, cutoff=cutoff)
 
 
 def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):

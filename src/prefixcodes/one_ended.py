@@ -87,16 +87,16 @@ def _fill_batched(w: WeightSeq):
     INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
     get = costs.get
-    wext = list(w.suffix) + [0] * (2 * n)  # indices up to 3n
+    suffix = w.suffix
     cells = 0
     for d in range(2, 3 * n):
         half = d // 2
-        # cand[bp] = gamma(bp); index 0 is never in a window
-        cand = [INF] + [get((d - 2 * bp, bp), INF) + wext[d - 2 * bp]
-                        for bp in range(1, half + 1)]
-        cells += half
+        low = max(1, (d - n + 1) // 2)  # no window reads a smaller b' (m' > n)
+        # cand[bp - low] = gamma(bp)
+        cand = [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp] for bp in range(low, half + 1)]
+        cells += len(cand)
         window: deque[int] = deque()  # b' ascending, gamma non-decreasing
-        pushed = 0
+        pushed = low - 1
         for b in range(max(1, d - n), min(2 * n - 1, d) + 1):
             m = d - b
             lo = max(1, (b + 1) // 2)
@@ -105,14 +105,14 @@ def _fill_batched(w: WeightSeq):
                 continue
             while pushed < hi:
                 pushed += 1
-                v = cand[pushed]
-                while window and cand[window[-1]] > v:
+                v = cand[pushed - low]
+                while window and cand[window[-1] - low] > v:
                     window.pop()
                 window.append(pushed)
             while window[0] < lo:
                 window.popleft()
             cells += 1
-            v = cand[window[0]]
+            v = cand[window[0] - low]
             if v < INF:
                 costs[(m, b)] = v
     return costs, cells

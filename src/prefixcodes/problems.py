@@ -90,16 +90,16 @@ class ProblemResult:
     dp: DPResult
 
 
-def _run(w, spec, max_level, algorithm, want_code, cutoff):
+def _run(w, spec, algorithm, want_code, cutoff):
     check_algorithm(algorithm)
     solver = solve_naive if algorithm == "naive" else solve_batched
-    return solver(w, spec, max_level, keep_tables=want_code, cutoff=cutoff)
+    return solver(w, spec, keep_tables=want_code, cutoff=cutoff)
 
 
 def _solve_levels(w: WeightSeq, spec: LevelSpec, *, algorithm: str,
                   want_code: bool, cutoff: bool = True) -> ProblemResult:
     """Solve over the levels of ``spec`` and emit its codewords directly."""
-    dp = _run(w, spec, spec.num_levels, algorithm, want_code, cutoff)
+    dp = _run(w, spec, algorithm, want_code, cutoff)
     code = leafseq_to_codewords(dp.leaf_sequence, spec, w) if want_code else None
     return ProblemResult(code, dp)
 
@@ -157,7 +157,7 @@ def solve_reserved_given(w: WeightSeq, rspec: ReservedSpec, *, algorithm: str = 
         raise NoFeasibleTree(
             f"only {capacity} words of permitted lengths exist, need {w.n}"
         )
-    dp = _run(w, spec, spec.num_levels, algorithm, want_code, cutoff)
+    dp = _run(w, spec, algorithm, want_code, cutoff)
     code = None
     if want_code:
         code = _expand_to_radix(dp.leaf_sequence, lambda k: rspec.lengths[k - 1], rspec.radix, w)
@@ -178,24 +178,24 @@ def glengths_options(r: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((r**t, t) for t in range(1, tmax + 1))
 
 
+def _glengths_levels(gspec: GLengthsSpec, n: int) -> ChoiceLevelSpec:
+    """One choice level per distinct length, each offering every jump of
+    :func:`glengths_options`.  n weights use at most n distinct lengths, so
+    the spec has min(g, n) levels."""
+    return ChoiceLevelSpec([glengths_options(gspec.radix, n)] * min(gspec.g, n))
+
+
 def solve_reserved_g(w: WeightSeq, gspec: GLengthsSpec, *, algorithm: str = "batched",
                      want_code: bool = True, cutoff: bool = True) -> ProblemResult:
-    """At most g distinct codeword lengths, the lengths themselves are free.
-
-    n weights use at most n distinct lengths, so only min(g, n) levels are
-    filled."""
-    r = gspec.radix
-    options = glengths_options(r, w.n)
-    levels = min(gspec.g, w.n)
-    cspec = ChoiceLevelSpec([options] * levels)
-    dp = solve_choice(w, cspec, levels, algorithm=algorithm, keep_tables=want_code,
-                      cutoff=cutoff)
+    """At most g distinct codeword lengths, the lengths themselves are free."""
+    cspec = _glengths_levels(gspec, w.n)
+    dp = solve_choice(w, cspec, algorithm=algorithm, keep_tables=want_code, cutoff=cutoff)
     code = None
     if want_code:
         depths = [0]
-        for j in dp.options:
-            depths.append(depths[-1] + options[j][1])
-        code = _expand_to_radix(dp.leaf_sequence, lambda k: depths[k], r, w)
+        for i, j in enumerate(dp.options, start=1):
+            depths.append(depths[-1] + cspec.options(i)[j][1])
+        code = _expand_to_radix(dp.leaf_sequence, lambda k: depths[k], gspec.radix, w)
     return ProblemResult(code, dp)
 
 
@@ -258,12 +258,11 @@ def _enumerate_levels(w: WeightSeq, spec: LevelSpec, max_n: int) -> int:
 
 
 def _enumerate_glengths(w: WeightSeq, gspec: GLengthsSpec, max_n: int) -> int:
-    # n weights use at most n distinct lengths, as in solve_reserved_g
-    options = glengths_options(gspec.radix, w.n)
-    levels = min(gspec.g, w.n)
+    cspec = _glengths_levels(gspec, w.n)
+    levels = cspec.num_levels
     budget = oracle.OracleBudget(max_n=max_n, max_depth=max(levels, 8),
-                                 max_option_sets=len(options))
-    return oracle.enumerate_choice(w, ChoiceLevelSpec([options] * levels), levels, budget)
+                                 max_option_sets=len(cspec.options(1)))
+    return oracle.enumerate_choice(w, cspec, levels, budget)
 
 
 def _enumerate_one_ended(w: WeightSeq, _spec, max_n: int) -> int:

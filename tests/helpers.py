@@ -9,14 +9,14 @@ def random_weights(rng: random.Random, n: int, lo: int = 0, hi: int = 50) -> lis
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
-def random_gmr_instance(rng: random.Random, max_n: int = 8, max_level: int = 5,
+def random_gmr_instance(rng: random.Random, max_n: int = 8, max_levels: int = 5,
                         arities=(2, 4), edges=(1, 3), lo: int = 0, hi: int = 50):
-    """A random (WeightSeq, LevelSpec, max_level) triple."""
+    """A random (WeightSeq, LevelSpec) pair with 1..max_levels levels."""
     n = rng.randint(1, max_n)
-    ml = rng.randint(1, max_level)
-    levels = [(rng.randint(*arities), rng.randint(*edges)) for _ in range(ml)]
+    levels = [(rng.randint(*arities), rng.randint(*edges))
+              for _ in range(rng.randint(1, max_levels))]
     w = normalize_weights(random_weights(rng, n, lo, hi))
-    return w, LevelSpec(levels), ml
+    return w, LevelSpec(levels)
 
 
 def telescoped_cost(expansions, w, spec: LevelSpec) -> int:

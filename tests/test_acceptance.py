@@ -52,22 +52,22 @@ def _criterion1_instances():
         n = rng.randint(1, 8)
         ml = rng.randint(1, 5)
         spec = LevelSpec([(rng.randint(2, 4), rng.randint(1, 3)) for _ in range(ml)])
-        yield normalize_weights(random_weights(rng, n, 0, 50)), spec, ml
+        yield normalize_weights(random_weights(rng, n, 0, 50)), spec
 
 
 def test_criterion_1_gmr_oracle_equivalence():
     checked = 0
-    for w, spec, ml in _criterion1_instances():
+    for w, spec in _criterion1_instances():
         try:
-            want = enumerate_gmr(w, spec, ml)
+            want = enumerate_gmr(w, spec, spec.num_levels)
         except NoFeasibleTree:
             with pytest.raises(NoFeasibleTree):
-                solve_naive(w, spec, ml)
+                solve_naive(w, spec)
             with pytest.raises(NoFeasibleTree):
-                solve_batched(w, spec, ml)
+                solve_batched(w, spec)
             continue
-        assert solve_naive(w, spec, ml).cost == want
-        assert solve_batched(w, spec, ml).cost == want
+        assert solve_naive(w, spec).cost == want
+        assert solve_batched(w, spec).cost == want
         checked += 1
     assert checked > 300
     print(f"\nACCEPTANCE 1 PASS: gmr naive/batched == oracle on {checked} feasible of 500 instances")
@@ -105,7 +105,7 @@ def _criterion4_gmr_instances():
         n = rng.randint(1, 40)
         ml = rng.randint(1, n)
         spec = LevelSpec([(rng.randint(2, 5), rng.randint(1, 3)) for _ in range(ml)])
-        yield normalize_weights(random_weights(rng, n, 0, 10**6)), spec, ml
+        yield normalize_weights(random_weights(rng, n, 0, 10**6)), spec
 
 
 def _criterion4_one_ended_instances():
@@ -117,14 +117,14 @@ def _criterion4_one_ended_instances():
 
 def test_criterion_4_naive_batched_bit_equality():
     gmr_checked = 0
-    for w, spec, ml in _criterion4_gmr_instances():
+    for w, spec in _criterion4_gmr_instances():
         try:
-            rn = solve_naive(w, spec, ml)
+            rn = solve_naive(w, spec)
         except NoFeasibleTree:
             with pytest.raises(NoFeasibleTree):
-                solve_batched(w, spec, ml)
+                solve_batched(w, spec)
             continue
-        rb = solve_batched(w, spec, ml)
+        rb = solve_batched(w, spec)
         assert_same_solution(rn, rb)
         gmr_checked += 1
     for w in _criterion4_one_ended_instances():
@@ -225,16 +225,16 @@ def test_criterion_6_complexity_scaling():
 
 def test_criterion_7_telescoping_identity():
     checked = 0
-    for w, spec, ml in _criterion1_instances():
+    for w, spec in _criterion1_instances():
         try:
-            res = solve_batched(w, spec, ml)
+            res = solve_batched(w, spec)
         except NoFeasibleTree:
             continue
         assert telescoped_cost(res.expansions, w, spec) == res.cost
         checked += 1
-    for w, spec, ml in _criterion4_gmr_instances():
+    for w, spec in _criterion4_gmr_instances():
         try:
-            res = solve_batched(w, spec, ml)
+            res = solve_batched(w, spec)
         except NoFeasibleTree:
             continue
         assert telescoped_cost(res.expansions, w, spec) == res.cost

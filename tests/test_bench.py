@@ -17,3 +17,10 @@ FULL_DEPTH_CELLS = {
 def test_scaling_cells_are_full_depth(problem):
     rows = bench.run_scaling(problem, [50], ["naive", "batched"], seed=1)
     assert tuple(row["cells_updated"] for row in rows) == FULL_DEPTH_CELLS[problem]
+
+
+def test_one_ended_scaling_cells():
+    # one-ended has no levels to fill; the batched count covers only the
+    # predecessors some window reads (m' <= n)
+    rows = bench.run_scaling("one-ended", [50], ["naive", "batched"], seed=1)
+    assert tuple(row["cells_updated"] for row in rows) == (55_524, 8_148)

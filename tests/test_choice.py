@@ -32,28 +32,28 @@ class TestSpecValidation:
 class TestSolveChoice:
     def test_degenerate_single_option(self):
         w = normalize_weights([3, 2, 1, 1])
-        rc = solve_choice(w, ChoiceLevelSpec([[(2, 1)]] * 4), 4)
-        rb = solve_batched(w, LevelSpec.constant(2, 1, 4), 4)
+        rc = solve_choice(w, ChoiceLevelSpec([[(2, 1)]] * 4))
+        rb = solve_batched(w, LevelSpec.constant(2, 1, 4))
         assert rc.cost == rb.cost == 13
         assert rc.expansions == rb.expansions
         assert all(a.costs == b.costs for a, b in zip(rc.tables, rb.tables))
 
     def test_tied_routes(self):
         w = normalize_weights([1, 1, 1, 1])
-        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4), 4)
+        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4))
         assert res.cost == 8  # depth-2 binary ties the single arity-4 level
 
     def test_skewed_weights(self):
         # frozen from the option-assignment enumeration oracle
         w = normalize_weights([8, 1, 1, 1])
-        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4), 4)
+        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4))
         assert res.cost == 16
         assert res.options == (0, 0, 0)
 
     def test_options_recorded_along_chain(self):
         w = normalize_weights([1, 1, 1, 1])
         cspec = ChoiceLevelSpec([TWO_OPTIONS] * 4)
-        res = solve_choice(w, cspec, 4)
+        res = solve_choice(w, cspec)
         assert len(res.options) == res.level
         assert all(0 <= j < 2 for j in res.options)
         chain, _full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost),
@@ -62,7 +62,7 @@ class TestSolveChoice:
 
     def test_cost_only_mode_skips_tables_and_options(self):
         w = normalize_weights([8, 1, 1, 1])
-        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4), 4, keep_tables=False)
+        res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS] * 4), keep_tables=False)
         assert res.cost == 16
         assert res.tables is None and res.options is None
 
@@ -124,12 +124,12 @@ class TestInvariants:
             levels = [(rng.randint(2, 4), rng.randint(1, 3)) for _ in range(ml)]
             w = normalize_weights(random_weights(rng, n))
             try:
-                rb = solve_batched(w, LevelSpec(levels), ml)
+                rb = solve_batched(w, LevelSpec(levels))
             except NoFeasibleTree:
                 with pytest.raises(NoFeasibleTree):
-                    solve_choice(w, ChoiceLevelSpec([[lv] for lv in levels]), ml)
+                    solve_choice(w, ChoiceLevelSpec([[lv] for lv in levels]))
                 continue
-            rc = solve_choice(w, ChoiceLevelSpec([[lv] for lv in levels]), ml)
+            rc = solve_choice(w, ChoiceLevelSpec([[lv] for lv in levels]))
             assert rc.cost == rb.cost and rc.expansions == rb.expansions
 
     def test_naive_and_batched_option_fills_agree(self):
@@ -139,10 +139,10 @@ class TestInvariants:
             w = normalize_weights(random_weights(rng, n))
             cspec = ChoiceLevelSpec([TWO_OPTIONS] * 3)
             try:
-                rb = solve_choice(w, cspec, 3)
+                rb = solve_choice(w, cspec)
             except NoFeasibleTree:
                 continue
-            rn = solve_choice(w, cspec, 3, algorithm="naive")
+            rn = solve_choice(w, cspec, algorithm="naive")
             assert_same_solution(rn, rb)
             assert rn.options == rb.options
 
@@ -154,10 +154,10 @@ class TestInvariants:
             base = [[(2, 1)]] * 3
             richer = [[(2, 1), (3, 1)]] * 3
             try:
-                a = solve_choice(w, ChoiceLevelSpec(base), 3).cost
+                a = solve_choice(w, ChoiceLevelSpec(base)).cost
             except NoFeasibleTree:
                 continue
-            b = solve_choice(w, ChoiceLevelSpec(richer), 3).cost
+            b = solve_choice(w, ChoiceLevelSpec(richer)).cost
             assert b <= a
 
     def test_oracle_equivalence_small(self):
@@ -179,6 +179,6 @@ class TestInvariants:
                 want = enumerate_choice(w, cspec, ml, budget)
             except NoFeasibleTree:
                 with pytest.raises(NoFeasibleTree):
-                    solve_choice(w, cspec, ml)
+                    solve_choice(w, cspec)
                 continue
-            assert solve_choice(w, cspec, ml).cost == want
+            assert solve_choice(w, cspec).cost == want

@@ -229,6 +229,19 @@ class TestExitCodes:
         assert message in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("problem,extra,flag", [
+        # once printed radix=5 in its params line and exited 0
+        ("one-ended", ["--radix", "5", "--g", "9"], "--radix"),
+        ("one-ended", ["--g", "9"], "--g"),
+        ("huffman", ["--g", "2"], "--g"),
+        ("reserved-given", ["--radix", "3", "--g", "2"], "--g"),
+    ])
+    def test_bench_flag_the_problem_ignores_is_2(self, problem, extra, flag):
+        proc = run_cli("bench", "--problem", problem, "--sizes", "8",
+                       "--algorithms", "batched", *extra, expect=2)
+        assert f"{flag} is not read by {problem}" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestVerify:
     def test_gmr_binary(self):
@@ -272,6 +285,22 @@ class TestBench:
         proc = run_cli("bench", "--problem", "one-ended", "--sizes", "16",
                        "--algorithms", "batched")
         assert not any("# slope" in line for line in proc.stdout.splitlines())
+
+    @pytest.mark.parametrize("problem,extra,cells,radix", [
+        # cells_updated of the naive and batched rows at n = 8
+        ("gmr", ["--radix", "3"], ["376", "544"], 3),
+        ("huffman", ["--radix", "3"], ["376", "544"], 3),
+        ("mixed-radix", ["--radix", "3"], ["376", "544"], 3),
+        ("reserved-given", ["--radix", "3"], ["157", "220"], 3),
+        ("reserved-g", ["--radix", "3", "--g", "2"], ["142", "184"], 3),
+        ("reserved-g", ["--g", "5"], ["961", "1246"], 2),
+    ])
+    def test_read_flags_reach_the_rows(self, problem, extra, cells, radix):
+        proc = run_cli("bench", "--problem", problem, "--sizes", "8",
+                       "--algorithms", "naive batched", *extra)
+        lines = proc.stdout.splitlines()
+        assert [line.split(",")[3] for line in lines[1:3]] == cells
+        assert lines[3] == f"# params distribution=uniform seed=1 repetitions=1 radix={radix}"
 
     def test_deterministic_without_timing(self):
         args = ("bench", "--problem", "huffman", "--sizes", "8 16",

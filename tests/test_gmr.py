@@ -13,10 +13,10 @@ from prefixcodes import (
     UNREACHABLE,
     ChoiceLevelSpec,
     InternalInconsistency,
-    InvalidInput,
     LeafSequence,
     LevelSpec,
     NoFeasibleTree,
+    ReservedSpec,
     check_prefix_free,
     cost_of_leaf_sequence,
     huffman_greedy,
@@ -25,6 +25,7 @@ from prefixcodes import (
     solve_batched,
     solve_choice,
     solve_naive,
+    solve_reserved_given,
 )
 from prefixcodes.core import _kraft_slack
 from prefixcodes.gmr import backtrack
@@ -71,16 +72,25 @@ class TestSolvers:
 
     def test_two_level_mixed_arity(self):
         # frozen from the exhaustive oracle
-        res = solve_batched(normalize_weights([1] * 5), LevelSpec([(2, 1), (3, 1)]), 2)
+        res = solve_batched(normalize_weights([1] * 5), LevelSpec([(2, 1), (3, 1)]))
         assert res.cost == 10
 
     def test_infeasible_raises(self):
         with pytest.raises(NoFeasibleTree):
-            solve_batched(normalize_weights([1] * 5), BINARY(2), 2)
+            solve_batched(normalize_weights([1] * 5), BINARY(2))
 
-    def test_spec_too_short_rejected(self):
-        with pytest.raises(InvalidInput):
-            solve_batched(normalize_weights([1, 1, 1]), BINARY(2))
+    @pytest.mark.parametrize("solver", [solve_naive, solve_batched])
+    def test_spec_shorter_than_n_fills_its_levels(self, solver):
+        # reserved lengths 1 and 3: a binary level, then one of arity 4 and
+        # edge length 2; the spec, not n, bounds the depth
+        w = normalize_weights([5, 4, 3, 2, 1])
+        levels = [(2, 1), (4, 2)]
+        res = solver(w, LevelSpec(levels))
+        assert res.cost == 35
+        assert res.expansions == ((0, 1), (1, 1), (5, 0))
+        choice = solve_choice(w, ChoiceLevelSpec([[lv] for lv in levels]))
+        assert (choice.cost, choice.expansions) == (res.cost, res.expansions)
+        assert solve_reserved_given(w, ReservedSpec(2, (1, 3))).dp.cost == 35
 
     def test_cost_only_mode_skips_tables(self):
         res = solve_batched(normalize_weights([3, 2, 1, 1]), BINARY(4), keep_tables=False)
@@ -209,14 +219,14 @@ class TestInvariants:
     def test_naive_batched_bit_equality_randomized(self):
         rng = random.Random(2024)
         for _ in range(40):
-            w, spec, ml = random_gmr_instance(rng, max_n=8, max_level=4)
+            w, spec = random_gmr_instance(rng, max_n=8, max_levels=4)
             try:
-                rn = solve_naive(w, spec, ml)
+                rn = solve_naive(w, spec)
             except NoFeasibleTree:
                 with pytest.raises(NoFeasibleTree):
-                    solve_batched(w, spec, ml)
+                    solve_batched(w, spec)
                 continue
-            rb = solve_batched(w, spec, ml)
+            rb = solve_batched(w, spec)
             assert_same_solution(rn, rb)
         # levels wider than n, alone or between narrow ones
         for _ in range(40):
@@ -226,19 +236,19 @@ class TestInvariants:
                               for _ in range(ml)])
             w = normalize_weights(random_weights(rng, n))
             try:
-                rn = solve_naive(w, spec, ml)
+                rn = solve_naive(w, spec)
             except NoFeasibleTree:
                 with pytest.raises(NoFeasibleTree):
-                    solve_batched(w, spec, ml)
+                    solve_batched(w, spec)
                 continue
-            assert_same_solution(rn, solve_batched(w, spec, ml))
+            assert_same_solution(rn, solve_batched(w, spec))
 
     def test_batch_monotone_in_m(self):
         rng = random.Random(7)
         for _ in range(25):
-            w, spec, ml = random_gmr_instance(rng, max_n=10, max_level=4)
+            w, spec = random_gmr_instance(rng, max_n=10, max_levels=4)
             try:
-                res = solve_batched(w, spec, ml)
+                res = solve_batched(w, spec)
             except NoFeasibleTree:
                 continue
             for table in res.tables[1:]:
@@ -254,9 +264,9 @@ class TestInvariants:
         rng = random.Random(99)
         excess = 0
         for _ in range(30):
-            w, spec, ml = random_gmr_instance(rng, max_n=10, max_level=4)
+            w, spec = random_gmr_instance(rng, max_n=10, max_levels=4)
             try:
-                res = solve_batched(w, spec, ml)
+                res = solve_batched(w, spec)
             except NoFeasibleTree:
                 continue
             assert telescoped_cost(res.expansions, w, spec) == res.cost
@@ -285,10 +295,10 @@ class TestInvariants:
         # all levels are filled, so finished states carried down are checked
         rng = random.Random(31)
         for _ in range(10):
-            w, spec, ml = random_gmr_instance(rng, max_n=7, max_level=3)
+            w, spec = random_gmr_instance(rng, max_n=7, max_levels=3)
             n = w.n
             try:
-                res = solve_naive(w, spec, ml, cutoff=False)
+                res = solve_naive(w, spec, cutoff=False)
             except NoFeasibleTree:
                 continue
             for i in range(1, len(res.tables)):
@@ -305,9 +315,9 @@ class TestInvariants:
     def test_emitted_codes_are_prefix_free_with_nonneg_slack(self):
         rng = random.Random(13)
         for _ in range(25):
-            w, spec, ml = random_gmr_instance(rng, max_n=8, max_level=4)
+            w, spec = random_gmr_instance(rng, max_n=8, max_levels=4)
             try:
-                res = solve_batched(w, spec, ml)
+                res = solve_batched(w, spec)
             except NoFeasibleTree:
                 continue
             cb = leafseq_to_codewords(res.leaf_sequence, spec, w)
@@ -328,7 +338,7 @@ OPTIONS = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 3)]
 
 
 def _cutoff_instances(seed: int, per_draw: int):
-    """``per_draw`` random ``(w, spec, max_level)`` triples per weight draw,
+    """``per_draw`` random ``(w, spec)`` pairs per weight draw,
     alternating plain and choice specs, with up to n + 2 levels so that the
     cut-off has deep levels to skip."""
     rng = random.Random(seed)
@@ -341,30 +351,31 @@ def _cutoff_instances(seed: int, per_draw: int):
                 spec = ChoiceLevelSpec([rng.sample(OPTIONS, rng.randint(1, 3)) for _ in range(ml)])
             else:
                 spec = LevelSpec([rng.choice(OPTIONS) for _ in range(ml)])
-            yield w, spec, ml
+            yield w, spec
 
 
-def _solve_any(w, spec, ml, algorithm, **kw):
+def _solve_any(w, spec, algorithm, **kw):
     if isinstance(spec, ChoiceLevelSpec):
-        return solve_choice(w, spec, ml, algorithm=algorithm, **kw)
-    return (solve_naive if algorithm == "naive" else solve_batched)(w, spec, ml, **kw)
+        return solve_choice(w, spec, algorithm=algorithm, **kw)
+    return (solve_naive if algorithm == "naive" else solve_batched)(w, spec, **kw)
 
 
 class TestCutoff:
     def test_cutoff_changes_no_answer_randomized(self):
         feasible = stopped_early = 0
-        for w, spec, ml in _cutoff_instances(seed=505, per_draw=300):
+        for w, spec in _cutoff_instances(seed=505, per_draw=300):
+            ml = spec.num_levels
             try:
-                _solve_any(w, spec, ml, "batched", keep_tables=False, cutoff=False)
+                _solve_any(w, spec, "batched", keep_tables=False, cutoff=False)
             except NoFeasibleTree:
                 for algorithm in ("naive", "batched"):
                     with pytest.raises(NoFeasibleTree):
-                        _solve_any(w, spec, ml, algorithm)
+                        _solve_any(w, spec, algorithm)
                 continue
             feasible += 1
             for algorithm in ("naive", "batched"):
-                full = _solve_any(w, spec, ml, algorithm, cutoff=False)
-                cut = _solve_any(w, spec, ml, algorithm)
+                full = _solve_any(w, spec, algorithm, cutoff=False)
+                cut = _solve_any(w, spec, algorithm)
                 assert (cut.cost, cut.level, cut.leaves_full) == (
                     full.cost, full.level, full.leaves_full)
                 assert cut.expansions == full.expansions
@@ -379,19 +390,19 @@ class TestCutoff:
     def test_levels_filled_is_first_dominated_level(self):
         # a test-side scan of the full tables: the first level whose cheapest
         # state costs at least the cheapest finished state so far
-        for w, spec, ml in _cutoff_instances(seed=606, per_draw=60):
+        for w, spec in _cutoff_instances(seed=606, per_draw=60):
             for algorithm in ("naive", "batched"):
                 try:
-                    full = _solve_any(w, spec, ml, algorithm, cutoff=False)
+                    full = _solve_any(w, spec, algorithm, cutoff=False)
                 except NoFeasibleTree:
                     continue
                 best = UNREACHABLE
-                expected = ml
+                expected = spec.num_levels
                 for table in full.tables[1:]:
                     best = min([best] + [v for (m, b), v in table.costs.items() if b == 0])
                     if min(table.costs.values(), default=UNREACHABLE) >= best:
                         expected = table.level
                         break
-                assert _solve_any(w, spec, ml, algorithm).levels_filled == expected
-                cost_only = _solve_any(w, spec, ml, algorithm, keep_tables=False)
+                assert _solve_any(w, spec, algorithm).levels_filled == expected
+                cost_only = _solve_any(w, spec, algorithm, keep_tables=False)
                 assert cost_only.levels_filled == expected
