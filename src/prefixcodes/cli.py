@@ -203,18 +203,19 @@ def cmd_bench(args) -> int:
         raise ValueError("--algorithms: empty algorithm list")
     if args.repetitions < 1:
         raise ValueError(f"--repetitions: must be at least 1, got {args.repetitions}")
+    g = 3 if args.g is None else args.g
     rows = bench.run_scaling(args.problem, sizes, algorithms,
                              distribution=args.distribution, seed=args.seed,
-                             repetitions=args.repetitions, radix=radix,
-                             g=args.g if args.g is not None else 3)
+                             repetitions=args.repetitions, radix=radix, g=g)
     writer = csv.writer(sys.stdout)
     writer.writerow(["problem", "algorithm", "n", "cells_updated", "wall_time"])
     for row in rows:
         wall = f"{row['wall_time']:.6f}" if args.timing else ""
         writer.writerow([row["problem"], row["algorithm"], row["n"],
                          row["cells_updated"], wall])
+    budget = f" g={g}" if args.problem == "reserved-g" else ""
     print(f"# params distribution={args.distribution} seed={args.seed} "
-          f"repetitions={args.repetitions} radix={radix}")
+          f"repetitions={args.repetitions} radix={radix}{budget}")
     for (problem, algorithm), slope in sorted(bench.slope_summary(rows).items()):
         if slope is not None:
             print(f"# slope problem={problem} algorithm={algorithm} value={slope:.4f}")

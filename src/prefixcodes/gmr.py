@@ -33,6 +33,14 @@ ties go to the shallower level, so no deeper level could change the answer or
 its backtrace; ``cutoff=False`` fills every level of the spec, as the
 complexity harness measures.
 
+A plain spec of at least n levels whose levels from s on share one (arity,
+edge length) -- Huffman from level 1, mixed-radix (4, 2, 3) from level 3 --
+fills levels ``1 .. s - 1`` one table each and all deeper levels in one
+level-free table, as Golin & Rote's signature DP does: there a state's
+future does not depend on its level, so the table keeps each signature's
+least ``cost * K + level`` (``K = 2n + 2``) and is filled in place in
+diagonal order.
+
 The fills store costs only, so equal-cost predecessors are resolved in one
 place: ``backtrack`` recovers each step from the previous level's costs,
 trying options in index order and, within an option, predecessors in
@@ -67,8 +75,9 @@ Sig = tuple[int, int]
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Reachable signatures of one level and their exact minimum costs;
-    predecessors and options are recovered from these by ``backtrack``."""
+    """Reachable signatures of one level and their exact minimum costs (keys
+    for a level-free tail, see ``DPResult``); predecessors and options are
+    recovered from these by ``backtrack``."""
 
     level: int
     costs: dict[Sig, int]
@@ -84,8 +93,12 @@ class DPResult:
     ``tables``, ``expansions`` and ``leaf_sequence`` are
     present only when the solver ran with ``keep_tables=True``; the tables
     run from level 0 to ``levels_filled``, the last level the level loop
-    filled before it stopped (see ``_solve``).  One-ended answers, whose DP
-    has no levels, leave ``levels_filled`` None.
+    filled before it stopped (see ``_solve``).  A solve that reached a
+    level-free tail from level s on has ``levels_filled == s``, and
+    ``tables[s]`` (its ``level`` is s) covers levels s and deeper: its values
+    are keys ``cost * (2n + 2) + level``, the least per signature over levels
+    ``s - 1`` and deeper.  One-ended answers, whose DP has no levels, leave
+    ``levels_filled`` None.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
     """
@@ -110,13 +123,20 @@ def _valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
     return max(n, arity) <= m <= n + arity - 1
 
 
-def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str):
+def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
+                costs: dict | None = None, seeds: dict | None = None):
     """Fill one level from the previous one.
 
     Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
     pairs of finished-tree states ``(m, 0)`` in ascending m and ``cells``
     counts evaluated candidates (predecessor visits for the naive mode, gamma
     evaluations plus sweep steps for the batched mode).
+
+    The level-free tail passes its one table as both ``prev`` and ``costs``:
+    every predecessor lies on a smaller diagonal, so each diagonal reads only
+    finished entries.  ``seeds`` maps a diagonal to ``(sig, value)`` pairs
+    merged by minimum once that diagonal is swept, the finished states past
+    the last diagonal after the per-state scan.
 
     A finished state's ``b' = 0`` candidate is its own previous entry, with
     no weight term since ``W_m = 0`` for ``m >= n``; every other candidate
@@ -126,11 +146,17 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str):
     per-state scan below handles it alone: each ``(m, 0)`` then has the two
     candidates ``(m, 0)`` and ``(m - r, 1)``.
     """
-    costs: dict[Sig, int] = {}
+    if costs is None:
+        costs = {}
     zeros: list[tuple[int, int]] = []
     cells = 0
     get = prev.get
     INF = UNREACHABLE
+
+    def merge(d):
+        for sig, v in seeds.get(d, ()):
+            if v < costs.get(sig, INF):
+                costs[sig] = v
 
     if mode == "batched" and r <= n:
         for d in range(1, n + 1):
@@ -151,12 +177,14 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str):
                     elif m == n:  # the only in-range (m, 0) state with d <= n
                         costs[(m, 0)] = best
                         zeros.append((m, best))
+            if seeds:
+                merge(d)
         # the remaining finished states are full-window minima, counted as
         # a gamma evaluation plus a sweep step per candidate
         first, per_candidate = n + 1, 2
     else:
         # naive: every entry scans its own predecessor window
-        for d in range(r, n + 1):
+        for d in range(1, n + 1):
             B = d // r
             cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
             for b in range(1, r * B + 1):
@@ -165,6 +193,8 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str):
                 v = min(cand[lo:])
                 if v < INF:
                     costs[(d - b, b)] = v
+            if seeds:
+                merge(d)
         first, per_candidate = max(n, r), 1
     for m in range(first, n + r):
         B = m // r
@@ -174,6 +204,10 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str):
         if v < INF:
             costs[(m, 0)] = v
             zeros.append((m, v))
+    if seeds:
+        for d in seeds:
+            if d > n:
+                merge(d)
     return costs, zeros, cells
 
 
@@ -182,6 +216,20 @@ def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
     if isinstance(spec, ChoiceLevelSpec):
         return spec.options(i)
     return ((spec.arity(i), spec.edge_length(i)),)
+
+
+def _tail_start(spec, n: int, cutoff: bool) -> int | None:
+    """The first level s of the constant suffix that ``_solve`` fills in one
+    level-free table, or None.  That takes a plain spec of at least n levels
+    and ``cutoff``: d = m + b grows by at least 1 per level, so no tree is
+    deeper than n levels and the spec never ends a tail chain early."""
+    if not cutoff or isinstance(spec, ChoiceLevelSpec) or spec.num_levels < n:
+        return None
+    levels = spec.levels
+    s = len(levels)
+    while s > 1 and levels[s - 2] == levels[-1]:
+        s -= 1
+    return s
 
 
 def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
@@ -198,27 +246,34 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     level.  ``cutoff=False`` fills every level of the spec, as the
     complexity harness measures.
 
+    Where ``_tail_start`` finds a constant tail from level s on, the loop
+    fills levels ``1 .. s - 1`` only.  From level s on a state's future does
+    not depend on its level, so one ``_fill_level`` call fills a single table in
+    place, in diagonal order, keyed ``cost * K + level`` with ``K = 2n + 2``:
+    one integer minimum keeps the cheapest state and, among equal costs, the
+    shallowest.  It passes edge length 1 with the suffix ``c * K * W_m + 1``
+    and is seeded with level s - 1 at keys ``cost * K + s - 1``.
+
     Choice solves also count each option's stored entries as cells, whatever
     their option count.
     """
     check_algorithm(mode)
     n = w.n
     choice = isinstance(spec, ChoiceLevelSpec)
+    tail = _tail_start(spec, n, cutoff)
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
-    best = None  # (cost, level, n');  tuple order implements the tie-break
+    best = (UNREACHABLE,)  # (cost, level, n');  tuple order implements the tie-break
     cells = 0
-    for i in range(1, spec.num_levels + 1):
+    levels_filled = 0
+    for i in range(1, spec.num_levels + 1 if tail is None else tail):
         costs = None
         for r, c in _level_options(spec, i):
             fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode)
             cells += k + len(fill) if choice else k
             # the best finished state over all options is the best over each
             # option's own finished states
-            for m, v in zeros:
-                cand = (v, i, m)
-                if best is None or cand < best:
-                    best = cand
+            best = min([best, *[(v, i, m) for m, v in zeros]])
             if costs is None:
                 costs = fill
                 continue
@@ -228,17 +283,32 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
         if keep_tables:
             tables.append(LevelTable(i, costs))
         prev = costs
-        bound = UNREACHABLE if best is None else best[0]
-        if cutoff and min(costs.values(), default=UNREACHABLE) >= bound:
+        levels_filled = i
+        if cutoff and min(costs.values(), default=UNREACHABLE) >= best[0]:
             break
-    levels_filled = i
-    if best is None:
+    else:
+        if tail is not None:
+            K = 2 * n + 2
+            r, c = spec.levels[-1]
+            seeds: dict[int, list] = {}
+            for (m, b), v in prev.items():
+                seeds.setdefault(m + b, []).append(((m, b), v * K + tail - 1))
+            table: dict[Sig, int] = {}
+            suffix = tuple(c * K * x + 1 for x in w.suffix)
+            _, zeros, cells_tail = _fill_level(table, n, r, 1, suffix, mode, table, seeds)
+            cells += cells_tail
+            best = min([best, *[(*divmod(key, K), m) for m, key in zeros]])
+            if keep_tables:
+                tables.append(LevelTable(tail, table))
+            levels_filled = tail
+    if best[0] == UNREACHABLE:
         raise NoFeasibleTree(f"no full tree with >= {n} leaves within {spec.num_levels} levels")
     cost, level, nprime = best
     if not keep_tables:
         return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells,
                         levels_filled=levels_filled)
-    expansions, leaf_sequence, options = backtrack(tables, (level, nprime, cost), spec, w)
+    expansions, leaf_sequence, options = backtrack(tables, (level, nprime, cost), spec, w,
+                                                   tail=levels_filled == tail)
     return DPResult(
         cost=cost,
         level=level,
@@ -287,7 +357,8 @@ def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):
     return None
 
 
-def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq):
+def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq, *,
+              tail: bool = False):
     """Recover the answer's predecessors from the finished cost tables.
 
     At level ``i`` the options are tried in index order, skipping those for
@@ -295,6 +366,13 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq):
     ``(d - r * b', b')`` present in level ``i - 1``; the first one, in
     ascending ``m'`` order, whose cost plus ``c * W_m'`` equals ``sig``'s
     stored cost is its predecessor.
+
+    With ``tail`` the last table, ``tables[s]``, is the level-free tail of
+    levels s and deeper (see ``_solve``).  Its steps take the first
+    predecessor whose key plus ``c * K * W_m'`` is ``sig``'s key less one,
+    until the chain is back on level ``s - 1``.  Those are the same steps:
+    every state on an optimal chain is at its tail key, or a cheaper or
+    shallower state would give a better answer from the same suffix.
 
     Returns the expansion sequence ``(0,1) -> ... -> (n',0)``, the n-leaf
     sequence read off it -- the level-``i`` expansion labels
@@ -311,7 +389,21 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq):
     sig: Sig = (nprime, 0)
     chain = [sig]
     chosen: list[int] = []
-    for i in range(level, 0, -1):
+    i = level
+    if tail:
+        s = len(tables) - 1
+        K = 2 * n + 2
+        r, c = spec.levels[-1]
+        key = cost * K + level
+        for i in range(level, s - 1, -1):
+            step = _attaining_step(tables[s].costs, sig, ((r, c * K),), w, key - 1)
+            if step is None:
+                raise InternalInconsistency(f"no predecessor attains the key of {sig} "
+                                            f"at level {i}")
+            _, sig, key = step
+            chain.append(sig)
+        cost, i = divmod(key, K)
+    for i in range(i, 0, -1):
         step = _attaining_step(tables[i - 1].costs, sig, _level_options(spec, i), w, cost)
         if step is None:
             raise InternalInconsistency(f"no predecessor attains the cost of {sig} at level {i}")

@@ -2,7 +2,7 @@
 
 import random
 
-from prefixcodes import LevelSpec, normalize_weights
+from prefixcodes import UNREACHABLE, LevelSpec, normalize_weights
 
 
 def random_weights(rng: random.Random, n: int, lo: int = 0, hi: int = 50) -> list[int]:
@@ -69,3 +69,44 @@ def assert_same_solution(res_a, res_b):
     assert res_a.expansions == res_b.expansions
     assert res_a.leaf_sequence == res_b.leaf_sequence
     assert tables_match(res_a, res_b)
+
+
+def tail_start(spec, n: int):
+    """The first level of the constant suffix that a cut-off solve fills in
+    one level-free table, or None: only plain specs of at least n levels get
+    one."""
+    if not isinstance(spec, LevelSpec) or spec.num_levels < n:
+        return None
+    last = spec.levels[-1]
+    return min(i for i in range(1, spec.num_levels + 1)
+               if all(lv == last for lv in spec.levels[i - 1:]))
+
+
+def cut_tail_start(res, spec, n: int):
+    """``tail_start`` if the cut-off result ``res`` ends in the level-free
+    table, None if its level loop stopped before the tail."""
+    s = tail_start(spec, n)
+    return s if s is not None and res.levels_filled == s else None
+
+
+def tail_keys(full_tables, s: int, n: int) -> dict:
+    """The level-free table of levels s and deeper, rebuilt from the tables
+    of a full-depth solve: per signature, the minimum of
+    ``cost * (2n + 2) + level`` over levels s - 1 and deeper."""
+    K = 2 * n + 2
+    out = {}
+    for table in full_tables[s - 1:]:
+        for sig, v in table.costs.items():
+            key = v * K + table.level
+            if key < out.get(sig, UNREACHABLE):
+                out[sig] = key
+    return out
+
+
+def table_entries(res, spec, n: int):
+    """``(cost, level, sig)`` of every entry of a cut-off result's tables
+    below the root, with the level-free table's keys decoded."""
+    s = cut_tail_start(res, spec, n)
+    for table in res.tables[1:]:
+        for sig, v in table.costs.items():
+            yield (*divmod(v, 2 * n + 2), sig) if table.level == s else (v, table.level, sig)

@@ -36,7 +36,10 @@ class TestSolveChoice:
         rb = solve_batched(w, LevelSpec.constant(2, 1, 4))
         assert rc.cost == rb.cost == 13
         assert rc.expansions == rb.expansions
-        assert all(a.costs == b.costs for a, b in zip(rc.tables, rb.tables))
+        # choice specs always fill level by level; the plain cut-off solve
+        # keeps a level-free tail, so compare with the plain full-depth fill
+        full = solve_batched(w, LevelSpec.constant(2, 1, 4), cutoff=False)
+        assert rc.tables == full.tables[:len(rc.tables)]
 
     def test_tied_routes(self):
         w = normalize_weights([1, 1, 1, 1])

@@ -300,7 +300,20 @@ class TestBench:
                        "--algorithms", "naive batched", *extra)
         lines = proc.stdout.splitlines()
         assert [line.split(",")[3] for line in lines[1:3]] == cells
-        assert lines[3] == f"# params distribution=uniform seed=1 repetitions=1 radix={radix}"
+        # reserved-g also names its budget: " g=2" and " g=5" here
+        budget = f" g={extra[extra.index('--g') + 1]}" if problem == "reserved-g" else ""
+        assert lines[3] == ("# params distribution=uniform seed=1 repetitions=1 "
+                            f"radix={radix}{budget}")
+
+    def test_params_line_names_the_reserved_g_budget(self):
+        # budgets 5 and 3 (the default) give different rows, so the saved
+        # CSV has to say which one ran
+        runs = [run_cli("bench", "--problem", "reserved-g", "--sizes", "8", *extra).stdout
+                for extra in (["--g", "5"], [])]
+        params = [[line for line in out.splitlines() if line.startswith("# params")]
+                  for out in runs]
+        assert params[0] != params[1]
+        assert params[1] == ["# params distribution=uniform seed=1 repetitions=1 radix=2 g=3"]
 
     def test_deterministic_without_timing(self):
         args = ("bench", "--problem", "huffman", "--sizes", "8 16",

@@ -3,9 +3,13 @@ import random
 import pytest
 from helpers import (
     assert_same_solution,
+    cut_tail_start,
     predecessors,
     random_gmr_instance,
     random_weights,
+    table_entries,
+    tail_keys,
+    tail_start,
     telescoped_cost,
 )
 
@@ -15,6 +19,7 @@ from prefixcodes import (
     InternalInconsistency,
     LeafSequence,
     LevelSpec,
+    MixedRadixSpec,
     NoFeasibleTree,
     ReservedSpec,
     check_prefix_free,
@@ -24,6 +29,8 @@ from prefixcodes import (
     normalize_weights,
     solve_batched,
     solve_choice,
+    solve_huffman_reference_adapter,
+    solve_mixed_radix,
     solve_naive,
     solve_reserved_given,
 )
@@ -98,40 +105,52 @@ class TestSolvers:
         assert res.tables is None and res.expansions is None
 
 
-def _answer(res):
-    """The solver's answer as ``(level, n', cost)``, checked against a scan of
-    every finished ``(n', 0)`` state in its tables: minimum cost, then the
+def _answer(solve, w, spec):
+    """The answer of a cut-off and a full-depth solve as ``(level, n', cost)``,
+    each checked against a scan of every finished ``(n', 0)`` state in its
+    tables, the level-free tail's keys decoded: minimum cost, then the
     smallest level, then the smallest leaf count."""
-    scanned = min((v, t.level, m) for t in res.tables[1:] for (m, b), v in t.costs.items()
-                  if b == 0)
-    assert (res.cost, res.level, res.leaves_full) == scanned
-    return res.level, res.leaves_full, res.cost
+    answers = set()
+    for cutoff in (True, False):
+        res = solve(w, spec, cutoff=cutoff)
+        if cutoff:
+            entries = table_entries(res, spec, w.n)
+        else:
+            entries = ((v, t.level, sig) for t in res.tables[1:] for sig, v in t.costs.items())
+        scanned = min((v, level, m) for v, level, (m, b) in entries if b == 0)
+        assert (res.cost, res.level, res.leaves_full) == scanned
+        answers.add((res.level, res.leaves_full, res.cost))
+    (answer,) = answers
+    return answer
 
 
 class TestExtractAnswer:
     def test_balanced(self):
         w = normalize_weights([1, 1, 1, 1])
-        assert _answer(solve_batched(w, BINARY(4))) == (2, 4, 8)
+        assert _answer(solve_batched, w, BINARY(4)) == (2, 4, 8)
 
     def test_three_weights(self):
         # oracle-frozen: the optimal full tree has 3 leaves (1 + 2), cost 5
         w = normalize_weights([1, 1, 1])
-        assert _answer(solve_naive(w, BINARY(3))) == (2, 3, 5)
+        assert _answer(solve_naive, w, BINARY(3)) == (2, 3, 5)
 
     def test_wide_root(self):
         w = normalize_weights([1, 1])
-        assert _answer(solve_batched(w, LevelSpec.constant(4, 1, 2))) == (1, 4, 2)
+        assert _answer(solve_batched, w, LevelSpec.constant(4, 1, 2)) == (1, 4, 2)
 
 
 class TestBacktrack:
     def test_balanced_chain(self):
+        # the cut-off solve keeps the level-free tail of BINARY(4), the
+        # full-depth solve one table per level
         w = normalize_weights([1, 1, 1, 1])
-        res = solve_batched(w, BINARY(4))
-        chain, full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost),
-                                         BINARY(4), w)
-        assert chain == ((0, 1), (0, 2), (4, 0))
-        assert full == LeafSequence({2: 4})
-        assert options is None
+        for cutoff in (True, False):
+            res = solve_batched(w, BINARY(4), cutoff=cutoff)
+            chain, full, options = backtrack(res.tables, (res.level, res.leaves_full, res.cost),
+                                             BINARY(4), w, tail=cutoff)
+            assert chain == ((0, 1), (0, 2), (4, 0))
+            assert full == LeafSequence({2: 4})
+            assert options is None
 
     def test_skewed_chain(self):
         res = solve_batched(normalize_weights([4, 1, 1]), BINARY(3))
@@ -159,11 +178,14 @@ class TestBacktrack:
 
     def test_bumped_cost_breaks_the_backtrace(self):
         w = normalize_weights([4, 1, 1])
-        res = solve_batched(w, BINARY(3))
-        answer = (res.level, res.leaves_full, res.cost)
-        res.tables[1].costs[(1, 1)] += 1  # on the chain (0,1) -> (1,1) -> (3,0)
-        with pytest.raises(InternalInconsistency):
-            backtrack(res.tables, answer, BINARY(3), w)
+        for cutoff in (True, False):
+            res = solve_batched(w, BINARY(3), cutoff=cutoff)
+            answer = (res.level, res.leaves_full, res.cost)
+            # on the chain (0,1) -> (1,1) -> (3,0); a tail key counts cost in
+            # units of K = 2n + 2
+            res.tables[1].costs[(1, 1)] += 2 * 3 + 2 if cutoff else 1
+            with pytest.raises(InternalInconsistency):
+                backtrack(res.tables, answer, BINARY(3), w, tail=cutoff)
 
 
 class TestPrune:
@@ -383,13 +405,21 @@ class TestCutoff:
                 assert cut.options == full.options
                 assert full.levels_filled == ml == len(full.tables) - 1
                 assert cut.levels_filled == len(cut.tables) - 1
-                assert cut.tables == full.tables[:len(cut.tables)]
+                # the leveled tables are a prefix of the full ones; a
+                # level-free tail holds every deeper level's minimum key
+                s = cut_tail_start(cut, spec, w.n)
+                if s is None:
+                    assert cut.tables == full.tables[:len(cut.tables)]
+                else:
+                    assert cut.tables[:s] == full.tables[:s]
+                    assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
             stopped_early += cut.levels_filled < ml
         assert feasible >= 1000 and stopped_early > feasible // 2
 
     def test_levels_filled_is_first_dominated_level(self):
         # a test-side scan of the full tables: the first level whose cheapest
-        # state costs at least the cheapest finished state so far
+        # state costs at least the cheapest finished state so far, or the
+        # level-free tail's first level if the loop reaches it
         for w, spec in _cutoff_instances(seed=606, per_draw=60):
             for algorithm in ("naive", "batched"):
                 try:
@@ -403,6 +433,84 @@ class TestCutoff:
                     if min(table.costs.values(), default=UNREACHABLE) >= best:
                         expected = table.level
                         break
+                s = tail_start(spec, w.n)
+                if s is not None:
+                    expected = min(expected, s)
                 assert _solve_any(w, spec, algorithm).levels_filled == expected
                 cost_only = _solve_any(w, spec, algorithm, keep_tables=False)
                 assert cost_only.levels_filled == expected
+
+
+def _tail_instances(seed: int, per_draw: int):
+    """``per_draw`` random ``(w, spec)`` pairs per weight draw with n <= 12
+    and n .. n + 2 plain levels, alternating random levels and a random
+    prefix of up to three levels ahead of a constant tail."""
+    rng = random.Random(seed)
+    for draw in WEIGHT_DRAWS:
+        for k in range(per_draw):
+            n = rng.randint(1, 12)
+            ml = rng.randint(n, n + 2)
+            w = normalize_weights(draw(rng, n))
+            if k % 2:
+                levels = [rng.choice(OPTIONS) for _ in range(ml)]
+            else:
+                head = [rng.choice(OPTIONS) for _ in range(rng.randint(0, min(3, ml - 1)))]
+                levels = head + [rng.choice(OPTIONS)] * (ml - len(head))
+            yield w, LevelSpec(levels)
+
+
+class TestLevelFreeTail:
+    def test_tail_table_is_the_minimum_over_deeper_levels(self):
+        reached = 0
+        for w, spec in _tail_instances(seed=707, per_draw=250):
+            s = tail_start(spec, w.n)
+            results = []
+            for algorithm in ("naive", "batched"):
+                full = _solve_any(w, spec, algorithm, cutoff=False)
+                cut = _solve_any(w, spec, algorithm)
+                assert (cut.cost, cut.level, cut.leaves_full) == (
+                    full.cost, full.level, full.leaves_full)
+                assert cut.expansions == full.expansions
+                assert cut.leaf_sequence == full.leaf_sequence
+                if cut_tail_start(cut, spec, w.n) is None:
+                    assert cut.levels_filled < s  # the level loop stopped first
+                    continue
+                assert cut.tables[:s] == full.tables[:s]
+                assert cut.tables[s].level == s
+                assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
+                results.append(cut)
+            if results:
+                assert_same_solution(*results)
+                reached += 1
+        assert reached >= 300
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_huffman_through_the_tail_matches_greedy(self, n):
+        rng = random.Random(n)
+        for r in range(2, 6):
+            for draw in WEIGHT_DRAWS:
+                w = normalize_weights(draw(rng, n))
+                algorithms = ("naive", "batched") if n <= 100 else ("batched",)
+                for algorithm in algorithms:
+                    res = solve_huffman_reference_adapter(w, r, algorithm=algorithm)
+                    assert res.dp.levels_filled == 1  # every level in the tail
+                    assert res.dp.cost == res.codebook.cost == huffman_greedy(w, r)
+                    assert check_prefix_free(res.codebook.words)
+
+    def test_mixed_radix_tail_matches_the_full_fill(self):
+        # (4, 2, 3): two leveled levels, then arity 3 from level 3 on
+        rng = random.Random(60)
+        mrspec = MixedRadixSpec((4, 2, 3))
+        reached = 0
+        for draw in WEIGHT_DRAWS:
+            for _ in range(2):
+                w = normalize_weights(draw(rng, 60))
+                full = solve_mixed_radix(w, mrspec, cutoff=False)
+                for algorithm in ("naive", "batched"):
+                    cut = solve_mixed_radix(w, mrspec, algorithm=algorithm)
+                    assert (cut.dp.cost, cut.dp.level) == (full.dp.cost, full.dp.level)
+                    assert cut.dp.expansions == full.dp.expansions
+                    assert cut.dp.leaf_sequence == full.dp.leaf_sequence
+                    assert cut.codebook == full.codebook
+                    reached += cut.dp.levels_filled == 3
+        assert reached >= 8
