@@ -8,15 +8,15 @@ every still-unplaced weight.  The level tables map reachable valid signatures
 to their minimum partial cost; absent entries mean UNREACHABLE.  The spec's
 levels are the only depth limit: a spec of L levels admits trees of up to L levels.
 
-Two fill strategies produce bit-identical tables:
+Two fill strategies produce bit-identical tables.  Both group the entries of
+one level whose signatures share ``d = m + b`` and build the candidate value
+``gamma(b')`` of each predecessor on that diagonal once:
 
-* ``solve_naive`` minimizes over each entry's predecessors independently;
-* ``solve_batched`` groups the entries of one level whose signatures share
-  ``d = m + b``, precomputes the candidate value ``gamma(b')`` for each
-  predecessor on that diagonal, and folds a running minimum while sweeping
-  ``m`` upward, so a whole batch costs O(d).  A level whose arity exceeds n
-  reaches only finished ``(m, 0)`` states, each with two candidates, and
-  both fills scan those directly.
+* ``solve_naive`` takes each entry's minimum over its own window of them;
+* ``solve_batched`` folds a running minimum while sweeping ``m`` upward, so
+  a whole batch costs O(d).  A level whose arity exceeds n reaches only
+  finished ``(m, 0)`` states, each with two candidates, and both fills scan
+  those directly.
 
 A finished state ``(m, 0)`` with ``m >= n`` may also be the previous
 level's ``(m, 0)`` carried down at the same cost: ``W_m = 0``, so that tree
@@ -132,6 +132,11 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
     counts evaluated candidates (predecessor visits for the naive mode, gamma
     evaluations plus sweep steps for the batched mode).
 
+    One loop visits the diagonals ``d = 1 .. n`` and builds each one's
+    candidate row ``gamma(b')`` once.  The naive mode then takes every
+    entry's minimum over its window ``b' >= ceil(b / r)`` of the row; the
+    batched mode folds a running minimum while sweeping ``m`` upward.
+
     The level-free tail passes its one table as both ``prev`` and ``costs``:
     every predecessor lies on a smaller diagonal, so each diagonal reads only
     finished entries.  ``seeds`` maps a diagonal to ``(sig, value)`` pairs
@@ -158,11 +163,12 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
             if v < costs.get(sig, INF):
                 costs[sig] = v
 
-    if mode == "batched" and r <= n:
-        for d in range(1, n + 1):
-            B = d // r
+    batched = mode == "batched" and r <= n
+    for d in range(1, n + 1):
+        B = d // r
+        cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
+        if batched:
             t = d - r * B
-            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
             cells += (B + 1) + (d - t + 1)
             best = INF
             for m in range(t, d + 1):
@@ -177,25 +183,19 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
                     elif m == n:  # the only in-range (m, 0) state with d <= n
                         costs[(m, 0)] = best
                         zeros.append((m, best))
-            if seeds:
-                merge(d)
-        # the remaining finished states are full-window minima, counted as
-        # a gamma evaluation plus a sweep step per candidate
-        first, per_candidate = n + 1, 2
-    else:
-        # naive: every entry scans its own predecessor window
-        for d in range(1, n + 1):
-            B = d // r
-            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
+        else:
+            # naive: every entry scans its own predecessor window of the row
             for b in range(1, r * B + 1):
                 lo = (b + r - 1) // r
                 cells += B + 1 - lo
                 v = min(cand[lo:])
                 if v < INF:
                     costs[(d - b, b)] = v
-            if seeds:
-                merge(d)
-        first, per_candidate = max(n, r), 1
+        if seeds:
+            merge(d)
+    # batched: the remaining finished states are full-window minima, counted
+    # as a gamma evaluation plus a sweep step per candidate
+    first, per_candidate = (n + 1, 2) if batched else (max(n, r), 1)
     for m in range(first, n + r):
         B = m // r
         v = min(get((m - r * bp, bp), INF) + c * suffix[m - r * bp] for bp in range(1, B + 1))

@@ -5,15 +5,17 @@ Only 1-children may carry weights.  The DP state ``(m, b)`` counts weighted
 unweighted 1-nodes -- that expansion would turn internal.  Unlike the
 mixed-radix program the table is level-free: a state's cost does not depend
 on which level it was reached at beyond what the partial cost already
-charges, and every predecessor is lexicographically smaller, so one table
-serves all levels.
+charges, and every predecessor lies on a smaller diagonal ``d - b'``, so one
+table filled diagonal by diagonal serves all levels.
 
-The batched fill processes states in diagonals ``d = m + b``.  Within one
-diagonal the candidate value gamma(b') depends only on the predecessor's bad
-count, and a state's predecessors form the window
-max(1, ceil(b/2)) <= b' <= min(b, floor(d/2)).  Both ends of that window only
-move up as b grows, so a sliding-window minimum (a monotone deque) answers
-every state of the diagonal in amortized O(1).
+Both fills process states in diagonals ``d = m + b``.  Within one diagonal
+the candidate value gamma(b') depends only on the predecessor's bad count, so
+``_fill`` builds the diagonal's candidate row once, and a state's
+predecessors form the window ceil(b/2) <= b' <= min(b, floor(d/2))
+of that row.  The naive fill takes each window's minimum directly, O(n) per
+state.  The batched fill uses that both ends of the window only move up as b
+grows: a sliding-window minimum (a monotone deque) answers every state of the
+diagonal in amortized O(1).
 
 Both fills store costs only.  The chain walk in ``_solve`` recovers each
 step from the finished table: among ``_oe_predecessors`` of a state, the first
@@ -58,63 +60,52 @@ def _oe_predecessors(sig: Sig) -> list[Sig]:
     return [(d - 2 * bp, bp) for bp in range(max(1, (b + 1) // 2), min(b, d // 2) + 1)]
 
 
-def _fill_naive(w: WeightSeq):
+def _fill(w: WeightSeq, mode: str):
     n = w.n
     INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
     get = costs.get
     suffix = w.suffix
-    cells = 0
-    for m in range(n + 1):
-        for b in range(1, 2 * n):
-            if m == 0 and b == 1:
-                continue
-            d = m + b
-            best = INF
-            for bp in range(max(1, (b + 1) // 2), min(b, d // 2) + 1):
-                mp = d - 2 * bp  # mp <= m <= n always (2*bp >= b)
-                v = get((mp, bp), INF) + suffix[mp]
-                cells += 1
-                if v < best:
-                    best = v
-            if best < INF:
-                costs[(m, b)] = best
-    return costs, cells
-
-
-def _fill_batched(w: WeightSeq):
-    n = w.n
-    INF = UNREACHABLE
-    costs: dict[Sig, int] = {(0, 1): 0}
-    get = costs.get
-    suffix = w.suffix
+    batched = mode == "batched"
     cells = 0
     for d in range(2, 3 * n):
         half = d // 2
         low = max(1, (d - n + 1) // 2)  # no window reads a smaller b' (m' > n)
         # cand[bp - low] = gamma(bp)
         cand = [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp] for bp in range(low, half + 1)]
-        cells += len(cand)
-        window: deque[int] = deque()  # b' ascending, gamma non-decreasing
-        pushed = low - 1
-        for b in range(max(1, d - n), min(2 * n - 1, d) + 1):
-            m = d - b
-            lo = max(1, (b + 1) // 2)
-            hi = min(b, half)
-            if lo > hi:
-                continue
-            while pushed < hi:
-                pushed += 1
-                v = cand[pushed - low]
-                while window and cand[window[-1] - low] > v:
-                    window.pop()
-                window.append(pushed)
-            while window[0] < lo:
-                window.popleft()
-            cells += 1
-            v = cand[window[0] - low]
-            if v < INF:
-                costs[(m, b)] = v
+        states = range(max(1, d - n), min(2 * n - 1, d) + 1)
+        if batched:
+            cells += len(cand)
+            window: deque[int] = deque()  # b' ascending, gamma non-decreasing
+            pushed = low - 1
+            for b in states:
+                lo = (b + 1) // 2
+                hi = min(b, half)
+                if lo > hi:
+                    continue
+                while pushed < hi:
+                    pushed += 1
+                    v = cand[pushed - low]
+                    while window and cand[window[-1] - low] > v:
+                        window.pop()
+                    window.append(pushed)
+                while window[0] < lo:
+                    window.popleft()
+                cells += 1
+                v = cand[window[0] - low]
+                if v < INF:
+                    costs[(d - b, b)] = v
+        else:
+            # naive: every state takes the minimum over its own window of the row
+            for b in states:
+                lo = (b + 1) // 2
+                hi = min(b, half)
+                if lo > hi:
+                    continue
+                cells += hi - lo + 1
+                v = min(cand[lo - low:hi - low + 1])
+                if v < INF:
+                    costs[(d - b, b)] = v
     return costs, cells
 
 
@@ -146,7 +137,7 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
 
 def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
     n = w.n
-    costs, cells = _fill_naive(w) if mode == "naive" else _fill_batched(w)
+    costs, cells = _fill(w, mode)
     best = None
     for b in range(1, max(1, 2 * n - 2) + 1):
         v = costs.get((n, b))
@@ -187,8 +178,8 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
 
 def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
                     with_code: bool = True) -> OneEndedResult:
-    """Diagonal-batched solver with a sliding-window minimum, or direct
-    minimization over predecessors in lexicographic state order with
-    ``algorithm="naive"``.  The DP table is kept only when ``with_code``."""
+    """Diagonal-batched solver with a sliding-window minimum, or with
+    ``algorithm="naive"`` a direct minimum over each state's predecessor
+    window.  The DP table is kept only when ``with_code``."""
     check_algorithm(algorithm)
     return _solve(w, algorithm, with_code)

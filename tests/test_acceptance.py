@@ -193,6 +193,7 @@ def test_criterion_5_reduction_soundness():
     print(f"\nACCEPTANCE 5 PASS: {total} emitted codebooks, zero violations")
 
 
+@pytest.mark.slow
 def test_criterion_6_complexity_scaling():
     sizes = [50, 100, 200, 400]
     slopes = {}

@@ -145,6 +145,39 @@ class TestNaiveBatchedAgreement:
                 assert rb.table.costs == rn.table.costs, name
         assert solve_one_ended(w, with_code=False).table is None
 
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_long_windows(self, n):
+        # windows of up to n/2 predecessors keep long runs in the deque
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(n)
+            for _ in range(2):
+                w = normalize_weights(draw(rng, n))
+                rb = solve_one_ended(w)
+                rn = solve_one_ended(w, algorithm="naive")
+                assert rb.cost == rn.cost, name
+                assert rb.expansions == rn.expansions, name
+                assert rb.table.costs == rn.table.costs, name
+
+
+class TestNaiveFill:
+    def test_naive_fill_agrees_with_predecessor_enumeration(self):
+        # every state with a stored predecessor is stored, at the least stored
+        # cost plus W_m' over its enumerated predecessors, and nothing else is
+        # stored; the naive fill spends one cell per enumerated predecessor
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(43)
+            for n in range(1, 13):
+                w = normalize_weights(draw(rng, n))
+                res = solve_one_ended(w, algorithm="naive")
+                costs = res.table.costs
+                sigs = [(m, b) for m in range(n + 1) for b in range(1, 2 * n) if (m, b) != (0, 1)]
+                assert costs[(0, 1)] == 0, name
+                assert set(costs) - {(0, 1)} <= set(sigs), name
+                for sig in sigs:
+                    cands = [costs[p] + w.suffix[p[0]] for p in _oe_predecessors(sig) if p in costs]
+                    assert costs.get(sig) == (min(cands) if cands else None), (name, sig)
+                assert res.cells_updated == sum(len(_oe_predecessors(s)) for s in sigs), name
+
 
 class TestAgainstWordSetEnumeration:
     """Cross-check against the dumbest possible oracle: every prefix-free
