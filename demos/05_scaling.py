@@ -3,8 +3,10 @@
 ``cells_updated`` counts evaluated candidates, so the log-log slope exposes
 the asymptotic exponent independent of the machine.  The batched fill wins a
 full factor of n on every family.  Wall times are shown for orientation.
-The harness fills every level (``cutoff=False``), as the complexity bounds
-count them; a plain solve stops once no deeper level can beat its best tree.
+The harness runs the paper's full, dense fill (``cutoff=False``): every level
+and every diagonal, as the complexity bounds count them.  A plain solve stops
+once no deeper level can beat its best tree, and fills only the diagonals the
+previous level reaches.
 
 Run:  PYTHONPATH=src python demos/05_scaling.py   (a few seconds)
 """

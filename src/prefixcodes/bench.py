@@ -3,9 +3,10 @@
 The metric is ``cells_updated`` -- the number of candidate evaluations the
 solver performed -- so complexity claims are machine-independent.  Wall time
 is reported alongside for orientation only.  Every instance is solved with
-``cutoff=False``: the level loop fills all of its levels, as the paper's
-complexity bounds count them, instead of stopping once no deeper level can
-beat the best finished tree as a plain solve does.
+``cutoff=False``, the paper's full, dense fill: the level loop fills all of
+its levels and every diagonal of each, as the paper's complexity bounds count
+them.  A plain solve stops once no deeper level can beat the best finished
+tree, and on each level visits only the diagonals the previous level reaches.
 
 Weight distributions (all produce exact integers):
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -237,7 +238,10 @@ def _add_common(p):
     p.add_argument("--timing", action="store_true", help="include wall-clock timings")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing fills a new
+    namespace per call and never changes the parser, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="prefixcodes",
         description="Minimum-cost prefix-free codes under structural constraints.",

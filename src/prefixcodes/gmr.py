@@ -8,15 +8,23 @@ every still-unplaced weight.  The level tables map reachable valid signatures
 to their minimum partial cost; absent entries mean UNREACHABLE.  The spec's
 levels are the only depth limit: a spec of L levels admits trees of up to L levels.
 
-Two fill strategies produce bit-identical tables.  Both group the entries of
-one level whose signatures share ``d = m + b`` and build the candidate value
-``gamma(b')`` of each predecessor on that diagonal once:
+Two fill strategies produce bit-identical tables, entries stored in the same
+order.  Both group the entries of one level whose signatures share
+``d = m + b`` and build the candidate value ``gamma(b')`` of each predecessor
+on that diagonal once:
 
 * ``solve_naive`` takes each entry's minimum over its own window of them;
 * ``solve_batched`` folds a running minimum while sweeping ``m`` upward, so
   a whole batch costs O(d).  A level whose arity exceeds n reaches only
   finished ``(m, 0)`` states, each with two candidates, and both fills scan
   those directly.
+
+Each previous state ``(m', b')`` feeds exactly one diagonal,
+``m' + r * b'``.  So a fill visits only the diagonals the previous level
+reaches, each up to its largest reaching ``b'``, as Golin & Rote's signature
+DP and Larmore & Hirschberg's package-merge work only on reachable states.
+``cutoff=False`` selects the paper's full, dense fill, which visits every
+diagonal; it stores the same tables and counts more cells.
 
 A finished state ``(m, 0)`` with ``m >= n`` may also be the previous
 level's ``(m, 0)`` carried down at the same cost: ``W_m = 0``, so that tree
@@ -30,8 +38,8 @@ per-signature minimum.
 The level loop stops after the first level whose cheapest state costs at
 least the best finished tree seen so far.  Expansions never lower a cost and
 ties go to the shallower level, so no deeper level could change the answer or
-its backtrace; ``cutoff=False`` fills every level of the spec, as the
-complexity harness measures.
+its backtrace.  ``cutoff=False`` fills every level of the spec, and every
+diagonal of each level, as the complexity harness measures.
 
 A plain spec of at least n levels whose levels from s on share one (arity,
 edge length) -- Huffman from level 1, mixed-radix (4, 2, 3) from level 3 --
@@ -53,6 +61,7 @@ leaf sequence simply stops counting at n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     UNREACHABLE,
@@ -123,7 +132,7 @@ def _valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
     return max(n, arity) <= m <= n + arity - 1
 
 
-def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
+def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
                 costs: dict | None = None, seeds: dict | None = None):
     """Fill one level from the previous one.
 
@@ -132,24 +141,36 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
     counts evaluated candidates (predecessor visits for the naive mode, gamma
     evaluations plus sweep steps for the batched mode).
 
-    One loop visits the diagonals ``d = 1 .. n`` and builds each one's
-    candidate row ``gamma(b')`` once.  The naive mode then takes every
-    entry's minimum over its window ``b' >= ceil(b / r)`` of the row; the
-    batched mode folds a running minimum while sweeping ``m`` upward.
+    One loop visits the diagonals ``d`` of a map ``d -> B`` in ascending
+    ``d``; ``B`` bounds the ``b'`` of the predecessors ``(d - r * b', b')``
+    read on that diagonal.  Each previous state ``(m', b')`` feeds only the
+    diagonal ``m' + r * b'`` (a finished ``(m', 0)`` its own), so the sparse
+    map holds the reached diagonals below ``n + r``, where the level's
+    signatures end, each with its largest reaching ``b'``.  With ``dense``
+    the map holds every diagonal ``1 .. n`` and every finished diagonal,
+    each with ``B = d // r``, as the paper's full fill visits them.  Both
+    maps store the same entries in the same order; only the cells differ.
 
-    The level-free tail passes its one table as both ``prev`` and ``costs``:
-    every predecessor lies on a smaller diagonal, so each diagonal reads only
+    A diagonal ``d <= n`` builds its candidate row ``gamma(b')``,
+    ``b' = 0 .. B``, once.  The naive mode then takes every entry's minimum
+    over its window ``b' >= ceil(b / r)`` of the row; the batched mode folds
+    a running minimum while sweeping ``m`` upward from ``d - r * B``.  Both
+    store a diagonal's entries in ascending m.
+
+    The level-free tail passes its one table as both ``prev`` and ``costs``
+    with a dense map, since its predecessors appear during the fill: every
+    predecessor lies on a smaller diagonal, so each diagonal reads only
     finished entries.  ``seeds`` maps a diagonal to ``(sig, value)`` pairs
-    merged by minimum once that diagonal is swept, the finished states past
-    the last diagonal after the per-state scan.
+    merged by minimum once that diagonal is visited, any left over at the
+    end.
 
     A finished state's ``b' = 0`` candidate is its own previous entry, with
     no weight term since ``W_m = 0`` for ``m >= n``; every other candidate
     has ``m' <= n``, so ``suffix`` is read within its range.  The batched
     sweep runs only when ``r <= n``.  A wider level reaches no ``b > 0``
     state (that needs ``m' + b' * r <= n`` with ``b' >= 1``), so the
-    per-state scan below handles it alone: each ``(m, 0)`` then has the two
-    candidates ``(m, 0)`` and ``(m - r, 1)``.
+    per-state scan of the finished diagonals handles it alone: each
+    ``(m, 0)`` then has the two candidates ``(m, 0)`` and ``(m - r, 1)``.
     """
     if costs is None:
         costs = {}
@@ -158,56 +179,65 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
     get = prev.get
     INF = UNREACHABLE
 
-    def merge(d):
-        for sig, v in seeds.get(d, ()):
+    def merge(pairs):
+        for sig, v in pairs:
             if v < costs.get(sig, INF):
                 costs[sig] = v
 
     batched = mode == "batched" and r <= n
-    for d in range(1, n + 1):
-        B = d // r
-        cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
-        if batched:
-            t = d - r * B
-            cells += (B + 1) + (d - t + 1)
-            best = INF
-            for m in range(t, d + 1):
-                rem = d - m
-                if rem % r == 0:
-                    v = cand[rem // r]
-                    if v < best:
-                        best = v
-                if best < INF:
-                    if rem > 0:
-                        costs[(m, rem)] = best
-                    elif m == n:  # the only in-range (m, 0) state with d <= n
-                        costs[(m, 0)] = best
-                        zeros.append((m, best))
-        else:
-            # naive: every entry scans its own predecessor window of the row
-            for b in range(1, r * B + 1):
-                lo = (b + r - 1) // r
-                cells += B + 1 - lo
-                v = min(cand[lo:])
-                if v < INF:
-                    costs[(d - b, b)] = v
-        if seeds:
-            merge(d)
-    # batched: the remaining finished states are full-window minima, counted
-    # as a gamma evaluation plus a sweep step per candidate
+    # batched: the finished states past n are full-window minima, counted as
+    # a gamma evaluation plus a sweep step per candidate
     first, per_candidate = (n + 1, 2) if batched else (max(n, r), 1)
-    for m in range(first, n + r):
-        B = m // r
-        v = min(get((m - r * bp, bp), INF) + c * suffix[m - r * bp] for bp in range(1, B + 1))
-        v = min(v, get((m, 0), INF))
-        cells += per_candidate * (B + 1)
-        if v < INF:
-            costs[(m, 0)] = v
-            zeros.append((m, v))
+    if dense:
+        reach = {d: d // r for d in chain(range(1, n + 1), range(max(n + 1, r), n + r))}
+    else:
+        reach = {}
+        for m, b in prev:
+            d = m + r * b
+            if d < n + r and reach.get(d, -1) < b:
+                reach[d] = b
+        reach = dict(sorted(reach.items()))
+    for d, B in reach.items():
+        if d <= n:
+            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
+            if batched:
+                t = d - r * B
+                cells += (B + 1) + (d - t + 1)
+                best = INF
+                for m in range(t, d + 1):
+                    rem = d - m
+                    if rem % r == 0:
+                        v = cand[rem // r]
+                        if v < best:
+                            best = v
+                    if best < INF:
+                        if rem > 0:
+                            costs[(m, rem)] = best
+                        elif m == n:  # the only in-range (m, 0) state with d <= n
+                            costs[(m, 0)] = best
+                            zeros.append((m, best))
+            else:
+                # naive: every entry scans its own predecessor window of the
+                # row, in ascending m as the sweep stores them
+                for b in range(r * B, 0, -1):
+                    lo = (b + r - 1) // r
+                    cells += B + 1 - lo
+                    v = min(cand[lo:])
+                    if v < INF:
+                        costs[(d - b, b)] = v
+        if d >= first:
+            v = min((get((d - r * bp, bp), INF) + c * suffix[d - r * bp]
+                     for bp in range(1, B + 1)), default=INF)
+            v = min(v, get((d, 0), INF))
+            cells += per_candidate * (B + 1)
+            if v < INF:
+                costs[(d, 0)] = v
+                zeros.append((d, v))
+        if seeds:
+            merge(seeds.pop(d, ()))
     if seeds:
-        for d in seeds:
-            if d > n:
-                merge(d)
+        for pairs in seeds.values():
+            merge(pairs)
     return costs, zeros, cells
 
 
@@ -243,16 +273,21 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     go to the shallower level: no deeper level can change the answer or its
     backtrace.  An empty level leaves every later level empty.  The stop
     reads only table values, so naive and batched fills stop at the same
-    level.  ``cutoff=False`` fills every level of the spec, as the
-    complexity harness measures.
+    level.  Each level fills only the diagonals its previous level reaches
+    (see ``_fill_level``).
+
+    ``cutoff=False`` selects the paper's full, dense fill, as the complexity
+    harness measures: every level of the spec, every diagonal of each level,
+    and no level-free tail.
 
     Where ``_tail_start`` finds a constant tail from level s on, the loop
     fills levels ``1 .. s - 1`` only.  From level s on a state's future does
-    not depend on its level, so one ``_fill_level`` call fills a single table in
-    place, in diagonal order, keyed ``cost * K + level`` with ``K = 2n + 2``:
-    one integer minimum keeps the cheapest state and, among equal costs, the
-    shallowest.  It passes edge length 1 with the suffix ``c * K * W_m + 1``
-    and is seeded with level s - 1 at keys ``cost * K + s - 1``.
+    not depend on its level, so one dense ``_fill_level`` call fills a single
+    table in place, in diagonal order, keyed ``cost * K + level`` with
+    ``K = 2n + 2``: one integer minimum keeps the cheapest state and, among
+    equal costs, the shallowest.  It passes edge length 1 with the suffix
+    ``c * K * W_m + 1`` and is seeded with level s - 1 at keys
+    ``cost * K + s - 1``.
 
     Choice solves also count each option's stored entries as cells, whatever
     their option count.
@@ -269,7 +304,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     for i in range(1, spec.num_levels + 1 if tail is None else tail):
         costs = None
         for r, c in _level_options(spec, i):
-            fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode)
+            fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff)
             cells += k + len(fill) if choice else k
             # the best finished state over all options is the best over each
             # option's own finished states
@@ -295,7 +330,8 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
                 seeds.setdefault(m + b, []).append(((m, b), v * K + tail - 1))
             table: dict[Sig, int] = {}
             suffix = tuple(c * K * x + 1 for x in w.suffix)
-            _, zeros, cells_tail = _fill_level(table, n, r, 1, suffix, mode, table, seeds)
+            _, zeros, cells_tail = _fill_level(table, n, r, 1, suffix, mode, dense=True,
+                                              costs=table, seeds=seeds)
             cells += cells_tail
             best = min([best, *[(*divmod(key, K), m) for m, key in zeros]])
             if keep_tables:

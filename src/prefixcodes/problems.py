@@ -221,8 +221,9 @@ class Params:
 class Problem:
     """One named problem.  ``spec(params, n)`` builds its spec once;
     ``solve(w, spec, algorithm=..., want_code=..., cutoff=True)`` and
-    ``oracle(w, spec, max_n)`` both read that spec.  ``cutoff=False`` makes
-    the level loop fill every level (see ``gmr._solve``).  The oracle shares
+    ``oracle(w, spec, max_n)`` both read that spec.  ``cutoff=False`` selects
+    the paper's full, dense fill: every level, every diagonal (see
+    ``gmr._solve``).  The oracle shares
     no DP code; the exhaustive ones refuse instances above ``max_n`` weights."""
 
     spec: Callable[[Params, int], Any]

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from prefixcodes import cli
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -319,3 +321,32 @@ class TestBench:
         args = ("bench", "--problem", "huffman", "--sizes", "8 16",
                 "--algorithms", "naive batched", "--seed", "11")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process, so no call may see another
+    call's values, and each falls back to the parser's own defaults."""
+
+    def test_calls_in_a_row_see_only_their_own_arguments(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        plain = ["solve", "--problem", "huffman", "--weights", "3 2 1"]
+        fresh = run_cli(*plain).stdout  # defaults: radix 2, batched, code output
+        # a bad weight list fails after parsing; --g would be an error for huffman
+        bad_weights = ["solve", "--problem", "reserved-g", "--g", "2", "--algorithm", "naive",
+                       "--output", "cost", "--weights", "3 x"]
+        # an unknown output mode fails in the parser itself
+        bad_choice = ["solve", "--problem", "huffman", "--radix", "3", "--output", "bogus",
+                      "--weights", "3 2 1"]
+        assert cli.main(bad_weights) == 2
+        assert "--weights: 'x' is not an integer" in capsys.readouterr().err
+        assert cli.main(plain) == 0
+        assert capsys.readouterr().out == fresh
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad_choice)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(plain) == 0
+        assert capsys.readouterr().out == fresh
+        # and the failing call sees nothing of the one before it
+        assert cli.main(bad_weights) == 2
+        assert "--weights: 'x' is not an integer" in capsys.readouterr().err

@@ -382,39 +382,83 @@ def _solve_any(w, spec, algorithm, **kw):
     return (solve_naive if algorithm == "naive" else solve_batched)(w, spec, **kw)
 
 
+def _wide_instances(seed: int, per_draw: int):
+    """``per_draw`` random ``(w, spec)`` pairs per weight draw with n <= 60
+    and up to six levels, alternating plain and choice specs, whose arities
+    run from 2 through n - 1 .. n + 1 to meta arities far past n."""
+    rng = random.Random(seed)
+    for draw in WEIGHT_DRAWS:
+        for k in range(per_draw):
+            n = rng.randint(1, 60)
+            arities = [r for r in (2, 3, 4, n - 1, n, n + 1, 2**9, 2**70) if r >= 2]
+            ml = rng.randint(1, 6)
+            w = normalize_weights(draw(rng, n))
+            if k % 2:
+                spec = ChoiceLevelSpec([
+                    dict.fromkeys((rng.choice(arities), rng.randint(1, 3))
+                                  for _ in range(rng.randint(1, 3)))
+                    for _ in range(ml)])
+            else:
+                spec = LevelSpec([(rng.choice(arities), rng.randint(1, 3)) for _ in range(ml)])
+            yield w, spec
+
+
+def _cut_and_full(w, spec):
+    """Solve ``(w, spec)`` with both fills, cut off and full-depth; None if
+    it has no feasible tree.  The cut-off solves give the full ones' answer,
+    backtrace and options for no more cells, and their leveled tables are a
+    prefix of the full ones, entry for entry in insertion order (ascending
+    diagonal, then m); a level-free tail holds every deeper level's minimum
+    key.  Naive and batched tables agree in insertion order too.  Returns
+    the batched ``(cut, full)`` pair."""
+    try:
+        _solve_any(w, spec, "batched", keep_tables=False, cutoff=False)
+    except NoFeasibleTree:
+        for algorithm in ("naive", "batched"):
+            with pytest.raises(NoFeasibleTree):
+                _solve_any(w, spec, algorithm)
+        return None
+    items = {}
+    for algorithm in ("naive", "batched"):
+        full = _solve_any(w, spec, algorithm, cutoff=False)
+        cut = _solve_any(w, spec, algorithm)
+        assert (cut.cost, cut.level, cut.leaves_full) == (
+            full.cost, full.level, full.leaves_full)
+        assert cut.expansions == full.expansions
+        assert cut.leaf_sequence == full.leaf_sequence
+        assert cut.options == full.options
+        assert cut.cells_updated <= full.cells_updated
+        assert full.levels_filled == spec.num_levels == len(full.tables) - 1
+        assert cut.levels_filled == len(cut.tables) - 1
+        cut_items = [list(t.costs.items()) for t in cut.tables]
+        full_items = [list(t.costs.items()) for t in full.tables]
+        s = cut_tail_start(cut, spec, w.n)
+        if s is None:
+            assert cut_items == full_items[:len(cut_items)]
+        else:
+            assert cut_items[:s] == full_items[:s]
+            assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
+        items[algorithm] = cut_items, full_items
+    assert items["naive"] == items["batched"]
+    return cut, full
+
+
 class TestCutoff:
     def test_cutoff_changes_no_answer_randomized(self):
         feasible = stopped_early = 0
         for w, spec in _cutoff_instances(seed=505, per_draw=300):
-            ml = spec.num_levels
-            try:
-                _solve_any(w, spec, "batched", keep_tables=False, cutoff=False)
-            except NoFeasibleTree:
-                for algorithm in ("naive", "batched"):
-                    with pytest.raises(NoFeasibleTree):
-                        _solve_any(w, spec, algorithm)
-                continue
-            feasible += 1
-            for algorithm in ("naive", "batched"):
-                full = _solve_any(w, spec, algorithm, cutoff=False)
-                cut = _solve_any(w, spec, algorithm)
-                assert (cut.cost, cut.level, cut.leaves_full) == (
-                    full.cost, full.level, full.leaves_full)
-                assert cut.expansions == full.expansions
-                assert cut.leaf_sequence == full.leaf_sequence
-                assert cut.options == full.options
-                assert full.levels_filled == ml == len(full.tables) - 1
-                assert cut.levels_filled == len(cut.tables) - 1
-                # the leveled tables are a prefix of the full ones; a
-                # level-free tail holds every deeper level's minimum key
-                s = cut_tail_start(cut, spec, w.n)
-                if s is None:
-                    assert cut.tables == full.tables[:len(cut.tables)]
-                else:
-                    assert cut.tables[:s] == full.tables[:s]
-                    assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
-            stopped_early += cut.levels_filled < ml
+            solved = _cut_and_full(w, spec)
+            if solved is not None:
+                feasible += 1
+                stopped_early += solved[0].levels_filled < spec.num_levels
         assert feasible >= 1000 and stopped_early > feasible // 2
+
+    def test_sparse_fill_matches_the_dense_one_at_wide_arities(self):
+        # the cut-off fill visits only the diagonals the previous level
+        # reaches, the full one every diagonal; wide levels reach few of them
+        feasible = sum(_cut_and_full(w, spec) is not None
+                       for w, spec in _wide_instances(seed=808, per_draw=40))
+        assert feasible >= 100
 
     def test_levels_filled_is_first_dominated_level(self):
         # a test-side scan of the full tables: the first level whose cheapest
@@ -439,6 +483,38 @@ class TestCutoff:
                 assert _solve_any(w, spec, algorithm).levels_filled == expected
                 cost_only = _solve_any(w, spec, algorithm, keep_tables=False)
                 assert cost_only.levels_filled == expected
+
+
+def _package_merge_cost(weights, L: int) -> int:
+    """Larmore & Hirschberg's package-merge (J. ACM, 1990): the least cost
+    of a binary code for ``n >= 2`` weights with no word longer than L,
+    ``2**L >= n``.  Pair up the sorted items, merge the packages with the
+    weights, L - 1 times; a weight's code length is the number of the first
+    2n - 2 final items that hold it, so the cost is their total weight."""
+    items = sorted(weights)
+    current = items
+    for _ in range(L - 1):
+        packages = [a + b for a, b in zip(current[0::2], current[1::2])]
+        current = sorted(items + packages)
+    return sum(current[:2 * len(weights) - 2])
+
+
+class TestPackageMerge:
+    """L binary unit-edge levels are length-limited coding.  With L < n no
+    level-free tail runs, so the leveled fill is checked far past the
+    exhaustive oracles' n <= 8, by an algorithm that shares no DP code."""
+
+    @pytest.mark.parametrize("hi", [1, 2, 50, 10**6])
+    def test_length_limited_binary_matches_package_merge(self, hi):
+        rng = random.Random(hi)
+        for _ in range(8):
+            n = rng.randint(2, 120)
+            w = normalize_weights(random_weights(rng, n, 0, hi))
+            shortest = (n - 1).bit_length()  # ceil(log2 n)
+            for L in range(shortest, shortest + 5):
+                expected = _package_merge_cost(list(w.weights), L)
+                for solve in (solve_naive, solve_batched):
+                    assert solve(w, BINARY(L), keep_tables=False).cost == expected
 
 
 def _tail_instances(seed: int, per_draw: int):
