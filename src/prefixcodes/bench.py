@@ -2,11 +2,12 @@
 
 The metric is ``cells_updated`` -- the number of candidate evaluations the
 solver performed -- so complexity claims are machine-independent.  Wall time
-is reported alongside for orientation only.  Every instance is solved with
-``cutoff=False``, the paper's full, dense fill: the level loop fills all of
-its levels and every diagonal of each, as the paper's complexity bounds count
-them.  A plain solve stops once no deeper level can beat the best finished
-tree, and on each level visits only the diagonals the previous level reaches.
+is reported alongside for orientation only.  Every instance is solved
+through ``problems.solve`` with ``cutoff=False``, the paper's full, dense
+fill: the level loop fills all of its levels and every diagonal of each, as
+the paper's complexity bounds count them.  A plain solve stops once no
+deeper level can beat the best finished tree, and on each level visits only
+the diagonals the previous level reaches.
 
 Weight distributions (all produce exact integers):
 
@@ -23,7 +24,7 @@ import time
 
 from .core import WeightSeq, normalize_weights
 from .errors import InvalidInput
-from .problems import PROBLEMS, Params
+from .problems import Params, solve
 
 _SCALE = 10**6
 
@@ -56,13 +57,9 @@ def run_instance(problem: str, w: WeightSeq, algorithm: str, *,
     gmr and huffman both run constant arity ``radix``, mixed-radix the
     single arity ``radix``, reserved-given :func:`reserved_given_lengths`.
     """
-    if problem not in PROBLEMS:
-        raise InvalidInput(f"unknown problem {problem!r}")
-    entry = PROBLEMS[problem]
     params = Params(radix=radix, arities=(radix,), lengths=reserved_given_lengths(w.n), g=g)
     start = time.perf_counter()
-    dp = entry.solve(w, entry.spec(params, w.n), algorithm=algorithm, want_code=False,
-                     cutoff=False).dp
+    dp = solve(problem, w, params, algorithm=algorithm, want_code=False, cutoff=False).dp
     return {
         "problem": problem,
         "algorithm": algorithm,

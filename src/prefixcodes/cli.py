@@ -26,7 +26,7 @@ from .errors import (
     NoFeasibleTree,
     PrefixCodeError,
 )
-from .problems import PROBLEMS, Params
+from .problems import PROBLEMS, Params, solve
 
 _SPEC_ALIASES = {"binary": 2, "ternary": 3, "quaternary": 4}
 
@@ -85,7 +85,8 @@ def _read_spec_file(path: str) -> LevelSpec:
     with open(path) as fh:
         pairs = json.load(fh)
     if not isinstance(pairs, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)
+        isinstance(pair, list) and len(pair) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
         for pair in pairs
     ):
         raise InvalidInput(f"{path}: expected a JSON array [[arity, edge_length], ...] "
@@ -145,10 +146,9 @@ def _lengths_as_json(codebook, order):
 def cmd_solve(args) -> int:
     w = normalize_weights(_read_weights(args))
     want_code = args.output != "cost"
-    problem = PROBLEMS[args.problem]
     start = time.perf_counter()
-    spec = problem.spec(_params(args, w.n), w.n)
-    res = problem.solve(w, spec, algorithm=args.algorithm, want_code=want_code)
+    res = solve(args.problem, w, _params(args, w.n), algorithm=args.algorithm,
+                want_code=want_code)
     elapsed = time.perf_counter() - start
     dp = res.dp
     doc = {
@@ -172,11 +172,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_oracle_n < 1:
+        raise ValueError(f"--max-oracle-n: must be at least 1, got {args.max_oracle_n}")
     w = normalize_weights(_read_weights(args))
+    params = _params(args, w.n)
+    cost = solve(args.problem, w, params, algorithm=args.algorithm, want_code=False).dp.cost
     problem = PROBLEMS[args.problem]
-    spec = problem.spec(_params(args, w.n), w.n)
-    cost = problem.solve(w, spec, algorithm=args.algorithm, want_code=False).dp.cost
-    oracle_cost = problem.oracle(w, spec, args.max_oracle_n)
+    oracle_cost = problem.oracle(w, problem.levels(params, w.n), args.max_oracle_n)
     agree = cost == oracle_cost
     doc = {
         "problem": args.problem,

@@ -40,9 +40,15 @@ def check_algorithm(algorithm: str) -> None:
         raise InvalidInput(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
-def _check_weight(value) -> int:
+def check_int(value, what: str):
+    """``value`` if it is an exact integer, not a bool; else InvalidInput."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInput(f"weights must be exact integers, got {value!r}")
+        raise InvalidInput(f"{what} must be exact integers, got {value!r}")
+    return value
+
+
+def _check_weight(value) -> int:
+    check_int(value, "weights")
     if value < 0:
         raise InvalidInput(f"weights must be non-negative, got {value}")
     if value > MAX_WEIGHT:
@@ -126,13 +132,13 @@ class LevelSpec:
     __slots__ = ("levels", "_depths")
 
     def __init__(self, levels: Iterable[tuple[int, int]]):
-        lv = tuple((int(r), int(c)) for r, c in levels)
+        lv = tuple((r, c) for r, c in levels)
         if not lv:
             raise InvalidInput("level spec must cover at least one level")
         for r, c in lv:
-            if r < 2:
+            if check_int(r, "level arities") < 2:
                 raise InvalidInput(f"every level arity must be >= 2, got {r}")
-            if c < 1:
+            if check_int(c, "edge lengths") < 1:
                 raise InvalidInput(f"every edge length must be >= 1, got {c}")
         depths = [0]
         for _, c in lv:
@@ -170,13 +176,13 @@ class ChoiceLevelSpec:
     def __init__(self, levels: Iterable[Iterable[tuple[int, int]]]):
         out = []
         for options in levels:
-            opts = tuple((int(r), int(c)) for r, c in options)
+            opts = tuple((r, c) for r, c in options)
             if not opts:
                 raise InvalidInput("every level needs at least one option")
             if len(set(opts)) != len(opts):
                 raise InvalidInput("options within a level must be distinct")
             for r, c in opts:
-                if r < 2 or c < 1:
+                if check_int(r, "option arities") < 2 or check_int(c, "edge lengths") < 1:
                     raise InvalidInput(f"bad option ({r}, {c})")
             out.append(opts)
         if not out:

@@ -248,12 +248,12 @@ def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
     return ((spec.arity(i), spec.edge_length(i)),)
 
 
-def _tail_start(spec, n: int, cutoff: bool) -> int | None:
-    """The first level s of the constant suffix that ``_solve`` fills in one
-    level-free table, or None.  That takes a plain spec of at least n levels
-    and ``cutoff``: d = m + b grows by at least 1 per level, so no tree is
+def _tail_start(spec, n: int) -> int | None:
+    """The first level s of the constant suffix that a cut-off ``_solve``
+    fills in one level-free table, or None.  That takes a plain spec of at
+    least n levels: d = m + b grows by at least 1 per level, so no tree is
     deeper than n levels and the spec never ends a tail chain early."""
-    if not cutoff or isinstance(spec, ChoiceLevelSpec) or spec.num_levels < n:
+    if isinstance(spec, ChoiceLevelSpec) or spec.num_levels < n:
         return None
     levels = spec.levels
     s = len(levels)
@@ -295,7 +295,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     check_algorithm(mode)
     n = w.n
     choice = isinstance(spec, ChoiceLevelSpec)
-    tail = _tail_start(spec, n, cutoff)
+    tail = _tail_start(spec, n) if cutoff else None
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
     best = (UNREACHABLE,)  # (cost, level, n');  tuple order implements the tie-break

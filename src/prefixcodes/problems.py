@@ -1,25 +1,25 @@
-"""Reduction adapters: named coding problems expressed as mixed-radix solves.
+"""Named coding problems and the one solve path through them.
 
-Each adapter builds the level spec for its problem, runs the shared solver,
-and maps the winning leaf sequence back to codewords over the original
-alphabet.  Reserved-length codes collapse runs of levels between permitted
-lengths into one "meta" level of arity r**gap and edge length gap; the
-winning meta leaves are then re-expanded into r-ary words by the same
-leftmost-slot rule the plain emitter uses.
-
-``PROBLEMS`` is the registry the CLI and the bench harness dispatch through:
-per problem name, how its spec is built from the shared ``Params``, and how
-that one spec is solved and checked by an independent oracle.
+The paper's variations differ only in their level structure, so a
+``Problem`` in the ``PROBLEMS`` registry is just that: it builds the engine
+spec from the shared ``Params``, emits the code and names an oracle.
+:func:`solve` is the one route from a problem name to an answer; the CLI,
+the bench harness and the named adapters all call it.  Reserved-length
+codes collapse runs of levels between permitted lengths into one "meta"
+level of arity r**gap and edge length gap; the winning meta leaves are then
+re-expanded into r-ary words by the same leftmost-slot rule the plain
+emitter uses.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from . import one_ended, oracle
-from .core import ChoiceLevelSpec, CodeBook, LeafSequence, LevelSpec, WeightSeq, check_algorithm
+from .core import (ChoiceLevelSpec, CodeBook, LeafSequence, LevelSpec, WeightSeq,
+                   check_algorithm, check_int)
 from .errors import ArityOverflow, InvalidInput, NoFeasibleTree
 from .gmr import DPResult, leafseq_to_codewords, solve_batched, solve_choice, solve_naive
 
@@ -55,13 +55,13 @@ class ReservedSpec:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if self.radix < 2:
+        if check_int(self.radix, "alphabet sizes") < 2:
             raise InvalidInput("alphabet size must be >= 2")
         if not self.lengths:
             raise InvalidInput("need at least one permitted length")
         prev = 0
         for g in self.lengths:
-            if not isinstance(g, int) or g <= prev:
+            if isinstance(g, bool) or not isinstance(g, int) or g <= prev:
                 raise InvalidInput("lengths must be strictly increasing integers >= 1")
             prev = g
 
@@ -74,9 +74,9 @@ class GLengthsSpec:
     g: int
 
     def __post_init__(self):
-        if self.radix < 2:
+        if check_int(self.radix, "alphabet sizes") < 2:
             raise InvalidInput("alphabet size must be >= 2")
-        if self.g < 1:
+        if check_int(self.g, "length budgets") < 1:
             raise InvalidInput("length budget must be >= 1")
 
 
@@ -88,118 +88,6 @@ class ProblemResult:
 
     codebook: CodeBook | None
     dp: DPResult
-
-
-def _run(w, spec, algorithm, want_code, cutoff):
-    check_algorithm(algorithm)
-    solver = solve_naive if algorithm == "naive" else solve_batched
-    return solver(w, spec, keep_tables=want_code, cutoff=cutoff)
-
-
-def _solve_levels(w: WeightSeq, spec: LevelSpec, *, algorithm: str,
-                  want_code: bool, cutoff: bool = True) -> ProblemResult:
-    """Solve over the levels of ``spec`` and emit its codewords directly."""
-    dp = _run(w, spec, algorithm, want_code, cutoff)
-    code = leafseq_to_codewords(dp.leaf_sequence, spec, w) if want_code else None
-    return ProblemResult(code, dp)
-
-
-def _mixed_levels(mrspec: MixedRadixSpec, n: int) -> LevelSpec:
-    return LevelSpec([(mrspec.arity_for_level(i), 1) for i in range(1, n + 1)])
-
-
-def solve_mixed_radix(w: WeightSeq, mrspec: MixedRadixSpec, *, algorithm: str = "batched",
-                      want_code: bool = True, cutoff: bool = True) -> ProblemResult:
-    """Arity varies by codeword position, all edges length 1."""
-    return _solve_levels(w, _mixed_levels(mrspec, w.n), algorithm=algorithm, want_code=want_code,
-                         cutoff=cutoff)
-
-
-def solve_huffman_reference_adapter(w: WeightSeq, r: int, *, algorithm: str = "batched",
-                                    want_code: bool = True, cutoff: bool = True) -> ProblemResult:
-    """Constant arity r, unit edges: plain r-ary Huffman as a GMR instance."""
-    if r < 2:
-        raise InvalidInput("alphabet size must be >= 2")
-    return _solve_levels(w, LevelSpec.constant(r, 1, w.n), algorithm=algorithm,
-                         want_code=want_code, cutoff=cutoff)
-
-
-def _meta_arity(r: int, gap: int) -> int:
-    if gap * (r.bit_length() - 1) >= _MAX_ARITY_BITS or gap * r.bit_length() > 8 * _MAX_ARITY_BITS:
-        raise ArityOverflow(f"{r}**{gap} exceeds the supported arity range")
-    meta = r**gap
-    if meta.bit_length() > _MAX_ARITY_BITS:
-        raise ArityOverflow(f"{r}**{gap} exceeds the supported arity range")
-    return meta
-
-
-def _reserved_levels(rspec: ReservedSpec) -> LevelSpec:
-    """One meta level per permitted length: arity r**gap, edge length gap."""
-    gaps = [b - a for a, b in zip((0,) + rspec.lengths, rspec.lengths)]
-    return LevelSpec([(_meta_arity(rspec.radix, gap), gap) for gap in gaps])
-
-
-def _expand_to_radix(seq: LeafSequence, depth_of_level, r: int, w: WeightSeq) -> CodeBook:
-    """Map meta-level leaves to r-ary words: leaf on meta level k becomes a
-    word of length depth(k).  Leftmost-slot assignment at every level keeps
-    the emitted code canonical."""
-    counts = {depth_of_level(level): count for level, count in seq.items()}
-    max_len = max(counts) if counts else 1
-    return leafseq_to_codewords(LeafSequence(counts), LevelSpec.constant(r, 1, max_len), w)
-
-
-def solve_reserved_given(w: WeightSeq, rspec: ReservedSpec, *, algorithm: str = "batched",
-                         want_code: bool = True, cutoff: bool = True) -> ProblemResult:
-    """All codeword lengths must come from the given set."""
-    spec = _reserved_levels(rspec)
-    capacity = rspec.radix ** rspec.lengths[-1]
-    if capacity < w.n:
-        raise NoFeasibleTree(
-            f"only {capacity} words of permitted lengths exist, need {w.n}"
-        )
-    dp = _run(w, spec, algorithm, want_code, cutoff)
-    code = None
-    if want_code:
-        code = _expand_to_radix(dp.leaf_sequence, lambda k: rspec.lengths[k - 1], rspec.radix, w)
-    return ProblemResult(code, dp)
-
-
-def glengths_options(r: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Option set (r**t, t) for t = 1 .. 1 + floor(log_r n).
-
-    t = 0 would be a leaf-free no-op level, and no level ever needs more than
-    r * n slots, which caps the useful jump at this range.
-    """
-    tmax = 1
-    power = r
-    while power <= n:
-        power *= r
-        tmax += 1
-    return tuple((r**t, t) for t in range(1, tmax + 1))
-
-
-def _glengths_levels(gspec: GLengthsSpec, n: int) -> ChoiceLevelSpec:
-    """One choice level per distinct length, each offering every jump of
-    :func:`glengths_options`.  n weights use at most n distinct lengths, so
-    the spec has min(g, n) levels."""
-    return ChoiceLevelSpec([glengths_options(gspec.radix, n)] * min(gspec.g, n))
-
-
-def solve_reserved_g(w: WeightSeq, gspec: GLengthsSpec, *, algorithm: str = "batched",
-                     want_code: bool = True, cutoff: bool = True) -> ProblemResult:
-    """At most g distinct codeword lengths, the lengths themselves are free."""
-    cspec = _glengths_levels(gspec, w.n)
-    dp = solve_choice(w, cspec, algorithm=algorithm, keep_tables=want_code, cutoff=cutoff)
-    code = None
-    if want_code:
-        depths = [0]
-        for i, j in enumerate(dp.options, start=1):
-            depths.append(depths[-1] + cspec.options(i)[j][1])
-        code = _expand_to_radix(dp.leaf_sequence, lambda k: depths[k], gspec.radix, w)
-    return ProblemResult(code, dp)
-
-
-# -- registry ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -219,16 +107,65 @@ class Params:
 
 @dataclass(frozen=True)
 class Problem:
-    """One named problem.  ``spec(params, n)`` builds its spec once;
-    ``solve(w, spec, algorithm=..., want_code=..., cutoff=True)`` and
-    ``oracle(w, spec, max_n)`` both read that spec.  ``cutoff=False`` selects
-    the paper's full, dense fill: every level, every diagonal (see
-    ``gmr._solve``).  The oracle shares
-    no DP code; the exhaustive ones refuse instances above ``max_n`` weights."""
+    """One named problem, as :func:`solve` runs it.  ``levels(params, n)``
+    builds the engine spec -- a ``LevelSpec``, a ``ChoiceLevelSpec``, or None
+    for the one-ended DP, which has no levels; ``emit(dp, spec, w, params)``
+    gives the ``CodeBook`` and ``oracle(w, spec, max_n)`` the cost on that
+    same spec.  The oracle shares no DP code; the exhaustive ones refuse
+    instances above ``max_n`` weights."""
 
-    spec: Callable[[Params, int], Any]
-    solve: Callable[..., ProblemResult]
-    oracle: Callable[[WeightSeq, Any, int], int]
+    levels: Callable[[Params, int], LevelSpec | ChoiceLevelSpec | None]
+    emit: Callable[..., CodeBook] | None
+    oracle: Callable[..., int]
+
+
+def solve(name: str, w: WeightSeq, params: Params, *, algorithm: str = "batched",
+          want_code: bool = True, cutoff: bool = True) -> ProblemResult:
+    """Build the engine spec of problem ``name``, run the plain or choice
+    engine with ``keep_tables=want_code``, and emit the code if ``want_code``.
+    ``cutoff=False`` selects the paper's full, dense fill: every level, every
+    diagonal (see ``gmr._solve``); the one-ended DP has no levels to cut off.
+    The engines and emitters are module globals looked up at call time."""
+    if name not in PROBLEMS:
+        raise InvalidInput(f"unknown problem {name!r}")
+    problem = PROBLEMS[name]
+    spec = problem.levels(params, w.n)
+    if spec is None:
+        return _solve_one_ended(w, algorithm=algorithm, want_code=want_code)
+    check_algorithm(algorithm)
+    if isinstance(spec, ChoiceLevelSpec):
+        dp = solve_choice(w, spec, algorithm=algorithm, keep_tables=want_code, cutoff=cutoff)
+    else:
+        engine = solve_naive if algorithm == "naive" else solve_batched
+        dp = engine(w, spec, keep_tables=want_code, cutoff=cutoff)
+    return ProblemResult(problem.emit(dp, spec, w, params) if want_code else None, dp)
+
+
+def solve_mixed_radix(w: WeightSeq, mrspec: MixedRadixSpec, *, algorithm: str = "batched",
+                      want_code: bool = True) -> ProblemResult:
+    """Arity varies by codeword position, all edges length 1."""
+    return solve("mixed-radix", w, Params(arities=mrspec.arities), algorithm=algorithm,
+                 want_code=want_code)
+
+
+def solve_huffman_reference_adapter(w: WeightSeq, r: int, *, algorithm: str = "batched",
+                                    want_code: bool = True) -> ProblemResult:
+    """Constant arity r, unit edges: plain r-ary Huffman as a GMR instance."""
+    return solve("huffman", w, Params(radix=r), algorithm=algorithm, want_code=want_code)
+
+
+def solve_reserved_given(w: WeightSeq, rspec: ReservedSpec, *, algorithm: str = "batched",
+                         want_code: bool = True) -> ProblemResult:
+    """All codeword lengths must come from the given set."""
+    return solve("reserved-given", w, Params(radix=rspec.radix, lengths=rspec.lengths),
+                 algorithm=algorithm, want_code=want_code)
+
+
+def solve_reserved_g(w: WeightSeq, gspec: GLengthsSpec, *, algorithm: str = "batched",
+                     want_code: bool = True) -> ProblemResult:
+    """At most g distinct codeword lengths, the lengths themselves are free."""
+    return solve("reserved-g", w, Params(radix=gspec.radix, g=gspec.g), algorithm=algorithm,
+                 want_code=want_code)
 
 
 def _required(value, what: str, problem: str):
@@ -237,9 +174,80 @@ def _required(value, what: str, problem: str):
     return value
 
 
-def _solve_one_ended(w: WeightSeq, _spec, *, algorithm: str, want_code: bool,
-                     cutoff: bool = True):
-    # the one-ended DP has no levels to cut off, so ``cutoff`` changes nothing
+def _huffman_levels(p: Params, n: int) -> LevelSpec:
+    if p.radix < 2:
+        raise InvalidInput("alphabet size must be >= 2")
+    return LevelSpec.constant(p.radix, 1, n)
+
+
+def _mixed_levels(p: Params, n: int) -> LevelSpec:
+    mrspec = MixedRadixSpec(tuple(_required(p.arities, "arities", "mixed-radix")))
+    return LevelSpec([(mrspec.arity_for_level(i), 1) for i in range(1, n + 1)])
+
+
+def _meta_arity(r: int, gap: int) -> int:
+    if gap * (r.bit_length() - 1) >= _MAX_ARITY_BITS or gap * r.bit_length() > 8 * _MAX_ARITY_BITS:
+        raise ArityOverflow(f"{r}**{gap} exceeds the supported arity range")
+    meta = r**gap
+    if meta.bit_length() > _MAX_ARITY_BITS:
+        raise ArityOverflow(f"{r}**{gap} exceeds the supported arity range")
+    return meta
+
+
+def _reserved_levels(p: Params, n: int) -> LevelSpec:
+    """One meta level per permitted length: arity r**gap, edge length gap.
+    The arities are checked before the capacity, so an arity overflow is
+    reported even where no tree would fit."""
+    rspec = ReservedSpec(p.radix, tuple(_required(p.lengths, "lengths", "reserved-given")))
+    gaps = [b - a for a, b in zip((0,) + rspec.lengths, rspec.lengths)]
+    spec = LevelSpec([(_meta_arity(rspec.radix, gap), gap) for gap in gaps])
+    capacity = rspec.radix ** rspec.lengths[-1]
+    if capacity < n:
+        raise NoFeasibleTree(f"only {capacity} words of permitted lengths exist, need {n}")
+    return spec
+
+
+def glengths_options(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Option set (r**t, t) for t = 1 .. 1 + floor(log_r n).
+
+    t = 0 would be a leaf-free no-op level, and no level ever needs more than
+    r * n slots, which caps the useful jump at this range.
+    """
+    tmax = 1
+    power = r
+    while power <= n:
+        power *= r
+        tmax += 1
+    return tuple((r**t, t) for t in range(1, tmax + 1))
+
+
+def _glengths_levels(p: Params, n: int) -> ChoiceLevelSpec:
+    """One choice level per distinct length, each offering every jump of
+    :func:`glengths_options`.  n weights use at most n distinct lengths, so
+    the spec has min(g, n) levels."""
+    gspec = GLengthsSpec(p.radix, _required(p.g, "g", "reserved-g"))
+    return ChoiceLevelSpec([glengths_options(gspec.radix, n)] * min(gspec.g, n))
+
+
+def _emit_levels(dp: DPResult, spec: LevelSpec, w: WeightSeq, _params: Params) -> CodeBook:
+    """Codewords straight from the levels of ``spec``."""
+    return leafseq_to_codewords(dp.leaf_sequence, spec, w)
+
+
+def _emit_radix(dp: DPResult, spec, w: WeightSeq, params: Params) -> CodeBook:
+    """Map meta-level leaves to ``params.radix``-ary words.  The word length
+    of meta level k is the summed edge length of levels 1..k, over the chosen
+    options for a choice spec.  Leftmost-slot assignment at every level keeps
+    the emitted code canonical."""
+    if isinstance(spec, ChoiceLevelSpec):
+        spec = LevelSpec([spec.options(i)[j] for i, j in enumerate(dp.options, start=1)])
+    seq = dp.leaf_sequence
+    counts = {spec.depth(level): count for level, count in seq.items()}
+    radix_levels = LevelSpec.constant(params.radix, 1, spec.depth(seq.deepest))
+    return leafseq_to_codewords(LeafSequence(counts), radix_levels, w)
+
+
+def _solve_one_ended(w: WeightSeq, *, algorithm: str, want_code: bool) -> ProblemResult:
     res = one_ended.solve_one_ended(w, algorithm=algorithm, with_code=want_code)
     book = res.codebook
     dp = DPResult(
@@ -258,8 +266,7 @@ def _enumerate_levels(w: WeightSeq, spec: LevelSpec, max_n: int) -> int:
     return oracle.enumerate_gmr(w, spec, spec.num_levels, budget)
 
 
-def _enumerate_glengths(w: WeightSeq, gspec: GLengthsSpec, max_n: int) -> int:
-    cspec = _glengths_levels(gspec, w.n)
+def _enumerate_glengths(w: WeightSeq, cspec: ChoiceLevelSpec, max_n: int) -> int:
     levels = cspec.num_levels
     budget = oracle.OracleBudget(max_n=max_n, max_depth=max(levels, 8),
                                  max_option_sets=len(cspec.options(1)))
@@ -271,38 +278,21 @@ def _enumerate_one_ended(w: WeightSeq, _spec, max_n: int) -> int:
     return oracle.enumerate_one_ended(w, budget=budget)
 
 
-# The solve entries call the adapters by module attribute at call time, so
-# that rebinding an adapter (as the per-layer tracer does) reaches them.
 PROBLEMS: dict[str, Problem] = {
     "gmr": Problem(
-        spec=lambda p, n: p.levels or LevelSpec.constant(p.radix, 1, n),
-        solve=_solve_levels,
+        levels=lambda p, n: p.levels or LevelSpec.constant(p.radix, 1, n),
+        emit=_emit_levels,
         oracle=_enumerate_levels,
     ),
     "huffman": Problem(
-        spec=lambda p, n: p.radix,
-        solve=lambda w, r, **kw: solve_huffman_reference_adapter(w, r, **kw),
-        oracle=lambda w, r, _max_n: oracle.huffman_greedy(w, r),
+        levels=_huffman_levels,
+        emit=_emit_levels,
+        oracle=lambda w, spec, _max_n: oracle.huffman_greedy(w, spec.arity(1)),
     ),
-    "mixed-radix": Problem(
-        spec=lambda p, n: MixedRadixSpec(tuple(_required(p.arities, "arities", "mixed-radix"))),
-        solve=lambda w, s, **kw: solve_mixed_radix(w, s, **kw),
-        oracle=lambda w, s, max_n: _enumerate_levels(w, _mixed_levels(s, w.n), max_n),
-    ),
-    "reserved-given": Problem(
-        spec=lambda p, n: ReservedSpec(p.radix,
-                                       tuple(_required(p.lengths, "lengths", "reserved-given"))),
-        solve=lambda w, s, **kw: solve_reserved_given(w, s, **kw),
-        oracle=lambda w, s, max_n: _enumerate_levels(w, _reserved_levels(s), max_n),
-    ),
-    "reserved-g": Problem(
-        spec=lambda p, n: GLengthsSpec(p.radix, _required(p.g, "g", "reserved-g")),
-        solve=lambda w, s, **kw: solve_reserved_g(w, s, **kw),
-        oracle=_enumerate_glengths,
-    ),
-    "one-ended": Problem(
-        spec=lambda p, n: None,
-        solve=_solve_one_ended,
-        oracle=_enumerate_one_ended,
-    ),
+    "mixed-radix": Problem(levels=_mixed_levels, emit=_emit_levels, oracle=_enumerate_levels),
+    "reserved-given": Problem(levels=_reserved_levels, emit=_emit_radix,
+                              oracle=_enumerate_levels),
+    "reserved-g": Problem(levels=_glengths_levels, emit=_emit_radix,
+                          oracle=_enumerate_glengths),
+    "one-ended": Problem(levels=lambda p, n: None, emit=None, oracle=_enumerate_one_ended),
 }

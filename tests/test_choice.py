@@ -28,6 +28,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput):
             ChoiceLevelSpec([[]])
 
+    @pytest.mark.parametrize("options", [[(2.5, 1)], [(2, True)], [("4", 2)], [(2, 1), (4.0, 2)]])
+    def test_rejects_non_integers_and_bools(self, options):
+        with pytest.raises(InvalidInput, match="exact integers"):
+            ChoiceLevelSpec([options])
+
 
 class TestSolveChoice:
     def test_degenerate_single_option(self):

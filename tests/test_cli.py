@@ -177,6 +177,23 @@ class TestExitCodes:
                        "--weights", "3 2 1", expect=2)
         assert "[[arity, edge_length], ...]" in proc.stderr
 
+    def test_spec_file_of_bools_is_2(self, tmp_path):
+        # true once solved as edge length 1 and exited 0
+        path = tmp_path / "levels.json"
+        path.write_text("[[2,true],[2,true],[2,true]]")
+        proc = run_cli("solve", "--problem", "gmr", "--spec-file", str(path),
+                       "--weights", "3 2 1", expect=2)
+        assert "[[arity, edge_length], ...]" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_verify_oracle_budget_below_1_is_2(self, value):
+        # once printed "n=3 exceeds oracle budget -5" and exited 5
+        proc = run_cli("verify", "--problem", "huffman", "--weights", "3 2 1",
+                       "--max-oracle-n", value, expect=2)
+        assert f"--max-oracle-n: must be at least 1, got {value}" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("flag,args", [
         ("--weights", ("solve", "--problem", "huffman")),
         ("--arities", ("solve", "--problem", "mixed-radix", "--weights", "3 2 1")),

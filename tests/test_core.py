@@ -152,6 +152,22 @@ class TestKraftSlack:
         assert _kraft_slack(LeafSequence({1: 3, 2: 1}), BINARY3) == -3
 
 
+class TestLevelSpec:
+    @pytest.mark.parametrize("levels", [
+        [(2.9, 1.5)],
+        [("3", True)],
+        [(3, True)],
+        [(2, 1), (2.0, 1)],
+    ])
+    def test_rejects_non_integers_and_bools(self, levels):
+        # once coerced by int(): [(2.9, 1.5)] became [(2, 1)]
+        with pytest.raises(InvalidInput, match="exact integers"):
+            LevelSpec(levels)
+
+    def test_keeps_integer_pairs_as_tuples(self):
+        assert LevelSpec([[3, 1], [2, 2]]).levels == ((3, 1), (2, 2))
+
+
 class TestLeafSequence:
     def test_normalizes(self):
         assert LeafSequence({2: 1, 1: 0}) == LeafSequence([(2, 1)])

@@ -27,6 +27,7 @@ from prefixcodes import (
     huffman_greedy,
     leafseq_to_codewords,
     normalize_weights,
+    problems,
     solve_batched,
     solve_choice,
     solve_huffman_reference_adapter,
@@ -581,7 +582,8 @@ class TestLevelFreeTail:
         for draw in WEIGHT_DRAWS:
             for _ in range(2):
                 w = normalize_weights(draw(rng, 60))
-                full = solve_mixed_radix(w, mrspec, cutoff=False)
+                full = problems.solve("mixed-radix", w, problems.Params(arities=mrspec.arities),
+                                      cutoff=False)
                 for algorithm in ("naive", "batched"):
                     cut = solve_mixed_radix(w, mrspec, algorithm=algorithm)
                     assert (cut.dp.cost, cut.dp.level) == (full.dp.cost, full.dp.level)

@@ -7,17 +7,25 @@ from prefixcodes import (
     ArityOverflow,
     GLengthsSpec,
     InvalidInput,
+    LevelSpec,
     MixedRadixSpec,
     NoFeasibleTree,
+    ProblemResult,
     ReservedSpec,
     check_prefix_free,
     huffman_greedy,
+    leafseq_to_codewords,
     normalize_weights,
+    problems,
+    solve_batched,
     solve_huffman_reference_adapter,
     solve_mixed_radix,
+    solve_naive,
+    solve_one_ended,
     solve_reserved_g,
     solve_reserved_given,
 )
+from prefixcodes.problems import PROBLEMS, Params
 
 
 class TestMixedRadix:
@@ -198,3 +206,107 @@ def test_unknown_algorithm_rejected(solve, spec):
     for want_code in (True, False):
         with pytest.raises(InvalidInput):
             solve(normalize_weights([3, 2, 1]), spec, algorithm="foo", want_code=want_code)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ReservedSpec(2.5, (1,)),
+    lambda: ReservedSpec(2, (True, 3)),
+    lambda: GLengthsSpec(2.5, 2),
+    lambda: GLengthsSpec(2, 2.5),
+    lambda: GLengthsSpec(2, True),
+])
+def test_specs_reject_non_integers_and_bools(make):
+    # ReservedSpec(2.5, (1,)) once failed with an AttributeError while
+    # building its meta arities; GLengthsSpec(2.5, 2) gave float arities
+    with pytest.raises(InvalidInput):
+        make()
+
+
+# -- the registry: problems.solve is the one solve path --------------------
+
+GMR_LEVELS = LevelSpec([(3, 1), (2, 2)] + [(2, 1)] * 6)
+REGISTRY_PARAMS = {
+    "gmr": Params(levels=GMR_LEVELS),
+    "huffman": Params(radix=3),
+    "mixed-radix": Params(arities=(4, 2, 3)),
+    "reserved-given": Params(radix=2, lengths=(1, 3, 6)),
+    "reserved-g": Params(radix=2, g=2),
+    "one-ended": Params(),
+}
+
+
+def _named_solve(name, w, algorithm, want_code):
+    """The answer of ``name`` by its named entry point, not the registry."""
+    kw = dict(algorithm=algorithm, want_code=want_code)
+    if name == "gmr":
+        solver = solve_naive if algorithm == "naive" else solve_batched
+        dp = solver(w, GMR_LEVELS, keep_tables=want_code)
+        code = leafseq_to_codewords(dp.leaf_sequence, GMR_LEVELS, w) if want_code else None
+        return ProblemResult(code, dp)
+    if name == "huffman":
+        return solve_huffman_reference_adapter(w, 3, **kw)
+    if name == "mixed-radix":
+        return solve_mixed_radix(w, MixedRadixSpec((4, 2, 3)), **kw)
+    if name == "reserved-given":
+        return solve_reserved_given(w, ReservedSpec(2, (1, 3, 6)), **kw)
+    if name == "reserved-g":
+        return solve_reserved_g(w, GLengthsSpec(2, 2), **kw)
+    raise AssertionError(name)
+
+
+def test_registry_covers_the_six_problems():
+    assert sorted(PROBLEMS) == sorted(REGISTRY_PARAMS)
+
+
+@pytest.mark.parametrize("want_code", [True, False])
+@pytest.mark.parametrize("algorithm", ["naive", "batched"])
+@pytest.mark.parametrize("name", sorted(REGISTRY_PARAMS))
+def test_registry_solve_matches_the_named_entry_point(name, algorithm, want_code):
+    w = normalize_weights([9, 5, 3, 2, 1, 1, 1, 1])
+    got = problems.solve(name, w, REGISTRY_PARAMS[name], algorithm=algorithm,
+                         want_code=want_code)
+    assert (got.codebook is not None) == want_code
+    if name == "one-ended":
+        res = solve_one_ended(w, algorithm=algorithm, with_code=want_code)
+        assert got.codebook == res.codebook
+        assert (got.dp.cost, got.dp.expansions, got.dp.cells_updated) == (
+            res.cost, res.expansions, res.cells_updated)
+        assert got.dp.level == len(res.expansions) - 1
+    else:
+        assert got == _named_solve(name, w, algorithm, want_code)
+
+
+def _random_params(rng, name, n):
+    if name == "gmr":
+        return Params(levels=LevelSpec([(rng.randint(2, 3), rng.randint(1, 2))
+                                        for _ in range(rng.randint(n, n + 2))]))
+    if name == "huffman":
+        return Params(radix=rng.randint(2, 4))
+    if name == "mixed-radix":
+        return Params(arities=tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3))))
+    if name == "reserved-given":
+        # one length of 3 or more: 2**3 words hold any n <= 6
+        lengths = {rng.randint(3, 5), *rng.sample(range(1, 6), rng.randint(0, 2))}
+        return Params(radix=2, lengths=tuple(sorted(lengths)))
+    if name == "reserved-g":
+        return Params(radix=rng.randint(2, 3), g=rng.randint(1, 3))
+    return Params()
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_PARAMS))
+def test_registry_oracle_agrees_on_random_instances(name):
+    # the wiring ``verify`` uses: the oracle reads the engine spec ``levels`` builds
+    rng = random.Random(sum(map(ord, name)))
+    problem = PROBLEMS[name]
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        w = normalize_weights(random_weights(rng, n))
+        params = _random_params(rng, name, n)
+        want = problem.oracle(w, problem.levels(params, n), 8)
+        for algorithm in ("naive", "batched"):
+            assert problems.solve(name, w, params, algorithm=algorithm).dp.cost == want
+
+
+def test_unknown_problem_rejected():
+    with pytest.raises(InvalidInput, match="unknown problem 'nonsense'"):
+        problems.solve("nonsense", normalize_weights([3, 2, 1]), Params())
