@@ -8,6 +8,18 @@ on which level it was reached at beyond what the partial cost already
 charges, and every predecessor lies on a smaller diagonal ``d - b'``, so one
 table filled diagonal by diagonal serves all levels.
 
+The table stops below diagonal n.  Every child of ``(m', b')`` lies on
+diagonal ``m' + 2b'``, so in any chain the first state with ``m + b >= n``
+comes from a stored ``(m', b')`` with ``m' + b' < n <= m' + 2b'``.  Weighting
+all b' of its 1-children and then the remaining ``n - m' - b' <= b'`` weights
+finishes at ``c(m', b') + W_m' + W_{m'+b'}``, and no chain through
+``(m', b')`` is cheaper, because W is non-increasing and the next m is at most
+``m' + b'``.  So ``_solve`` scans the stored states for the cheapest such
+two-level finish, ``(m', b') -> (m' + b', b') -> (n, 3b' + m' - n)``, ties
+going to the smaller final bad count and then the smaller b', and walks the
+chain down from its middle state.  (For n = 1 the seed finishes in one level,
+and ``W_1 = 0`` keeps the formula right.)
+
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
 ``_fill`` builds the diagonal's candidate row once, and a state's
@@ -28,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
-from .errors import InternalInconsistency, NoFeasibleTree
+from .errors import InternalInconsistency
 
 Sig = tuple[int, int]
 
@@ -68,42 +80,40 @@ def _fill(w: WeightSeq, mode: str):
     suffix = w.suffix
     batched = mode == "batched"
     cells = 0
-    for d in range(2, 3 * n):
+    for d in range(2, n):
         half = d // 2
-        low = max(1, (d - n + 1) // 2)  # no window reads a smaller b' (m' > n)
-        # cand[bp - low] = gamma(bp)
-        cand = [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp] for bp in range(low, half + 1)]
-        states = range(max(1, d - n), min(2 * n - 1, d) + 1)
+        # cand[bp] = gamma(bp); cand[0] is never read (no state has b = 0)
+        cand = [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp] for bp in range(half + 1)]
         if batched:
-            cells += len(cand)
+            cells += half
             window: deque[int] = deque()  # b' ascending, gamma non-decreasing
-            pushed = low - 1
-            for b in states:
+            pushed = 0
+            for b in range(1, d + 1):
                 lo = (b + 1) // 2
                 hi = min(b, half)
                 if lo > hi:
                     continue
                 while pushed < hi:
                     pushed += 1
-                    v = cand[pushed - low]
-                    while window and cand[window[-1] - low] > v:
+                    v = cand[pushed]
+                    while window and cand[window[-1]] > v:
                         window.pop()
                     window.append(pushed)
                 while window[0] < lo:
                     window.popleft()
                 cells += 1
-                v = cand[window[0] - low]
+                v = cand[window[0]]
                 if v < INF:
                     costs[(d - b, b)] = v
         else:
             # naive: every state takes the minimum over its own window of the row
-            for b in states:
+            for b in range(1, d + 1):
                 lo = (b + 1) // 2
                 hi = min(b, half)
                 if lo > hi:
                     continue
                 cells += hi - lo + 1
-                v = min(cand[lo - low:hi - low + 1])
+                v = min(cand[lo:hi + 1])
                 if v < INF:
                     costs[(d - b, b)] = v
     return costs, cells
@@ -138,23 +148,22 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
 def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
     n = w.n
     costs, cells = _fill(w, mode)
+    suffix = w.suffix
     best = None
-    for b in range(1, max(1, 2 * n - 2) + 1):
-        v = costs.get((n, b))
-        if v is not None:
-            cand = (v, b)
+    for (m, b), v in costs.items():
+        if m + 2 * b >= n:
+            cells += 1
+            cand = (v + suffix[m] + suffix[m + b], 3 * b + m - n, b, m)
             if best is None or cand < best:
                 best = cand
-    if best is None:
-        raise NoFeasibleTree("no one-ended tree reaches all weights")
-    cost, b_final = best
-    sig: Sig = (n, b_final)
-    chain = [sig]
-    target = cost
+    cost, b_final, b, m = best
+    sig: Sig = (m + b, b)
+    chain = [(n, b_final), sig] if m + b < n else [sig]
+    target = cost - suffix[m + b]
     while sig != (0, 1):
         for pred in _oe_predecessors(sig):
             v = costs.get(pred)
-            if v is not None and v + w.suffix[pred[0]] == target:
+            if v is not None and v + suffix[pred[0]] == target:
                 break
         else:
             raise InternalInconsistency(f"no predecessor attains the cost of {sig}")

@@ -274,7 +274,7 @@ def _enumerate_glengths(w: WeightSeq, cspec: ChoiceLevelSpec, max_n: int) -> int
 
 
 def _enumerate_one_ended(w: WeightSeq, _spec, max_n: int) -> int:
-    budget = oracle.OracleBudget(max_n=min(max_n, 6), max_depth=w.n + 2)
+    budget = oracle.OracleBudget(max_n=max_n, max_depth=w.n + 2)
     return oracle.enumerate_one_ended(w, budget=budget)
 
 

@@ -274,6 +274,13 @@ class TestVerify:
         doc = json.loads(proc.stdout)
         assert doc["agree"] and doc["solver_cost"] == 4
 
+    def test_one_ended_reads_max_oracle_n(self):
+        # once capped at 6: "n=7 exceeds oracle budget 6", exit 5
+        proc = run_cli("verify", "--problem", "one-ended", "--weights", "5 4 3 3 2 1 1",
+                       "--max-oracle-n", "20")
+        doc = json.loads(proc.stdout)
+        assert doc["agree"] and doc["solver_cost"] == doc["oracle_cost"]
+
     @pytest.mark.parametrize("problem,extra", [
         ("huffman", ["--radix", "3"]),
         ("mixed-radix", ["--arities", "2 3"]),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,7 +6,10 @@ import pytest
 from helpers import random_weights
 
 from prefixcodes import (
+    OracleBudget,
+    bench,
     check_prefix_free,
+    enumerate_one_ended,
     normalize_weights,
     solve_one_ended,
 )
@@ -121,13 +125,16 @@ class TestSolvers:
                 bad = nxt
 
 
-# Weight draws for the agreement test.  Small ranges and all-equal weights
-# make many predecessor windows tie, which the batched fill must resolve to
-# the smallest b' exactly as the naive scan does.
+# Weight draws for the agreement, oracle and backtrace tests.  Small ranges,
+# all-equal weights and a geometric run ending in zeros make many predecessor
+# windows and finished chains tie, which both fills must resolve to the same
+# table and chain.
 WEIGHT_DRAWS = {
     "0..50": lambda rng, n: random_weights(rng, n),
+    "0..1": lambda rng, n: random_weights(rng, n, 0, 1),
     "0..2": lambda rng, n: random_weights(rng, n, 0, 2),
     "all-equal": lambda rng, n: [rng.randint(1, 50)] * n,
+    "geometric-zero-tail": lambda rng, n: [(1 << rng.randint(0, 12)) >> i for i in range(n)],
 }
 
 
@@ -161,22 +168,66 @@ class TestNaiveBatchedAgreement:
 
 class TestNaiveFill:
     def test_naive_fill_agrees_with_predecessor_enumeration(self):
-        # every state with a stored predecessor is stored, at the least stored
-        # cost plus W_m' over its enumerated predecessors, and nothing else is
-        # stored; the naive fill spends one cell per enumerated predecessor
+        # every state below diagonal n with a stored predecessor is stored, at
+        # the least stored cost plus W_m' over its enumerated predecessors, and
+        # nothing else is stored; the naive fill spends one cell per enumerated
+        # predecessor and the answer scan one per state it evaluates
         for name, draw in WEIGHT_DRAWS.items():
             rng = random.Random(43)
             for n in range(1, 13):
                 w = normalize_weights(draw(rng, n))
                 res = solve_one_ended(w, algorithm="naive")
                 costs = res.table.costs
-                sigs = [(m, b) for m in range(n + 1) for b in range(1, 2 * n) if (m, b) != (0, 1)]
+                sigs = [(m, b) for m in range(n) for b in range(1, n - m) if (m, b) != (0, 1)]
                 assert costs[(0, 1)] == 0, name
                 assert set(costs) - {(0, 1)} <= set(sigs), name
                 for sig in sigs:
                     cands = [costs[p] + w.suffix[p[0]] for p in _oe_predecessors(sig) if p in costs]
                     assert costs.get(sig) == (min(cands) if cands else None), (name, sig)
-                assert res.cells_updated == sum(len(_oe_predecessors(s)) for s in sigs), name
+                scanned = sum(1 for m, b in costs if m + 2 * b >= n)
+                assert res.cells_updated == sum(len(_oe_predecessors(s)) for s in sigs) + scanned, name
+
+
+@pytest.mark.parametrize("algorithm", ["naive", "batched"])
+def test_table_stops_below_diagonal_n(algorithm):
+    # any state with m + b >= n finishes within two levels of its
+    # predecessor, so the table holds only the seed and diagonals below n
+    n = 400
+    res = solve_one_ended(normalize_weights(bench.generate_weights(n, "geometric", 1)),
+                          algorithm=algorithm)
+    assert all(m + b < n for m, b in res.table.costs if (m, b) != (0, 1))
+    assert len(res.table.costs) < n * n // 2
+    if algorithm == "batched":
+        assert res.cells_updated == 158_593  # 119,400 fill + 39,193 scan
+
+
+def test_costs_match_enumeration():
+    # independent of the answer scan: the memoized shape enumeration
+    budget = OracleBudget(max_n=20, max_depth=22)
+    for name, draw in WEIGHT_DRAWS.items():
+        rng = random.Random(47)
+        for n in range(7, 21):
+            w = normalize_weights(draw(rng, n))
+            want = enumerate_one_ended(w, budget=budget)
+            for algorithm in ("naive", "batched"):
+                assert solve_one_ended(w, algorithm=algorithm, with_code=False).cost == want, \
+                    (name, n, algorithm)
+
+
+# SHA-256 over (cost, expansions, codewords) of the instances below, frozen
+# from the fill that swept every diagonal up to 3n - 1 and read the answer off
+# diagonal n.  A change to the tie-break key shows up here.
+BACKTRACE_SHA256 = "aa0f71904d6cd539a91de857264f9e2e59aafd2527c8a09bd7f24ad20b815abc"
+
+
+def test_backtraces_are_pinned():
+    digest = hashlib.sha256()
+    for draw in WEIGHT_DRAWS.values():
+        rng = random.Random(53)
+        for _ in range(30):
+            res = solve_one_ended(normalize_weights(draw(rng, rng.randint(1, 200))))
+            digest.update(repr((res.cost, res.expansions, res.codebook.words)).encode())
+    assert digest.hexdigest() == BACKTRACE_SHA256
 
 
 class TestAgainstWordSetEnumeration:
