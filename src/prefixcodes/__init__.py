@@ -40,7 +40,6 @@ from .gmr import (
 )
 from .one_ended import (
     OneEndedResult,
-    OneEndedTable,
     solve_one_ended,
 )
 from .oracle import (
@@ -81,7 +80,6 @@ __all__ = [
     "MixedRadixSpec",
     "NoFeasibleTree",
     "OneEndedResult",
-    "OneEndedTable",
     "OracleBudget",
     "PrefixCodeError",
     "ProblemResult",

@@ -30,6 +30,9 @@ from .problems import PROBLEMS, Params, solve
 
 _SPEC_ALIASES = {"binary": 2, "ternary": 3, "quaternary": 4}
 
+#: The exit code of each typed failure; any other handled error exits 2.
+_EXIT_CODES = ((NoFeasibleTree, 3), (ArityOverflow, 4), (BudgetExceeded, 5))
+
 #: The problem-parameter flags each problem reads; giving any other is an
 #: error rather than silently ignored.  gmr takes at most one of its three.
 _PROBLEM_FLAGS = {
@@ -103,51 +106,46 @@ def _given_flags(args, flags, allowed) -> list[str]:
     return given
 
 
-def _params(args, n: int) -> Params:
-    """The shared problem parameters from the command line.  ``--spec`` and
-    ``--spec-file`` describe gmr's levels."""
+def _params(args) -> Params:
+    """The shared problem parameters from the command line.  ``--spec NAME``
+    sets gmr's radix; ``--spec-file`` gives its levels."""
     allowed = _PROBLEM_FLAGS[args.problem]
     given = _given_flags(args, ("--radix", "--spec", "--spec-file", "--arities", "--lengths",
                                 "--g"), allowed)
     if args.problem == "gmr" and len(given) > 1:
         raise InvalidInput(f"gmr takes at most one of {', '.join(allowed)}; got {' '.join(given)}")
-    levels = None
-    if args.spec_file:
-        levels = _read_spec_file(args.spec_file)
-    elif args.spec:
-        levels = LevelSpec.constant(_SPEC_ALIASES[args.spec], 1, n)
+    radix = _SPEC_ALIASES[args.spec] if args.spec else args.radix
     return Params(
-        radix=2 if args.radix is None else args.radix,
+        radix=2 if radix is None else radix,
         arities=tuple(_parse_int_list(args.arities, "--arities")) if args.arities else None,
         lengths=tuple(_parse_int_list(args.lengths, "--lengths")) if args.lengths else None,
         g=args.g,
-        levels=levels,
+        levels=_read_spec_file(args.spec_file) if args.spec_file else None,
     )
+
+
+def _in_caller_order(items, order) -> list:
+    """``items`` in sorted weight order, put back in the caller's order."""
+    out = [None] * len(items)
+    for k, item in enumerate(items):
+        out[order[k]] = item
+    return out
 
 
 def _words_as_json(codebook, order):
     """Codewords in the caller's original weight order; digit strings when
     every symbol fits one character, symbol arrays otherwise."""
-    by_caller = [None] * len(codebook.words)
-    for k, word in enumerate(codebook.words):
-        by_caller[order[k]] = word
+    by_caller = _in_caller_order(codebook.words, order)
     if all(s < 10 for word in codebook.words for s in word):
         return ["".join(str(s) for s in word) for word in by_caller]
     return [list(word) for word in by_caller]
-
-
-def _lengths_as_json(codebook, order):
-    out = [0] * len(codebook.lengths)
-    for k, length in enumerate(codebook.lengths):
-        out[order[k]] = length
-    return out
 
 
 def cmd_solve(args) -> int:
     w = normalize_weights(_read_weights(args))
     want_code = args.output != "cost"
     start = time.perf_counter()
-    res = solve(args.problem, w, _params(args, w.n), algorithm=args.algorithm,
+    res = solve(args.problem, w, _params(args), algorithm=args.algorithm,
                 want_code=want_code)
     elapsed = time.perf_counter() - start
     dp = res.dp
@@ -157,7 +155,7 @@ def cmd_solve(args) -> int:
         "cost": dp.cost,
         "algorithm": args.algorithm,
         "cells_updated": dp.cells_updated,
-        "lengths": _lengths_as_json(res.codebook, w.order) if res.codebook else None,
+        "lengths": _in_caller_order(res.codebook.lengths, w.order) if res.codebook else None,
         "elapsed": elapsed if args.timing else None,
     }
     if args.output == "code":
@@ -175,7 +173,7 @@ def cmd_verify(args) -> int:
     if args.max_oracle_n < 1:
         raise ValueError(f"--max-oracle-n: must be at least 1, got {args.max_oracle_n}")
     w = normalize_weights(_read_weights(args))
-    params = _params(args, w.n)
+    params = _params(args)
     cost = solve(args.problem, w, params, algorithm=args.algorithm, want_code=False).dp.cost
     problem = PROBLEMS[args.problem]
     oracle_cost = problem.oracle(w, problem.levels(params, w.n), args.max_oracle_n)
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check the solver against an oracle")
     _add_common(p)
     p.add_argument("--max-oracle-n", type=int, default=8,
-                   help="enumeration budget (default 8; one-ended capped at 6)")
+                   help="largest n the exhaustive oracles enumerate (default 8)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling run; CSV on stdout")
@@ -280,18 +278,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoFeasibleTree as exc:
+    except (PrefixCodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ArityOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (PrefixCodeError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

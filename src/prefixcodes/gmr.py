@@ -84,9 +84,11 @@ Sig = tuple[int, int]
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Reachable signatures of one level and their exact minimum costs (keys
-    for a level-free tail, see ``DPResult``); predecessors and options are
-    recovered from these by ``backtrack``."""
+    """Reachable signatures of one level and their exact minimum costs;
+    predecessors and options are recovered from these by ``backtrack``.  A
+    level-free table covers ``level`` and every deeper level: the gmr tail
+    from level s holds keys (see ``DPResult``), and the one-ended table, at
+    level 0, the cost of every state it stores."""
 
     level: int
     costs: dict[Sig, int]
@@ -124,12 +126,17 @@ class DPResult:
 
 
 def _valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
-    """Validity of ``(m, b)`` on a level with the given arity."""
-    if m < 0 or b < 0:
-        return False
+    """Validity of a non-negative ``(m, b)`` on a level with the given arity."""
     if b > 0:
         return m + b <= n
     return max(n, arity) <= m <= n + arity - 1
+
+
+def _merge_min(costs: dict, pairs) -> None:
+    """Lower each ``costs[sig]`` to ``v`` over the ``(sig, v)`` pairs."""
+    for sig, v in pairs:
+        if v < costs.get(sig, UNREACHABLE):
+            costs[sig] = v
 
 
 def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
@@ -178,12 +185,6 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     cells = 0
     get = prev.get
     INF = UNREACHABLE
-
-    def merge(pairs):
-        for sig, v in pairs:
-            if v < costs.get(sig, INF):
-                costs[sig] = v
-
     batched = mode == "batched" and r <= n
     # batched: the finished states past n are full-window minima, counted as
     # a gamma evaluation plus a sweep step per candidate
@@ -234,10 +235,10 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
                 costs[(d, 0)] = v
                 zeros.append((d, v))
         if seeds:
-            merge(seeds.pop(d, ()))
+            _merge_min(costs, seeds.pop(d, ()))
     if seeds:
         for pairs in seeds.values():
-            merge(pairs)
+            _merge_min(costs, pairs)
     return costs, zeros, cells
 
 
@@ -311,10 +312,8 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
             best = min([best, *[(v, i, m) for m, v in zeros]])
             if costs is None:
                 costs = fill
-                continue
-            for key, v in fill.items():
-                if v < costs.get(key, UNREACHABLE):
-                    costs[key] = v
+            else:
+                _merge_min(costs, fill.items())
         if keep_tables:
             tables.append(LevelTable(i, costs))
         prev = costs

@@ -14,11 +14,11 @@ comes from a stored ``(m', b')`` with ``m' + b' < n <= m' + 2b'``.  Weighting
 all b' of its 1-children and then the remaining ``n - m' - b' <= b'`` weights
 finishes at ``c(m', b') + W_m' + W_{m'+b'}``, and no chain through
 ``(m', b')`` is cheaper, because W is non-increasing and the next m is at most
-``m' + b'``.  So ``_solve`` scans the stored states for the cheapest such
-two-level finish, ``(m', b') -> (m' + b', b') -> (n, 3b' + m' - n)``, ties
-going to the smaller final bad count and then the smaller b', and walks the
-chain down from its middle state.  (For n = 1 the seed finishes in one level,
-and ``W_1 = 0`` keeps the formula right.)
+``m' + b'``.  So ``solve_one_ended`` scans the stored states for the cheapest
+such two-level finish, ``(m', b') -> (m' + b', b') -> (n, 3b' + m' - n)``,
+ties going to the smaller final bad count and then the smaller b', and walks
+the chain down from its middle state.  (For n = 1 the seed finishes in one
+level, and ``W_1 = 0`` keeps the formula right.)
 
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
@@ -29,9 +29,9 @@ state.  The batched fill uses that both ends of the window only move up as b
 grows: a sliding-window minimum (a monotone deque) answers every state of the
 diagonal in amortized O(1).
 
-Both fills store costs only.  The chain walk in ``_solve`` recovers each
-step from the finished table: among ``_oe_predecessors`` of a state, the first
-(smallest b') whose cost plus W_m' equals the state's cost wins ties.
+Both fills store costs only.  The chain walk in ``solve_one_ended`` recovers
+each step from the finished table: among ``_oe_predecessors`` of a state, the
+first (smallest b') whose cost plus W_m' equals the state's cost wins ties.
 """
 
 from __future__ import annotations
@@ -41,15 +41,9 @@ from dataclasses import dataclass
 
 from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
 from .errors import InternalInconsistency
+from .gmr import LevelTable
 
 Sig = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class OneEndedTable:
-    """The finished level-free table: minimum cost of every reachable state."""
-
-    costs: dict[Sig, int]
 
 
 @dataclass(frozen=True)
@@ -57,15 +51,15 @@ class OneEndedResult:
     cost: int
     codebook: CodeBook | None
     expansions: tuple[Sig, ...]
-    table: OneEndedTable | None  # None for cost-only solves
+    table: LevelTable | None  # level-free from level 0; None for cost-only solves
     cells_updated: int
 
 
 def _oe_predecessors(sig: Sig) -> list[Sig]:
     """States that expand to ``sig``: m = m' + 2b' - b with b/2 <= b' <= b.
 
-    Ascending b' order; every predecessor is lexicographically smaller than
-    ``sig`` (m' < m, or m' = m with b = 2b').
+    Ascending b' order; each predecessor lies on the smaller diagonal
+    ``m + b - b'``, which the fill has finished.
     """
     m, b = sig
     d = m + b
@@ -132,11 +126,10 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
         goods = expansions[step][0] - expansions[step - 1][0]
         ones = [p + (1,) for p in bad]
         words.extend(ones[:goods])
-        taken = set(range(goods))
         nxt = []
         for k, p in enumerate(bad):
             nxt.append(p + (0,))
-            if k not in taken:
+            if k >= goods:
                 nxt.append(p + (1,))
         if len(nxt) != expansions[step][1]:
             raise InternalInconsistency("bad-node count diverged from the signature chain")
@@ -145,9 +138,14 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
     return CodeBook(words=tuple(words), lengths=tuple(len(word) for word in words), cost=cost)
 
 
-def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
+def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
+                    with_code: bool = True) -> OneEndedResult:
+    """Diagonal-batched solver with a sliding-window minimum, or with
+    ``algorithm="naive"`` a direct minimum over each state's predecessor
+    window.  The DP table is kept only when ``with_code``."""
+    check_algorithm(algorithm)
     n = w.n
-    costs, cells = _fill(w, mode)
+    costs, cells = _fill(w, algorithm)
     suffix = w.suffix
     best = None
     for (m, b), v in costs.items():
@@ -180,15 +178,6 @@ def _solve(w: WeightSeq, mode: str, with_code: bool) -> OneEndedResult:
         cost=cost,
         codebook=codebook,
         expansions=expansions,
-        table=OneEndedTable(costs) if with_code else None,
+        table=LevelTable(0, costs) if with_code else None,
         cells_updated=cells,
     )
-
-
-def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
-                    with_code: bool = True) -> OneEndedResult:
-    """Diagonal-batched solver with a sliding-window minimum, or with
-    ``algorithm="naive"`` a direct minimum over each state's predecessor
-    window.  The DP table is kept only when ``with_code``."""
-    check_algorithm(algorithm)
-    return _solve(w, algorithm, with_code)

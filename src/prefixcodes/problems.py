@@ -186,7 +186,8 @@ def _mixed_levels(p: Params, n: int) -> LevelSpec:
 
 
 def _meta_arity(r: int, gap: int) -> int:
-    if gap * (r.bit_length() - 1) >= _MAX_ARITY_BITS or gap * r.bit_length() > 8 * _MAX_ARITY_BITS:
+    # r**gap has more than gap * (r.bit_length() - 1) bits; refuse before building it
+    if gap * (r.bit_length() - 1) >= _MAX_ARITY_BITS:
         raise ArityOverflow(f"{r}**{gap} exceeds the supported arity range")
     meta = r**gap
     if meta.bit_length() > _MAX_ARITY_BITS:
@@ -262,8 +263,10 @@ def _solve_one_ended(w: WeightSeq, *, algorithm: str, want_code: bool) -> Proble
 
 
 def _enumerate_levels(w: WeightSeq, spec: LevelSpec, max_n: int) -> int:
+    """Enumerate at most n levels: d = m + b grows by at least 1 per level, so
+    no optimal tree over n weights is deeper (see ``gmr._tail_start``)."""
     budget = oracle.OracleBudget(max_n=max_n, max_depth=max(max_n, 8))
-    return oracle.enumerate_gmr(w, spec, spec.num_levels, budget)
+    return oracle.enumerate_gmr(w, spec, min(spec.num_levels, w.n), budget)
 
 
 def _enumerate_glengths(w: WeightSeq, cspec: ChoiceLevelSpec, max_n: int) -> int:

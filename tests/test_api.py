@@ -29,7 +29,6 @@ PUBLIC = [
     "MixedRadixSpec",
     "NoFeasibleTree",
     "OneEndedResult",
-    "OneEndedTable",
     "OracleBudget",
     "PrefixCodeError",
     "ProblemResult",

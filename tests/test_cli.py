@@ -48,6 +48,7 @@ class TestSolve:
         doc = solve_json("--problem", "huffman", "--weights", "1 3 2")
         # weight 3 gets the shortest word, order follows the input
         assert doc["lengths"] == [2, 1, 2]
+        assert doc["codewords"] == ["11", "0", "10"]
 
     def test_mixed_radix(self):
         doc = solve_json("--problem", "mixed-radix", "--arities", "4",
@@ -135,6 +136,13 @@ class TestWeightInputs:
         proc = run_cli("solve", "--problem", "huffman", "--weights-file", str(path), expect=2)
         assert f"{path}: line 4: 'x' is not an integer" in proc.stderr
 
+    def test_malformed_json_array_is_2(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("[1, 2")
+        proc = run_cli("solve", "--problem", "huffman", "--weights-file", str(path), expect=2)
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
     def test_negative_weight(self):
         run_cli("solve", "--problem", "huffman", "--weights", "3 -1", expect=2)
 
@@ -150,6 +158,12 @@ class TestExitCodes:
     def test_overflow_is_4(self):
         run_cli("solve", "--problem", "reserved-given", "--lengths", "1 1000",
                 "--weights", "1 1", expect=4)
+
+    def test_overflow_past_the_bit_length_estimate_is_4(self):
+        # gap 200 passes the cheap bit estimate (200 * 1 < 257); 3**200 has 317 bits
+        proc = run_cli("solve", "--problem", "reserved-given", "--radix", "3",
+                       "--lengths", "1 201", "--weights", "1 1", expect=4)
+        assert "3**200 exceeds the supported arity range" in proc.stderr
 
     def test_budget_is_5(self):
         run_cli("verify", "--problem", "gmr",
@@ -268,6 +282,16 @@ class TestVerify:
                        "--weights", "3 2 1 1")
         doc = json.loads(proc.stdout)
         assert doc["agree"] and doc["solver_cost"] == doc["oracle_cost"] == 13
+
+    def test_gmr_spec_file_longer_than_the_oracle_budget(self, tmp_path):
+        # once "max_level=10 exceeds oracle budget 8", exit 5; 3 weights need
+        # at most 3 levels
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps([[2, 1]] * 10))
+        proc = run_cli("verify", "--problem", "gmr", "--spec-file", str(path),
+                       "--weights", "3 2 1")
+        doc = json.loads(proc.stdout)
+        assert doc["agree"] and doc["oracle_cost"] == 9
 
     def test_one_ended(self):
         proc = run_cli("verify", "--problem", "one-ended", "--weights", "2 1")

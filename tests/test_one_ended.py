@@ -6,6 +6,7 @@ import pytest
 from helpers import random_weights
 
 from prefixcodes import (
+    LevelTable,
     OracleBudget,
     bench,
     check_prefix_free,
@@ -151,6 +152,7 @@ class TestNaiveBatchedAgreement:
                 assert rb.expansions == rn.expansions, name
                 assert rb.table.costs == rn.table.costs, name
         assert solve_one_ended(w, with_code=False).table is None
+        assert isinstance(rb.table, LevelTable) and rb.table.level == 0
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_long_windows(self, n):
