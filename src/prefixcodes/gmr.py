@@ -26,6 +26,13 @@ DP and Larmore & Hirschberg's package-merge work only on reachable states.
 ``cutoff=False`` selects the paper's full, dense fill, which visits every
 diagonal; it stores the same tables and counts more cells.
 
+A cut-off solve with no level-free tail keeps on level i only the states
+that can still finish, ``(m, b)`` with ``m + b * cap_i >= n``: ``cap_i`` is
+``min(n, product of the largest arity of each level after i)``, and 0 on the
+spec's last level, which so keeps only finished trees.  A dropped state
+reaches no finished state, so it lies on no chain to the answer, and no
+answer or backtrace moves.
+
 A finished state ``(m, 0)`` with ``m >= n`` may also be the previous
 level's ``(m, 0)`` carried down at the same cost: ``W_m = 0``, so that tree
 pays no further edge.
@@ -108,7 +115,9 @@ class DPResult:
     level-free tail from level s on has ``levels_filled == s``, and
     ``tables[s]`` (its ``level`` is s) covers levels s and deeper: its values
     are keys ``cost * (2n + 2) + level``, the least per signature over levels
-    ``s - 1`` and deeper.  One-ended answers, whose DP has no levels, leave
+    ``s - 1`` and deeper.  Without a tail, a cut-off table holds only the
+    states that can still finish, the spec's last level only finished ones
+    (see ``_solve``).  One-ended answers, whose DP has no levels, leave
     ``levels_filled`` None.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
@@ -140,7 +149,7 @@ def _merge_min(costs: dict, pairs) -> None:
 
 
 def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
-                costs: dict | None = None, seeds: dict | None = None):
+                costs: dict | None = None, seeds: dict | None = None, cap: int | None = None):
     """Fill one level from the previous one.
 
     Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
@@ -178,6 +187,12 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     state (that needs ``m' + b' * r <= n`` with ``b' >= 1``), so the
     per-state scan of the finished diagonals handles it alone: each
     ``(m, 0)`` then has the two candidates ``(m, 0)`` and ``(m - r, 1)``.
+
+    With ``cap`` (see ``_solve``) a diagonal ``d < n`` stores only
+    ``b >= ceil((n - d) / (cap - 1))``: the naive mode skips lower b, and the
+    batched sweep stops there and builds no candidate it would not read.
+    With ``cap == 0`` only finished states are stored, diagonal n's by the
+    per-state scan, which takes the minimum of that whole row.
     """
     if costs is None:
         costs = {}
@@ -189,6 +204,8 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     # batched: the finished states past n are full-window minima, counted as
     # a gamma evaluation plus a sweep step per candidate
     first, per_candidate = (n + 1, 2) if batched else (max(n, r), 1)
+    if cap == 0:  # the spec's last level: finished states only, (n, 0) by the scan
+        first = max(n, r)
     if dense:
         reach = {d: d // r for d in chain(range(1, n + 1), range(max(n + 1, r), n + r))}
     else:
@@ -199,13 +216,23 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
                 reach[d] = b
         reach = dict(sorted(reach.items()))
     for d, B in reach.items():
-        if d <= n:
-            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(B + 1)]
+        # the least b stored on diagonal d: a lower one cannot finish
+        if cap == 0:
+            low = r * B + 1
+        elif cap is None or d >= n:
+            low = 0
+        else:
+            low = (n - d + cap - 2) // (cap - 1)
+        if d <= n and low <= r * B:
+            q = -(-low // r)  # no window of a stored state reaches below b' = q
+            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(q, B + 1)]
+            if q:
+                cand = [INF] * q + cand
             if batched:
                 t = d - r * B
-                cells += (B + 1) + (d - t + 1)
+                cells += (B + 1 - q) + (d - low - t + 1)
                 best = INF
-                for m in range(t, d + 1):
+                for m in range(t, d - low + 1):
                     rem = d - m
                     if rem % r == 0:
                         v = cand[rem // r]
@@ -220,7 +247,7 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
             else:
                 # naive: every entry scans its own predecessor window of the
                 # row, in ascending m as the sweep stores them
-                for b in range(r * B, 0, -1):
+                for b in range(r * B, max(low, 1) - 1, -1):
                     lo = (b + r - 1) // r
                     cells += B + 1 - lo
                     v = min(cand[lo:])
@@ -277,9 +304,14 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     level.  Each level fills only the diagonals its previous level reaches
     (see ``_fill_level``).
 
+    Without a tail, level i keeps only the states ``(m, b)`` with
+    ``m + b * cap_i >= n`` (see the module docstring): a tagged node becomes
+    at most ``cap_i`` leaves in the levels left.  The rule only drops states,
+    so the loop stops at the same level or an earlier one.
+
     ``cutoff=False`` selects the paper's full, dense fill, as the complexity
     harness measures: every level of the spec, every diagonal of each level,
-    and no level-free tail.
+    every state, and no level-free tail.
 
     Where ``_tail_start`` finds a constant tail from level s on, the loop
     fills levels ``1 .. s - 1`` only.  From level s on a state's future does
@@ -297,6 +329,13 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     n = w.n
     choice = isinstance(spec, ChoiceLevelSpec)
     tail = _tail_start(spec, n) if cutoff else None
+    caps = {}
+    if cutoff and tail is None:
+        caps[spec.num_levels] = 0
+        prod = 1
+        for i in range(spec.num_levels, 1, -1):
+            prod = min(n, prod * max(r for r, _ in _level_options(spec, i)))
+            caps[i - 1] = prod
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
     best = (UNREACHABLE,)  # (cost, level, n');  tuple order implements the tie-break
@@ -305,7 +344,8 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     for i in range(1, spec.num_levels + 1 if tail is None else tail):
         costs = None
         for r, c in _level_options(spec, i):
-            fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff)
+            fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff,
+                                         cap=caps.get(i))
             cells += k + len(fill) if choice else k
             # the best finished state over all options is the best over each
             # option's own finished states

@@ -1,9 +1,10 @@
 """Independent ground-truth generators for validating the solvers.
 
 These are intentionally naive: exhaustive enumeration over small instances
-plus the classical greedy Huffman merge.  They share only the cost evaluator
-in :mod:`prefixcodes.core` with the dynamic-programming solvers, never any DP
-code, so agreement between the two is a meaningful check.
+plus the classical greedy Huffman merge.  They share only the level depths
+and weight suffix sums of :mod:`prefixcodes.core` with the
+dynamic-programming solvers, never any DP code, so agreement between the two
+is a meaningful check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .core import ChoiceLevelSpec, LeafSequence, LevelSpec, WeightSeq, cost_of_leaf_sequence
+from .core import ChoiceLevelSpec, LevelSpec, WeightSeq
 from .errors import BudgetExceeded, InvalidInput, NoFeasibleTree
 
 
@@ -35,10 +36,14 @@ def enumerate_gmr(
 ) -> int:
     """Minimum cost over every realizable leaf sequence with exactly n leaves.
 
-    Depth-first search over per-level leaf counts.  The available-slot count
-    is capped at the number of weights still unplaced; that never excludes an
-    optimal sequence (spare capacity beyond the remaining need is never
-    binding, since arities are >= 2) and keeps the state space finite.
+    A memoized recursion over per-level leaf counts: weights go
+    shallowest-first, so the x leaves of level i take weights ``placed ..
+    placed + x - 1`` and cost ``depth(i) * (W_placed - W_placed+x)``, and the
+    cheapest completion depends only on ``(level, available slots, placed)``.
+    The available-slot count is capped at the number of weights still
+    unplaced; that never excludes an optimal sequence (spare capacity beyond
+    the remaining need is never binding, since arities are >= 2) and keeps
+    the state space finite.
     """
     budget = budget or OracleBudget()
     n = w.n
@@ -49,33 +54,28 @@ def enumerate_gmr(
     if spec.num_levels < max_level:
         raise InvalidInput("level spec does not cover max_level")
 
-    best: list[int | None] = [None]
-    counts: dict[int, int] = {}
-
-    def dfs(level: int, avail: int, placed: int) -> None:
-        if placed == n:
-            cost = cost_of_leaf_sequence(LeafSequence(counts), w, spec)
-            if best[0] is None or cost < best[0]:
-                best[0] = cost
-            return
+    @functools.cache
+    def rest(level: int, avail: int, placed: int):
+        """Least cost of placing weights ``placed ..`` from ``level`` on;
+        infinite when impossible."""
         if level > max_level:
-            return
+            return math.inf
         need = n - placed
+        best = math.inf
         for x in range(min(avail, need) + 1):
-            if x:
-                counts[level] = x
-            if level < max_level:
+            cost = spec.depth(level) * (w.suffix[placed] - w.suffix[placed + x])
+            if x < need:
+                if level == max_level:
+                    continue
                 nxt = min((avail - x) * spec.arity(level + 1), need - x)
-                dfs(level + 1, nxt, placed + x)
-            elif x == need:
-                dfs(level + 1, 0, n)
-            if x:
-                del counts[level]
+                cost += rest(level + 1, nxt, placed + x)
+            best = min(best, cost)
+        return best
 
-    dfs(1, min(spec.arity(1), n), 0)
-    if best[0] is None:
+    best = rest(1, min(spec.arity(1), n), 0)
+    if best == math.inf:
         raise NoFeasibleTree(f"no tree with {n} leaves fits within {max_level} levels")
-    return best[0]
+    return best
 
 
 def enumerate_one_ended(

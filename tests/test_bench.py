@@ -2,14 +2,19 @@ import os
 
 import pytest
 
-from prefixcodes import bench, cli, normalize_weights, problems
+from prefixcodes import LevelSpec, bench, cli, normalize_weights, problems
 
 # stdout of ``prefixcodes bench --problem P --sizes "8 16 50" --algorithms
 # "naive batched" --seed 3`` for each problem in turn, CSV rows with their
-# "# params" and "# slope" lines.  Regenerate it only for an intended change
-# to the fills, the cell counts or the CSV layout.
+# "# params" and "# slope" lines.  Regenerate it (``regen_golden.py``) only
+# for an intended change to the fills, the cell counts or the CSV layout.
 GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data", "bench_golden.csv")
 GOLDEN_PROBLEMS = ("gmr", "huffman", "mixed-radix", "reserved-given", "reserved-g", "one-ended")
+
+
+def bench_argv(problem):
+    return ["bench", "--problem", problem, "--sizes", "8 16 50",
+            "--algorithms", "naive batched", "--seed", "3"]
 
 # cells_updated of the full-depth fill (cutoff=False) at n = 50.  Bench CSV
 # rows, demo 05 and acceptance criterion 6 read these counts, so they must
@@ -38,21 +43,37 @@ def test_one_ended_scaling_cells():
 def test_reserved_given_cut_off_fill_visits_only_reached_diagonals():
     # a plain solve fills only the diagonals the previous level reaches: the
     # three binary levels keep at most 8 states, and each feeds one diagonal
-    # of the meta level.  The full-depth fill above visits every diagonal.
+    # of the meta level.  That meta level is the spec's last, so only its
+    # finished states are filled.  The full-depth fill above visits every
+    # diagonal.
     n = 1600
     w = normalize_weights(bench.generate_weights(n, "zipf", seed=1))
     params = problems.Params(radix=2, lengths=bench.reserved_given_lengths(n))
     cut, full = (problems.solve("reserved-given", w, params, algorithm="batched",
                                 want_code=False, cutoff=cutoff).dp for cutoff in (True, False))
     assert cut.cost == full.cost
-    assert cut.cells_updated == 13_983
+    assert cut.cells_updated == 67
     assert full.cells_updated == 6_669_825
     assert cut.cells_updated < full.cells_updated / 100
 
 
+@pytest.mark.parametrize("name,n,dist,params,levels,cells", [
+    ("reserved-g", 400, "uniform", problems.Params(radix=2, g=2), 2, 2_840),
+    ("gmr", 1000, "zipf", problems.Params(levels=LevelSpec.constant(2, 1, 10)), 10, 2_279),
+])
+def test_cut_off_fill_keeps_only_states_that_can_finish(name, n, dist, params, levels, cells):
+    # with fewer levels than n and no level-free tail, a level keeps only the
+    # states that can still reach n leaves in the levels left, and the spec's
+    # last level only finished trees
+    w = normalize_weights(bench.generate_weights(n, dist, 1))
+    assert problems.solve(name, w, params, want_code=False).dp.cells_updated == cells
+    dp = problems.solve(name, w, params).dp
+    assert dp.cells_updated == cells and dp.levels_filled == levels == len(dp.tables) - 1
+    assert dp.tables[-1].costs and all(b == 0 for _, b in dp.tables[-1].costs)
+
+
 def test_bench_csv_is_pinned(capsysbinary):
     for problem in GOLDEN_PROBLEMS:
-        assert cli.main(["bench", "--problem", problem, "--sizes", "8 16 50",
-                         "--algorithms", "naive batched", "--seed", "3"]) == 0
+        assert cli.main(bench_argv(problem)) == 0
     with open(GOLDEN_CSV, "rb") as fh:
         assert capsysbinary.readouterr().out == fh.read()

@@ -84,10 +84,15 @@ class TestPerOptionFill:
     """One option's level fill, seen through a single-option choice level."""
 
     def test_root_expansion_binary(self):
+        # the full fill keeps every state; the default one fills the spec's
+        # last level with finished states only
         w = normalize_weights([1, 1])
+        cspec = ChoiceLevelSpec([TWO_OPTIONS[:1]])
         for algorithm in ("naive", "batched"):
-            res = solve_choice(w, ChoiceLevelSpec([TWO_OPTIONS[:1]]), algorithm=algorithm)
+            res = solve_choice(w, cspec, algorithm=algorithm, cutoff=False)
             assert res.tables[1].costs == {(0, 2): 2, (1, 1): 2, (2, 0): 2}
+            res = solve_choice(w, cspec, algorithm=algorithm)
+            assert res.tables[1].costs == {(2, 0): 2}
 
     def test_root_expansion_wide(self):
         w = normalize_weights([1, 1])
@@ -100,9 +105,10 @@ class TestPerOptionFill:
         # costs 4 and is reached through option 1 only
         w = normalize_weights([1, 1])
         cspec = ChoiceLevelSpec([TWO_OPTIONS])
+        res = solve_choice(w, cspec, cutoff=False)
+        assert res.tables[1].costs == {(0, 2): 2, (1, 1): 2, (2, 0): 2, (4, 0): 4}
         res = solve_choice(w, cspec)
-        table = res.tables[1]
-        assert table.costs == {(0, 2): 2, (1, 1): 2, (2, 0): 2, (4, 0): 4}
+        assert res.tables[1].costs == {(2, 0): 2, (4, 0): 4}
         assert backtrack(res.tables, (1, 4, 4), cspec, w)[2] == (1,)
         assert res.options == (0,)
 

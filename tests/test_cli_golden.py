@@ -3,7 +3,8 @@ output mode and algorithm on two small instances.
 
 The pinned bytes include ``cells_updated`` and ``options``, so any change to
 the fill, the backtrack or the JSON layout shows up here.  The expected
-documents live in ``data/cli_golden.json``.
+documents live in ``data/cli_golden.json``; ``regen_golden.py`` re-pins
+them when only counts move.
 """
 
 import json
@@ -40,10 +41,13 @@ def _key(problem, weights, output, algorithm):
     return f"{problem}|{weights}|{output}|{algorithm}"
 
 
-def _solve_stdout(capsys, problem, weights, output, algorithm):
-    argv = ["solve", "--problem", problem, "--weights", weights, *PROBLEM_ARGS[problem],
+def solve_argv(problem, weights, output, algorithm):
+    return ["solve", "--problem", problem, "--weights", weights, *PROBLEM_ARGS[problem],
             "--output", output, "--algorithm", algorithm]
-    assert cli.main(argv) == 0
+
+
+def _solve_stdout(capsys, problem, weights, output, algorithm):
+    assert cli.main(solve_argv(problem, weights, output, algorithm)) == 0
     return capsys.readouterr().out
 
 

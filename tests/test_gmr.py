@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,9 +22,11 @@ from prefixcodes import (
     LevelSpec,
     MixedRadixSpec,
     NoFeasibleTree,
+    OracleBudget,
     ReservedSpec,
     check_prefix_free,
     cost_of_leaf_sequence,
+    enumerate_gmr,
     huffman_greedy,
     leafseq_to_codewords,
     normalize_weights,
@@ -404,14 +407,25 @@ def _wide_instances(seed: int, per_draw: int):
             yield w, spec
 
 
+def _caps(spec, n: int) -> list[int]:
+    """``cap_i`` for levels ``i = 0 .. L``: the most leaves one tagged
+    level-i node can still become, ``min(n, product of the largest arity of
+    each level after i)``, and 0 on the last level, which no level follows."""
+    widest = [max(r for r, _ in spec.options(i)) if isinstance(spec, ChoiceLevelSpec)
+              else spec.arity(i) for i in range(1, spec.num_levels + 1)]
+    return [min(n, math.prod(widest[i:])) for i in range(spec.num_levels)] + [0]
+
+
 def _cut_and_full(w, spec):
     """Solve ``(w, spec)`` with both fills, cut off and full-depth; None if
     it has no feasible tree.  The cut-off solves give the full ones' answer,
-    backtrace and options for no more cells, and their leveled tables are a
-    prefix of the full ones, entry for entry in insertion order (ascending
-    diagonal, then m); a level-free tail holds every deeper level's minimum
-    key.  Naive and batched tables agree in insertion order too.  Returns
-    the batched ``(cut, full)`` pair."""
+    backtrace and options for no more cells.  Without a level-free tail,
+    each cut-off leveled table holds, entry for entry in insertion order
+    (ascending diagonal, then m), the full table's entries ``(m, b)`` that
+    can still finish, ``m + b * cap_i >= n`` (see ``_caps``); with one, the
+    tables before the tail equal the full ones and the tail holds every
+    deeper level's minimum key.  Naive and batched tables agree in insertion
+    order too.  Returns the batched ``(cut, full)`` pair."""
     try:
         _solve_any(w, spec, "batched", keep_tables=False, cutoff=False)
     except NoFeasibleTree:
@@ -435,7 +449,9 @@ def _cut_and_full(w, spec):
         full_items = [list(t.costs.items()) for t in full.tables]
         s = cut_tail_start(cut, spec, w.n)
         if s is None:
-            assert cut_items == full_items[:len(cut_items)]
+            caps = _caps(spec, w.n)
+            assert cut_items == [[(sig, v) for sig, v in items if sig[0] + sig[1] * cap >= w.n]
+                                 for items, cap in zip(full_items, caps[:len(cut_items)])]
         else:
             assert cut_items[:s] == full_items[:s]
             assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
@@ -500,6 +516,14 @@ def _package_merge_cost(weights, L: int) -> int:
     return sum(current[:2 * len(weights) - 2])
 
 
+def _assert_code_of_cost(codebook, w, spec, cost):
+    """A prefix-free codebook whose words, weights shallowest-first, cost
+    ``cost`` under ``spec``."""
+    assert len(codebook.words) == w.n and check_prefix_free(codebook.words)
+    assert codebook.cost == cost
+    assert sum(p * spec.depth(len(word)) for p, word in zip(w.weights, codebook.words)) == cost
+
+
 class TestPackageMerge:
     """L binary unit-edge levels are length-limited coding.  With L < n no
     level-free tail runs, so the leveled fill is checked far past the
@@ -516,6 +540,51 @@ class TestPackageMerge:
                 expected = _package_merge_cost(list(w.weights), L)
                 for solve in (solve_naive, solve_batched):
                     assert solve(w, BINARY(L), keep_tables=False).cost == expected
+                res = problems.solve("gmr", w, problems.Params(levels=BINARY(L)))
+                _assert_code_of_cost(res.codebook, w, BINARY(L), expected)
+                assert max(res.codebook.lengths) <= L
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_length_limited_binary_with_code_at_scale(self, n):
+        # with L near log2 n the levels keep only states that can still
+        # reach n leaves, so these solves take milliseconds
+        rng = random.Random(n)
+        for hi in (1, 10**6):
+            w = normalize_weights(random_weights(rng, n, 0, hi))
+            shortest = (n - 1).bit_length()
+            for L in (shortest, shortest + 1):
+                res = problems.solve("gmr", w, problems.Params(levels=BINARY(L)))
+                _assert_code_of_cost(res.codebook, w, BINARY(L),
+                                     _package_merge_cost(list(w.weights), L))
+                assert max(res.codebook.lengths) <= L
+
+
+class TestOracleBeyondTheExhaustiveRange:
+    def test_random_short_specs_match_the_memoized_oracle(self):
+        # specs shorter than n, where the fill keeps only states that can
+        # still finish, against the level-count oracle at n up to 40
+        rng = random.Random(909)
+        budget = OracleBudget(max_n=40, max_depth=6)
+        feasible = infeasible = 0
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            spec = LevelSpec([(rng.randint(2, 6), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 6))])
+            w = normalize_weights(random_weights(rng, n, 0, rng.choice([1, 50, 10**6])))
+            try:
+                expected = enumerate_gmr(w, spec, spec.num_levels, budget)
+            except NoFeasibleTree:
+                infeasible += 1
+                for solve in (solve_naive, solve_batched):
+                    with pytest.raises(NoFeasibleTree):
+                        solve(w, spec, keep_tables=False)
+                continue
+            feasible += 1
+            for solve in (solve_naive, solve_batched):
+                assert solve(w, spec, keep_tables=False).cost == expected
+            res = problems.solve("gmr", w, problems.Params(levels=spec))
+            _assert_code_of_cost(res.codebook, w, spec, expected)
+        assert feasible >= 50 and infeasible >= 10
 
 
 def _tail_instances(seed: int, per_draw: int):
