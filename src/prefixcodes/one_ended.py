@@ -14,20 +14,41 @@ comes from a stored ``(m', b')`` with ``m' + b' < n <= m' + 2b'``.  Weighting
 all b' of its 1-children and then the remaining ``n - m' - b' <= b'`` weights
 finishes at ``c(m', b') + W_m' + W_{m'+b'}``, and no chain through
 ``(m', b')`` is cheaper, because W is non-increasing and the next m is at most
-``m' + b'``.  So ``solve_one_ended`` scans the stored states for the cheapest
-such two-level finish, ``(m', b') -> (m' + b', b') -> (n, 3b' + m' - n)``,
-ties going to the smaller final bad count and then the smaller b', and walks
-the chain down from its middle state.  (For n = 1 the seed finishes in one
-level, and ``W_1 = 0`` keeps the formula right.)
+``m' + b'``.  So the answer is the cheapest such two-level finish,
+``(m', b') -> (m' + b', b') -> (n, 3b' + m' - n)``, ties going to the smaller
+final bad count and then the smaller b'; ``solve_one_ended`` walks the chain
+down from its middle state.  (For n = 1 the seed finishes in one level, and
+``W_1 = 0`` keeps the formula right.)
+
+The same sum bounds every state from below: a state ``(m, b)`` below
+diagonal n needs two more expansions, which cost at least W_m and then
+``W_{m+b}``.  The bound is consistent (as A*'s heuristics are): a child
+``(m_s, b_s)`` has ``m_s <= m + b``, so its cost ``c + W_m`` plus its own bound
+is at least ``c + W_m + W_{m+b}``.  ``_fill`` therefore keeps a running upper
+bound UB, the least two-level finish of the states stored so far with
+``m + 2b >= n`` (the seed's when ``n <= 2``), and stores a state only if
+``c + W_m + W_{m+b} <= UB``.  A dropped state's descendants would all be
+dropped, so every stored state keeps the cost and the tied predecessors it has
+in the full table, and every state of an optimal chain is stored: its bound
+is at most the optimum.  The answer scan is that running minimum, taken
+inside the fill with the tie key ``(finish, 3b + m - n, b, m)``.
 
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
 ``_fill`` builds the diagonal's candidate row once, and a state's
 predecessors form the window ceil(b/2) <= b' <= min(b, floor(d/2))
-of that row.  The naive fill takes each window's minimum directly, O(n) per
-state.  The batched fill uses that both ends of the window only move up as b
-grows: a sliding-window minimum (a monotone deque) answers every state of the
-diagonal in amortized O(1).
+of that row.  The fill records each diagonal's kept b range, builds the row
+only from the least to the greatest b' whose predecessor lies in its
+diagonal's range, ``[plo, phi]``, and sweeps only the b whose window meets
+it, ``plo <= b <= 2 phi``.  From ``b = phi`` on the window's upper end stays
+at phi, so neither gamma's window minimum nor W_m can fall: the first state
+there that fails the bound ends the sweep.  The naive fill takes each
+window's minimum directly, O(n) per state.  The batched fill uses that both
+ends of the window only move up as b grows: a sliding-window minimum (a
+monotone deque) answers every state of the diagonal in amortized O(1).
+``cells_updated`` counts one cell per candidate built and per state swept in
+the batched fill, one per window entry read in the naive one; the answer
+scan adds none.
 
 Both fills store costs only.  The chain walk in ``solve_one_ended`` recovers
 each step from the finished table: among ``_oe_predecessors`` of a state, the
@@ -51,7 +72,9 @@ class OneEndedResult:
     cost: int
     codebook: CodeBook | None
     expansions: tuple[Sig, ...]
-    table: LevelTable | None  # level-free from level 0; None for cost-only solves
+    # level-free from level 0, only the states whose two-level bound stayed
+    # within the running best finish; None for cost-only solves
+    table: LevelTable | None
     cells_updated: int
 
 
@@ -67,50 +90,75 @@ def _oe_predecessors(sig: Sig) -> list[Sig]:
 
 
 def _fill(w: WeightSeq, mode: str):
+    """The pruned table, the least tie key ``(finish, 3b + m - n, b, m)`` of
+    its two-level finishes and the cells spent (see the module docstring)."""
     n = w.n
     INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
     get = costs.get
     suffix = w.suffix
+    best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else None
+    # the least and greatest kept b of each diagonal: 0 is empty, 1 the seed
+    kept_lo = [0, 1] + [0] * n
+    kept_hi = [-1, 1] + [-1] * n
     batched = mode == "batched"
     cells = 0
     for d in range(2, n):
+        # [plo, phi]: from the least to the greatest b' whose predecessor
+        # (d - 2b', b') lies in its diagonal's kept range
         half = d // 2
-        # cand[bp] = gamma(bp); cand[0] is never read (no state has b = 0)
-        cand = [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp] for bp in range(half + 1)]
+        plo = 1
+        while plo <= half and not kept_lo[d - plo] <= plo <= kept_hi[d - plo]:
+            plo += 1
+        if plo > half:
+            continue
+        phi = half
+        while not kept_lo[d - phi] <= phi <= kept_hi[d - phi]:
+            phi -= 1
+        # cand[bp] = gamma(bp); no window reads below plo
+        cand = [INF] * plo
+        cand += [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp]
+                 for bp in range(plo, phi + 1)]
+        limit = (best[0] if best else INF) - suffix[d]  # store iff gamma + W_m <= limit
+        first = last = 0
         if batched:
-            cells += half
+            cells += phi - plo + 1
             window: deque[int] = deque()  # b' ascending, gamma non-decreasing
-            pushed = 0
-            for b in range(1, d + 1):
-                lo = (b + 1) // 2
-                hi = min(b, half)
-                if lo > hi:
-                    continue
-                while pushed < hi:
-                    pushed += 1
-                    v = cand[pushed]
+        for b in range(plo, min(2 * phi, d) + 1):
+            m = d - b
+            if batched:
+                # the window's upper end is b until it reaches phi
+                if b <= phi:
+                    v = cand[b]
                     while window and cand[window[-1]] > v:
                         window.pop()
-                    window.append(pushed)
+                    window.append(b)
+                lo = (b + 1) // 2
                 while window[0] < lo:
                     window.popleft()
                 cells += 1
                 v = cand[window[0]]
-                if v < INF:
-                    costs[(d - b, b)] = v
-        else:
-            # naive: every state takes the minimum over its own window of the row
-            for b in range(1, d + 1):
-                lo = (b + 1) // 2
-                hi = min(b, half)
-                if lo > hi:
-                    continue
+            else:
+                # naive: every state takes the minimum over its own window
+                lo = max((b + 1) // 2, plo)
+                hi = min(b, phi)
                 cells += hi - lo + 1
                 v = min(cand[lo:hi + 1])
-                if v < INF:
-                    costs[(d - b, b)] = v
-    return costs, cells
+            if v == INF or v + suffix[m] > limit:
+                if b >= phi:
+                    break  # from b = phi on, neither v nor W_m decreases
+                continue
+            costs[(m, b)] = v
+            first = first or b
+            last = b
+            if d + b >= n:
+                key = (v + suffix[m] + suffix[d], 3 * b + m - n, b, m)
+                if best is None or key < best:
+                    best = key
+                    limit = best[0] - suffix[d]
+        if first:
+            kept_lo[d], kept_hi[d] = first, last
+    return costs, best, cells
 
 
 def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
@@ -145,16 +193,8 @@ def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
     window.  The DP table is kept only when ``with_code``."""
     check_algorithm(algorithm)
     n = w.n
-    costs, cells = _fill(w, algorithm)
+    costs, (cost, b_final, b, m), cells = _fill(w, algorithm)
     suffix = w.suffix
-    best = None
-    for (m, b), v in costs.items():
-        if m + 2 * b >= n:
-            cells += 1
-            cand = (v + suffix[m] + suffix[m + b], 3 * b + m - n, b, m)
-            if best is None or cand < best:
-                best = cand
-    cost, b_final, b, m = best
     sig: Sig = (m + b, b)
     chain = [(n, b_final), sig] if m + b < n else [sig]
     target = cost - suffix[m + b]

@@ -478,28 +478,56 @@ class TestCutoff:
         assert feasible >= 100
 
     def test_levels_filled_is_first_dominated_level(self):
-        # a test-side scan of the full tables: the first level whose cheapest
-        # state costs at least the cheapest finished state so far, or the
-        # level-free tail's first level if the loop reaches it
-        for w, spec in _cutoff_instances(seed=606, per_draw=60):
+        # the loop stops where the test-side scan of the full tables says; on
+        # the EARLIER_STOPS draws that is one level before the level the same
+        # scan finds without dropping the states that cannot finish
+        for w, spec in [*_cutoff_instances(seed=606, per_draw=60), *EARLIER_STOPS]:
             for algorithm in ("naive", "batched"):
                 try:
                     full = _solve_any(w, spec, algorithm, cutoff=False)
                 except NoFeasibleTree:
                     continue
-                best = UNREACHABLE
-                expected = spec.num_levels
-                for table in full.tables[1:]:
-                    best = min([best] + [v for (m, b), v in table.costs.items() if b == 0])
-                    if min(table.costs.values(), default=UNREACHABLE) >= best:
-                        expected = table.level
-                        break
-                s = tail_start(spec, w.n)
-                if s is not None:
-                    expected = min(expected, s)
+                expected = _first_dominated_level(w, spec, full)
                 assert _solve_any(w, spec, algorithm).levels_filled == expected
                 cost_only = _solve_any(w, spec, algorithm, keep_tables=False)
                 assert cost_only.levels_filled == expected
+        for w, spec in EARLIER_STOPS:
+            full = _solve_any(w, spec, "batched", cutoff=False)
+            assert (_first_dominated_level(w, spec, full)
+                    == _first_dominated_level(w, spec, full, finish_aware=False) - 1)
+
+
+# Tie-heavy draws (seeded runs of the generator above with n up to 24) on
+# which the finish-aware fill stops a level earlier than a fill that keeps
+# every state: the stop level's cheap states cannot finish.
+EARLIER_STOPS = [
+    (normalize_weights([1] * 7 + [0] * 7),
+     LevelSpec([(2, 1), (3, 1), (3, 1), (3, 2), (2, 2)])),
+    (normalize_weights([2] * 5 + [1] * 5 + [0] * 8),
+     ChoiceLevelSpec([[(4, 3)], [(3, 1)], [(2, 1)], [(3, 2)], [(2, 1), (2, 2)]])),
+]
+
+
+def _first_dominated_level(w, spec, full, finish_aware=True):
+    """A test-side scan of the full-depth result ``full``: the first level
+    whose cheapest state costs at least the cheapest finished state so far,
+    or the level-free tail's first level if the loop reaches it.  With
+    ``finish_aware`` a tail-free scan first drops each level's entries that
+    cannot finish, ``m + b * cap_i < n`` (see ``_caps``), as the cut-off
+    fill does."""
+    s = tail_start(spec, w.n)
+    caps = _caps(spec, w.n)
+    best = UNREACHABLE
+    expected = spec.num_levels
+    for table in full.tables[1:]:
+        costs = table.costs
+        if finish_aware and s is None:
+            costs = {(m, b): v for (m, b), v in costs.items() if m + b * caps[table.level] >= w.n}
+        best = min([best] + [v for (m, b), v in costs.items() if b == 0])
+        if min(costs.values(), default=UNREACHABLE) >= best:
+            expected = table.level
+            break
+    return expected if s is None else min(expected, s)
 
 
 def _package_merge_cost(weights, L: int) -> int:

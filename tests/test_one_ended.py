@@ -168,26 +168,101 @@ class TestNaiveBatchedAgreement:
                 assert rb.table.costs == rn.table.costs, name
 
 
+def _full_table(w):
+    """The unpruned table below diagonal n, enumerated from the predecessor
+    relation: every reachable state at its least cost."""
+    n = w.n
+    full = {(0, 1): 0}
+    for m in range(n):
+        for b in range(1, n - m):
+            cands = [full[p] + w.suffix[p[0]] for p in _oe_predecessors((m, b)) if p in full]
+            if cands and (m, b) != (0, 1):
+                full[(m, b)] = min(cands)
+    return full
+
+
+def _bound(sig, v, w):
+    """The two-level bound ``c + W_m + W_{m+b}`` of a state of cost v."""
+    m, b = sig
+    return v + w.suffix[m] + w.suffix[m + b]
+
+
 class TestNaiveFill:
     def test_naive_fill_agrees_with_predecessor_enumeration(self):
-        # every state below diagonal n with a stored predecessor is stored, at
-        # the least stored cost plus W_m' over its enumerated predecessors, and
-        # nothing else is stored; the naive fill spends one cell per enumerated
-        # predecessor and the answer scan one per state it evaluates
+        # every stored state holds its value in the enumerated full table, and
+        # every reachable state left out has a two-level bound above the
+        # optimum; the naive fill reads at least each stored state's stored
+        # predecessors and at most every enumerated predecessor of every
+        # state below diagonal n
+        dropped = 0
         for name, draw in WEIGHT_DRAWS.items():
             rng = random.Random(43)
             for n in range(1, 13):
                 w = normalize_weights(draw(rng, n))
                 res = solve_one_ended(w, algorithm="naive")
                 costs = res.table.costs
+                full = _full_table(w)
                 sigs = [(m, b) for m in range(n) for b in range(1, n - m) if (m, b) != (0, 1)]
                 assert costs[(0, 1)] == 0, name
-                assert set(costs) - {(0, 1)} <= set(sigs), name
-                for sig in sigs:
-                    cands = [costs[p] + w.suffix[p[0]] for p in _oe_predecessors(sig) if p in costs]
-                    assert costs.get(sig) == (min(cands) if cands else None), (name, sig)
-                scanned = sum(1 for m, b in costs if m + 2 * b >= n)
-                assert res.cells_updated == sum(len(_oe_predecessors(s)) for s in sigs) + scanned, name
+                assert set(costs) <= set(full), name
+                for sig, v in full.items():
+                    if sig in costs:
+                        assert costs[sig] == v, (name, sig)
+                    else:
+                        assert _bound(sig, v, w) > res.cost, (name, sig)
+                        dropped += 1
+                kept_reads = sum(p in costs for sig in costs if sig != (0, 1)
+                                 for p in _oe_predecessors(sig))
+                all_reads = sum(len(_oe_predecessors(sig)) for sig in sigs)
+                assert kept_reads <= res.cells_updated <= all_reads, name
+        assert dropped
+
+
+class TestPrunedFill:
+    def test_pruning_keeps_the_chain_and_drops_only_hopeless_states(self):
+        # exactness of the bound: every state of the returned chain below
+        # diagonal n is stored, every state the fill leaves out has a bound
+        # above the optimum, and both fills store the same entries in the
+        # same order
+        dropped = 0
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(59)
+            for _ in range(12):
+                n = rng.randint(1, 60)
+                w = normalize_weights(draw(rng, n))
+                rb = solve_one_ended(w)
+                rn = solve_one_ended(w, algorithm="naive")
+                assert list(rb.table.costs.items()) == list(rn.table.costs.items()), name
+                costs = rb.table.costs
+                assert all(sig in costs for sig in rb.expansions if sum(sig) < n), (name, n)
+                for sig, v in _full_table(w).items():
+                    if sig not in costs:
+                        assert _bound(sig, v, w) > rb.cost, (name, n, sig)
+                        dropped += 1
+        assert dropped
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seed_finishes(self, n):
+        # for n <= 2 the seed's own two-level finish is the answer and the
+        # table holds only the seed; n = 3 needs one expansion first
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(61)
+            for _ in range(10):
+                w = normalize_weights(draw(rng, n))
+                want = enumerate_one_ended(w, budget=OracleBudget(max_n=3, max_depth=5))
+                for algorithm in ("naive", "batched"):
+                    res = solve_one_ended(w, algorithm=algorithm)
+                    assert res.cost == want, (name, algorithm)
+                    assert res.codebook.cost == want, (name, algorithm)
+                    assert (list(res.table.costs) == [(0, 1)]) == (n <= 2), (name, algorithm)
+
+
+def test_pruned_table_is_a_third_of_the_full_one():
+    # uniform weights, n = 400: the full table below diagonal n holds 78,385
+    # states; the bound keeps 26,568 of them
+    w = normalize_weights(bench.generate_weights(400, "uniform", 1))
+    res = solve_one_ended(w)
+    assert len(res.table.costs) == 26_568 < 78_385 // 2
 
 
 @pytest.mark.parametrize("algorithm", ["naive", "batched"])
@@ -200,7 +275,9 @@ def test_table_stops_below_diagonal_n(algorithm):
     assert all(m + b < n for m, b in res.table.costs if (m, b) != (0, 1))
     assert len(res.table.costs) < n * n // 2
     if algorithm == "batched":
-        assert res.cells_updated == 158_593  # 119,400 fill + 39,193 scan
+        # these weights are 0 from position 21 on, so the bound keeps 74,543
+        # of the 78,385 states: 39,192 candidates built and 74,739 states swept
+        assert res.cells_updated == 113_931
 
 
 def test_costs_match_enumeration():
