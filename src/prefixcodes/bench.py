@@ -82,7 +82,9 @@ def run_scaling(problem: str, sizes, algorithms, *, distribution: str = "uniform
 
 
 def fit_slope(points) -> float | None:
-    """Least-squares slope of log(cells) against log(n); None below 2 sizes."""
+    """Least-squares slope of log(cells) against log(n) over the sizes that
+    spend cells; None below 2 such sizes."""
+    points = [(n, c) for n, c in points if c > 0]
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(c) for _, c in points]
     if len(set(xs)) < 2:

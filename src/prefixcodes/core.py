@@ -164,6 +164,11 @@ class LevelSpec:
     def depth(self, i: int) -> int:
         return self._depths[i]
 
+    def options(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Level ``i`` as a one-option level, the shape of
+        :meth:`ChoiceLevelSpec.options`."""
+        return (self.levels[i - 1],)
+
     def __repr__(self):
         return f"LevelSpec({list(self.levels)!r})"
 
@@ -212,9 +217,8 @@ class LeafSequence:
             items = counts
         norm: dict[int, int] = {}
         for level, count in items:
-            level = int(level)
-            count = int(count)
-            if count < 0:
+            check_int(level, "leaf levels")
+            if check_int(count, "leaf counts") < 0:
                 raise InvalidInput(f"leaf count at level {level} is negative")
             if count == 0:
                 continue

@@ -40,7 +40,8 @@ pays no further edge.
 ``solve_choice`` runs the same level loop over a ``ChoiceLevelSpec``, whose
 levels each offer several (arity, edge length) options: every option is
 filled from the previous combined table, and the combined entry is the
-per-signature minimum.
+per-signature minimum.  The loop reads both spec types through
+``spec.options(i)``; a ``LevelSpec`` level is a one-option level.
 
 The level loop stops after the first level whose cheapest state costs at
 least the best finished tree seen so far.  Expansions never lower a cost and
@@ -269,13 +270,6 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     return costs, zeros, cells
 
 
-def _level_options(spec, i: int) -> tuple[tuple[int, int], ...]:
-    """The (arity, edge length) options of level ``i``: one for a ``LevelSpec``."""
-    if isinstance(spec, ChoiceLevelSpec):
-        return spec.options(i)
-    return ((spec.arity(i), spec.edge_length(i)),)
-
-
 def _tail_start(spec, n: int) -> int | None:
     """The first level s of the constant suffix that a cut-off ``_solve``
     fills in one level-free table, or None.  That takes a plain spec of at
@@ -334,7 +328,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
         caps[spec.num_levels] = 0
         prod = 1
         for i in range(spec.num_levels, 1, -1):
-            prod = min(n, prod * max(r for r, _ in _level_options(spec, i)))
+            prod = min(n, prod * max(r for r, _ in spec.options(i)))
             caps[i - 1] = prod
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
@@ -343,7 +337,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     levels_filled = 0
     for i in range(1, spec.num_levels + 1 if tail is None else tail):
         costs = None
-        for r, c in _level_options(spec, i):
+        for r, c in spec.options(i):
             fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff,
                                          cap=caps.get(i))
             cells += k + len(fill) if choice else k
@@ -479,7 +473,7 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq, *,
             chain.append(sig)
         cost, i = divmod(key, K)
     for i in range(i, 0, -1):
-        step = _attaining_step(tables[i - 1].costs, sig, _level_options(spec, i), w, cost)
+        step = _attaining_step(tables[i - 1].costs, sig, spec.options(i), w, cost)
         if step is None:
             raise InternalInconsistency(f"no predecessor attains the cost of {sig} at level {i}")
         j, sig, cost = step

@@ -1,10 +1,12 @@
 """Independent ground-truth generators for validating the solvers.
 
 These are intentionally naive: exhaustive enumeration over small instances
-plus the classical greedy Huffman merge.  They share only the level depths
-and weight suffix sums of :mod:`prefixcodes.core` with the
-dynamic-programming solvers, never any DP code, so agreement between the two
-is a meaningful check.
+plus the classical greedy Huffman merge.  They share only the levels'
+(arity, edge length) options and the weight suffix sums of
+:mod:`prefixcodes.core` with the dynamic-programming solvers, never any DP
+code, so agreement between the two is a meaningful check.  The cost of an
+emitted code is checked apart from both, from its leaf depths, by
+:func:`prefixcodes.core.cost_of_leaf_sequence`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .core import ChoiceLevelSpec, LevelSpec, WeightSeq
 from .errors import BudgetExceeded, InvalidInput, NoFeasibleTree
@@ -21,7 +22,8 @@ from .errors import BudgetExceeded, InvalidInput, NoFeasibleTree
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard caps that keep exhaustive enumeration from running unbounded."""
+    """Hard caps that keep exhaustive enumeration from running unbounded.
+    Only :func:`enumerate_choice` reads ``max_option_sets``."""
 
     max_n: int = 8
     max_depth: int = 5
@@ -30,20 +32,22 @@ class OracleBudget:
 
 def enumerate_gmr(
     w: WeightSeq,
-    spec: LevelSpec,
+    spec: LevelSpec | ChoiceLevelSpec,
     max_level: int,
     budget: OracleBudget | None = None,
 ) -> int:
-    """Minimum cost over every realizable leaf sequence with exactly n leaves.
+    """Minimum cost over every realizable leaf sequence with exactly n leaves,
+    on a plain spec or, choosing one option per level, on a choice spec.
 
-    A memoized recursion over per-level leaf counts: weights go
-    shallowest-first, so the x leaves of level i take weights ``placed ..
-    placed + x - 1`` and cost ``depth(i) * (W_placed - W_placed+x)``, and the
-    cheapest completion depends only on ``(level, available slots, placed)``.
-    The available-slot count is capped at the number of weights still
-    unplaced; that never excludes an optimal sequence (spare capacity beyond
-    the remaining need is never binding, since arities are >= 2) and keeps
-    the state space finite.
+    A memoized recursion over per-level leaf counts.  A level with
+    ``internal`` internal nodes above it and option ``(r, c)`` offers
+    ``internal * r`` slots; weights go shallowest-first, so its x leaves take
+    weights ``placed .. placed + x - 1``, and every weight not yet placed
+    pays the level's edge length ``c``: ``c * W_placed``.  The cheapest
+    completion depends only on ``(level, internal, placed)``.  The slot count
+    is capped at the number of weights still unplaced; that never excludes
+    an optimal sequence (spare capacity beyond the remaining need is never
+    binding, since arities are >= 2) and keeps the state space finite.
     """
     budget = budget or OracleBudget()
     n = w.n
@@ -55,34 +59,27 @@ def enumerate_gmr(
         raise InvalidInput("level spec does not cover max_level")
 
     @functools.cache
-    def rest(level: int, avail: int, placed: int):
+    def rest(level: int, internal: int, placed: int):
         """Least cost of placing weights ``placed ..`` from ``level`` on;
         infinite when impossible."""
         if level > max_level:
             return math.inf
         need = n - placed
         best = math.inf
-        for x in range(min(avail, need) + 1):
-            cost = spec.depth(level) * (w.suffix[placed] - w.suffix[placed + x])
-            if x < need:
-                if level == max_level:
-                    continue
-                nxt = min((avail - x) * spec.arity(level + 1), need - x)
-                cost += rest(level + 1, nxt, placed + x)
-            best = min(best, cost)
+        for r, c in spec.options(level):
+            slots = min(internal * r, need)
+            for x in range(slots + 1):
+                tail = 0 if x == need else rest(level + 1, slots - x, placed + x)
+                best = min(best, c * w.suffix[placed] + tail)
         return best
 
-    best = rest(1, min(spec.arity(1), n), 0)
+    best = rest(1, 1, 0)
     if best == math.inf:
         raise NoFeasibleTree(f"no tree with {n} leaves fits within {max_level} levels")
     return best
 
 
-def enumerate_one_ended(
-    w: WeightSeq,
-    max_depth: int | None = None,
-    budget: OracleBudget | None = None,
-) -> int:
+def enumerate_one_ended(w: WeightSeq, budget: OracleBudget | None = None) -> int:
     """Minimum cost over all binary trees whose weighted leaves are 1-children.
 
     Enumerates full binary tree shapes level by level: at each level, choose
@@ -91,13 +88,14 @@ def enumerate_one_ended(
     leaf are skipped -- dropping them never changes the cost.  Weights are
     assigned shallowest-first, so the cheapest completion of a partial tree
     depends only on ``(level, internals, placed)`` and is memoized on it.
+    It enumerates trees of at most n + 2 levels, which ``budget.max_depth``
+    must allow.
     """
     budget = budget or OracleBudget(max_n=6, max_depth=8)
     n = w.n
     if n > budget.max_n:
         raise BudgetExceeded(f"n={n} exceeds oracle budget {budget.max_n}")
-    if max_depth is None:
-        max_depth = n + 2
+    max_depth = n + 2
     if max_depth > budget.max_depth:
         raise BudgetExceeded(f"max_depth={max_depth} exceeds oracle budget {budget.max_depth}")
 
@@ -156,22 +154,9 @@ def enumerate_choice(
     max_level: int,
     budget: OracleBudget | None = None,
 ) -> int:
-    """Outer product over per-level option assignments, each fed to enumerate_gmr."""
+    """:func:`enumerate_gmr` on a choice spec whose first ``max_level``
+    levels offer at most ``budget.max_option_sets`` options each."""
     budget = budget or OracleBudget()
-    if cspec.num_levels < max_level:
-        raise InvalidInput("choice spec does not cover max_level")
-    option_sets = [cspec.options(i) for i in range(1, max_level + 1)]
-    for opts in option_sets:
-        if len(opts) > budget.max_option_sets:
-            raise BudgetExceeded("option set larger than oracle budget")
-    best = None
-    for assignment in product(*option_sets):
-        try:
-            cost = enumerate_gmr(w, LevelSpec(assignment), max_level, budget)
-        except NoFeasibleTree:
-            continue
-        if best is None or cost < best:
-            best = cost
-    if best is None:
-        raise NoFeasibleTree("no option assignment admits a feasible tree")
-    return best
+    if any(len(opts) > budget.max_option_sets for opts in cspec.levels[:max_level]):
+        raise BudgetExceeded("option set larger than oracle budget")
+    return enumerate_gmr(w, cspec, max_level, budget)

@@ -262,18 +262,11 @@ def _solve_one_ended(w: WeightSeq, *, algorithm: str, want_code: bool) -> Proble
     return ProblemResult(book, dp)
 
 
-def _enumerate_levels(w: WeightSeq, spec: LevelSpec, max_n: int) -> int:
+def _enumerate_levels(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, max_n: int) -> int:
     """Enumerate at most n levels: d = m + b grows by at least 1 per level, so
     no optimal tree over n weights is deeper (see ``gmr._tail_start``)."""
     budget = oracle.OracleBudget(max_n=max_n, max_depth=max(max_n, 8))
     return oracle.enumerate_gmr(w, spec, min(spec.num_levels, w.n), budget)
-
-
-def _enumerate_glengths(w: WeightSeq, cspec: ChoiceLevelSpec, max_n: int) -> int:
-    levels = cspec.num_levels
-    budget = oracle.OracleBudget(max_n=max_n, max_depth=max(levels, 8),
-                                 max_option_sets=len(cspec.options(1)))
-    return oracle.enumerate_choice(w, cspec, levels, budget)
 
 
 def _enumerate_one_ended(w: WeightSeq, _spec, max_n: int) -> int:
@@ -295,7 +288,6 @@ PROBLEMS: dict[str, Problem] = {
     "mixed-radix": Problem(levels=_mixed_levels, emit=_emit_levels, oracle=_enumerate_levels),
     "reserved-given": Problem(levels=_reserved_levels, emit=_emit_radix,
                               oracle=_enumerate_levels),
-    "reserved-g": Problem(levels=_glengths_levels, emit=_emit_radix,
-                          oracle=_enumerate_glengths),
+    "reserved-g": Problem(levels=_glengths_levels, emit=_emit_radix, oracle=_enumerate_levels),
     "one-ended": Problem(levels=lambda p, n: None, emit=None, oracle=_enumerate_one_ended),
 }

@@ -15,6 +15,7 @@ from prefixcodes import (
     solve_choice,
 )
 from prefixcodes.gmr import backtrack
+from prefixcodes.problems import glengths_options
 
 TWO_OPTIONS = [(2, 1), (4, 2)]
 
@@ -175,13 +176,18 @@ class TestInvariants:
             assert b <= a
 
     def test_oracle_equivalence_small(self):
+        # up to n levels at n <= 8; some levels offer reserved-g's own four
+        # jumps (2, 1) .. (16, 4)
         rng = random.Random(23)
-        budget = OracleBudget(max_n=6, max_depth=3, max_option_sets=3)
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            ml = rng.randint(1, 3)
+        budget = OracleBudget(max_n=8, max_depth=8, max_option_sets=4)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            ml = rng.randint(1, n)
             options = []
             for _ in range(ml):
+                if rng.random() < 0.3:
+                    options.append(glengths_options(2, 8))
+                    continue
                 k = rng.randint(1, 3)
                 opts = set()
                 while len(opts) < k:

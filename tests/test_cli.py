@@ -321,6 +321,19 @@ class TestVerify:
         doc = json.loads(proc.stdout)
         assert doc["agree"] and doc["solver_cost"] == doc["oracle_cost"]
 
+    @pytest.mark.parametrize("weights,cost", [
+        ("9 8 7 6 5 4 3 2", 128),
+        ("12 11 10 9 8 7 6 5 4 3 2 1", 264),
+    ])
+    def test_reserved_g_deep(self, weights, cost):
+        # g = n levels; once one enumeration per option assignment, 4**8 of
+        # them at n = 8
+        g = str(len(weights.split()))
+        proc = run_cli("verify", "--problem", "reserved-g", "--g", g, "--max-oracle-n", g,
+                       "--weights", weights)
+        doc = json.loads(proc.stdout)
+        assert doc["agree"] and doc["oracle_cost"] == cost
+
 
 class TestBench:
     def test_csv_with_slope(self):
@@ -335,6 +348,14 @@ class TestBench:
         proc = run_cli("bench", "--problem", "one-ended", "--sizes", "16",
                        "--algorithms", "batched")
         assert not any("# slope" in line for line in proc.stdout.splitlines())
+
+    def test_slope_skips_sizes_without_cells(self):
+        # one-ended spends no cells at n <= 2; once "math domain error", exit 2
+        def slopes(sizes):
+            proc = run_cli("bench", "--problem", "one-ended", "--sizes", sizes)
+            return [line for line in proc.stdout.splitlines() if line.startswith("# slope")]
+        assert slopes("1 2 8") == []
+        assert slopes("2 16 32") == slopes("16 32") != []
 
     @pytest.mark.parametrize("problem,extra,cells,radix", [
         # cells_updated of the naive and batched rows at n = 8

@@ -179,3 +179,9 @@ class TestLeafSequence:
             LeafSequence({0: 1})
         with pytest.raises(InvalidInput):
             LeafSequence({1: -1})
+
+    @pytest.mark.parametrize("counts", [{1.9: 2.2}, {True: 2}, {"2": "4"}])
+    def test_rejects_non_integers_and_bools(self, counts):
+        # once coerced by int(): {1.9: 2.2} became {1: 2}
+        with pytest.raises(InvalidInput, match="exact integers"):
+            LeafSequence(counts)

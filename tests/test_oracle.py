@@ -102,6 +102,7 @@ class TestEnumerateChoice:
         w = normalize_weights([1, 1, 1, 1])
         cspec = ChoiceLevelSpec([[(2, 1), (4, 2)]] * 2)
         assert enumerate_choice(w, cspec, 2) == 8
+        assert enumerate_gmr(w, cspec, 2) == 8
 
     def test_empty_option_set_rejected(self):
         with pytest.raises(InvalidInput):
