@@ -29,8 +29,14 @@ diagonal; it stores the same tables and counts more cells.
 A cut-off solve with no level-free tail keeps on level i only the states
 that can still finish, ``(m, b)`` with ``m + b * cap_i >= n``: ``cap_i`` is
 ``min(n, product of the largest arity of each level after i)``, and 0 on the
-spec's last level, which so keeps only finished trees.  A dropped state
-reaches no finished state, so it lies on no chain to the answer, and no
+spec's last level L, which so keeps only finished trees.  Level ``L - 1``
+instead keeps a state ``(m, b)`` with ``b >= 1`` only if some option arity
+f of level L finishes it into a valid signature,
+``max(n, f) <= m + f * b <= n + f - 1``: its finished child is
+``(m + f * b, 0)``, the only kind of state the last level keeps.  This
+finish window holds one or two b per diagonal and arity, where the cap keeps
+every ``b >= 1`` once L's widest arity reaches n.  A state dropped by either
+rule reaches no finished state, so it lies on no chain to the answer, and no
 answer or backtrace moves.
 
 A finished state ``(m, 0)`` with ``m >= n`` may also be the previous
@@ -117,9 +123,10 @@ class DPResult:
     ``tables[s]`` (its ``level`` is s) covers levels s and deeper: its values
     are keys ``cost * (2n + 2) + level``, the least per signature over levels
     ``s - 1`` and deeper.  Without a tail, a cut-off table holds only the
-    states that can still finish, the spec's last level only finished ones
-    (see ``_solve``).  One-ended answers, whose DP has no levels, leave
-    ``levels_filled`` None.
+    states that can still finish: the level before the spec's last only
+    those that some last-level arity finishes into a valid signature, the
+    last level only finished ones (see ``_solve``).  One-ended answers,
+    whose DP has no levels, leave ``levels_filled`` None.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
     """
@@ -149,8 +156,31 @@ def _merge_min(costs: dict, pairs) -> None:
             costs[sig] = v
 
 
+class _FinishWindows(dict):
+    """``d ->`` the ``b >= 1``, descending, of the states ``(d - b, b)`` on
+    the level before a spec's last that some last-level arity f finishes
+    into a valid signature, ``max(n, f) <= d + (f - 1) * b <= n + f - 1``:
+    one or two b per arity.  Filled lazily per visited diagonal and shared
+    by that level's options."""
+
+    def __init__(self, n: int, arities):
+        super().__init__()
+        self.n = n
+        self.arities = arities
+
+    def __missing__(self, d: int) -> list[int]:
+        n = self.n
+        kept = set()
+        for f in self.arities:
+            kept.update(range(max(1, -((d - max(n, f)) // (f - 1))),
+                              min(d, (n + f - 1 - d) // (f - 1)) + 1))
+        self[d] = window = sorted(kept, reverse=True)
+        return window
+
+
 def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
-                costs: dict | None = None, seeds: dict | None = None, cap: int | None = None):
+                costs: dict | None = None, seeds: dict | None = None, cap: int | None = None,
+                windows: _FinishWindows | None = None):
     """Fill one level from the previous one.
 
     Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
@@ -194,6 +224,14 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     batched sweep stops there and builds no candidate it would not read.
     With ``cap == 0`` only finished states are stored, diagonal n's by the
     per-state scan, which takes the minimum of that whole row.
+
+    With ``windows`` in place of ``cap`` (the level before the spec's last;
+    see ``_FinishWindows``) a diagonal ``d <= n`` stores only the b its
+    window keeps, and ``(n, 0)`` as without it.  The row is built from the
+    least kept b's window up; the naive mode takes each kept state's window
+    minimum, and the batched mode walks the row once from ``b' = B`` down,
+    storing each kept b, in ascending m, once the walk has passed its
+    window's lower end.  It counts a cell per candidate and per kept state.
     """
     if costs is None:
         costs = {}
@@ -218,7 +256,11 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
         reach = dict(sorted(reach.items()))
     for d, B in reach.items():
         # the least b stored on diagonal d: a lower one cannot finish
-        if cap == 0:
+        if windows is not None and d <= n:
+            kept = [b for b in windows[d] if b <= r * B]
+            # diagonal n still stores (n, 0); no kept b leaves no row to build
+            low = 0 if d == n else kept[-1] if kept else d + 1
+        elif cap == 0:
             low = r * B + 1
         elif cap is None or d >= n:
             low = 0
@@ -229,7 +271,23 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
             cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(q, B + 1)]
             if q:
                 cand = [INF] * q + cand
-            if batched:
+            if batched and windows is not None:
+                # walk the row once from b' = B down; each kept b, and (n, 0)
+                # on diagonal n, takes the running minimum in ascending m
+                kept = (*kept, 0) if d == n else kept
+                cells += (B + 1 - q) + len(kept)
+                best = INF
+                top = B + 1
+                for b in kept:
+                    lo = (b + r - 1) // r
+                    if lo < top:
+                        best = min(best, *cand[lo:top])
+                        top = lo
+                    if best < INF:
+                        costs[(d - b, b)] = best
+                        if not b:
+                            zeros.append((d, best))
+            elif batched:
                 t = d - r * B
                 cells += (B + 1 - q) + (d - low - t + 1)
                 best = INF
@@ -248,7 +306,9 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
             else:
                 # naive: every entry scans its own predecessor window of the
                 # row, in ascending m as the sweep stores them
-                for b in range(r * B, max(low, 1) - 1, -1):
+                if windows is None:
+                    kept = range(r * B, max(low, 1) - 1, -1)
+                for b in kept:
                     lo = (b + r - 1) // r
                     cells += B + 1 - lo
                     v = min(cand[lo:])
@@ -300,8 +360,12 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
 
     Without a tail, level i keeps only the states ``(m, b)`` with
     ``m + b * cap_i >= n`` (see the module docstring): a tagged node becomes
-    at most ``cap_i`` leaves in the levels left.  The rule only drops states,
-    so the loop stops at the same level or an earlier one.
+    at most ``cap_i`` leaves in the levels left.  On level ``L - 1`` of a
+    spec of L >= 2 levels the finish windows of level L's arities replace
+    the cap: a ``b >= 1`` state that none of them finishes has no valid
+    finished child, and no level follows L.  The windows are computed once
+    per visited diagonal and shared by that level's options.  Both rules
+    only drop states, so the loop stops at the same level or an earlier one.
 
     ``cutoff=False`` selects the paper's full, dense fill, as the complexity
     harness measures: every level of the spec, every diagonal of each level,
@@ -323,23 +387,29 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     n = w.n
     choice = isinstance(spec, ChoiceLevelSpec)
     tail = _tail_start(spec, n) if cutoff else None
+    last = spec.num_levels
     caps = {}
+    windows = None
     if cutoff and tail is None:
-        caps[spec.num_levels] = 0
-        prod = 1
-        for i in range(spec.num_levels, 1, -1):
-            prod = min(n, prod * max(r for r, _ in spec.options(i)))
-            caps[i - 1] = prod
+        caps[last] = 0
+        if last >= 2:
+            arities = {r for r, _ in spec.options(last)}
+            windows = _FinishWindows(n, arities)
+            prod = min(n, max(arities))
+            for i in range(last - 1, 1, -1):
+                prod = min(n, prod * max(r for r, _ in spec.options(i)))
+                caps[i - 1] = prod
     prev: dict[Sig, int] = {(0, 1): 0}
     tables = [LevelTable(0, prev)]
     best = (UNREACHABLE,)  # (cost, level, n');  tuple order implements the tie-break
     cells = 0
     levels_filled = 0
-    for i in range(1, spec.num_levels + 1 if tail is None else tail):
+    for i in range(1, last + 1 if tail is None else tail):
         costs = None
         for r, c in spec.options(i):
             fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff,
-                                         cap=caps.get(i))
+                                         cap=caps.get(i),
+                                         windows=windows if i == last - 1 else None)
             cells += k + len(fill) if choice else k
             # the best finished state over all options is the best over each
             # option's own finished states

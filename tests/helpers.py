@@ -25,7 +25,8 @@ def telescoped_cost(expansions, w, spec: LevelSpec) -> int:
                for i in range(1, len(expansions)))
 
 
-def _valid_signature(m: int, b: int, n: int, arity: int) -> bool:
+def valid_signature(m: int, b: int, n: int, arity: int) -> bool:
+    """Validity of ``(m, b)`` on a level of the given arity, from the definition."""
     if b > 0:
         return 0 <= m and m + b <= n
     return max(n, arity) <= m <= n + arity - 1
@@ -38,7 +39,7 @@ def predecessors(i: int, sig, spec: LevelSpec, n: int) -> list:
     ``(m', b')`` order; raises ValueError for an invalid ``sig``."""
     m, b = sig
     r = spec.arity(i)
-    if not _valid_signature(m, b, n, r):
+    if not valid_signature(m, b, n, r):
         raise ValueError(f"({m}, {b}) is not a valid level-{i} signature")
     out = []
     for bp in range((b + r - 1) // r, (m + b) // r + 1):
@@ -46,7 +47,7 @@ def predecessors(i: int, sig, spec: LevelSpec, n: int) -> list:
         if i == 1:
             ok = (mp, bp) == (0, 1)
         else:
-            ok = _valid_signature(mp, bp, n, spec.arity(i - 1))
+            ok = valid_signature(mp, bp, n, spec.arity(i - 1))
         if ok:
             out.append((mp, bp))
     return sorted(out)

@@ -45,7 +45,8 @@ def test_reserved_given_cut_off_fill_visits_only_reached_diagonals():
     # a plain solve fills only the diagonals the previous level reaches: the
     # three binary levels keep at most 8 states, and each feeds one diagonal
     # of the meta level.  That meta level is the spec's last, so only its
-    # finished states are filled.  The full-depth fill above visits every
+    # finished states are filled, and the binary level before it keeps only
+    # the states that one meta expansion can finish.  The full-depth fill above visits every
     # diagonal.
     n = 1600
     w = normalize_weights(bench.generate_weights(n, "zipf", seed=1))
@@ -53,24 +54,38 @@ def test_reserved_given_cut_off_fill_visits_only_reached_diagonals():
     cut, full = (problems.solve("reserved-given", w, params, algorithm="batched",
                                 want_code=False, cutoff=cutoff).dp for cutoff in (True, False))
     assert cut.cost == full.cost
-    assert cut.cells_updated == 67
+    assert cut.cells_updated == 61
     assert full.cells_updated == 6_669_825
     assert cut.cells_updated < full.cells_updated / 100
 
 
 @pytest.mark.parametrize("name,n,dist,params,levels,cells", [
-    ("reserved-g", 400, "uniform", problems.Params(radix=2, g=2), 2, 2_840),
-    ("gmr", 1000, "zipf", problems.Params(levels=LevelSpec.constant(2, 1, 10)), 10, 2_279),
+    ("reserved-g", 400, "uniform", problems.Params(radix=2, g=2), 2, 1_912),
+    ("gmr", 1000, "zipf", problems.Params(levels=LevelSpec.constant(2, 1, 10)), 10, 2_155),
 ])
 def test_cut_off_fill_keeps_only_states_that_can_finish(name, n, dist, params, levels, cells):
     # with fewer levels than n and no level-free tail, a level keeps only the
-    # states that can still reach n leaves in the levels left, and the spec's
-    # last level only finished trees
+    # states that can still reach n leaves in the levels left, the level before
+    # the last only those that one last-level expansion can finish, and the
+    # spec's last level only finished trees
     w = normalize_weights(bench.generate_weights(n, dist, 1))
     assert problems.solve(name, w, params, want_code=False).dp.cells_updated == cells
     dp = problems.solve(name, w, params).dp
     assert dp.cells_updated == cells and dp.levels_filled == levels == len(dp.tables) - 1
     assert dp.tables[-1].costs and all(b == 0 for _, b in dp.tables[-1].costs)
+
+
+@pytest.mark.parametrize("n,cells,middle_states", [(300, 38_106, 2_127), (400, 60_251, 3_019)])
+def test_reserved_g3_middle_level_keeps_only_finishable_states(n, cells, middle_states):
+    # reserved-g at g = 3: level 3's widest option has more than n slots, so
+    # m + b * cap >= n holds for every b >= 1; level 2 keeps only the states
+    # that some level-3 option finishes, one or two per diagonal and option
+    w = normalize_weights(bench.generate_weights(n, "uniform", 1))
+    params = problems.Params(radix=2, g=3)
+    assert problems.solve("reserved-g", w, params, want_code=False).dp.cells_updated == cells
+    dp = problems.solve("reserved-g", w, params).dp
+    assert dp.cells_updated == cells and dp.levels_filled == 3
+    assert len(dp.tables[2].costs) == middle_states
 
 
 def test_bench_csv_is_pinned(capsysbinary):

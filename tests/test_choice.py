@@ -9,8 +9,11 @@ from prefixcodes import (
     LevelSpec,
     NoFeasibleTree,
     OracleBudget,
+    check_prefix_free,
     enumerate_choice,
+    enumerate_gmr,
     normalize_weights,
+    problems,
     solve_batched,
     solve_choice,
 )
@@ -43,9 +46,15 @@ class TestSolveChoice:
         assert rc.cost == rb.cost == 13
         assert rc.expansions == rb.expansions
         # choice specs always fill level by level; the plain cut-off solve
-        # keeps a level-free tail, so compare with the plain full-depth fill
+        # keeps a level-free tail, so compare with the plain full-depth fill.
+        # Level 3 keeps only the states (m, b >= 1) that the binary level 4
+        # finishes, n <= m + 2b <= n + 1: (2, 2) would make 6 leaves.
         full = solve_batched(w, LevelSpec.constant(2, 1, 4), cutoff=False)
-        assert rc.tables == full.tables[:len(rc.tables)]
+        expected = [t.costs for t in full.tables]
+        expected[3] = {(m, b): v for (m, b), v in expected[3].items()
+                       if b == 0 or w.n <= m + 2 * b <= w.n + 1}
+        assert (2, 2) in full.tables[3].costs and (2, 2) not in expected[3]
+        assert [t.costs for t in rc.tables] == expected[:len(rc.tables)]
 
     def test_tied_routes(self):
         w = normalize_weights([1, 1, 1, 1])
@@ -202,3 +211,21 @@ class TestInvariants:
                     solve_choice(w, cspec)
                 continue
             assert solve_choice(w, cspec).cost == want
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_reserved_g_matches_the_memoized_oracle_past_n_8(self, g):
+        # past the exhaustive range: at most g levels, each offering every
+        # jump (r**t, t), so level g - 1 keeps only what level g can finish
+        rng = random.Random(g)
+        budget = OracleBudget(max_n=14, max_depth=g)
+        for n in range(9, 15):
+            for radix in (2, 3):
+                w = normalize_weights(random_weights(rng, n, 0, rng.choice([1, 50, 10**6])))
+                params = problems.Params(radix=radix, g=g)
+                cspec = problems.PROBLEMS["reserved-g"].levels(params, n)
+                want = enumerate_gmr(w, cspec, cspec.num_levels, budget)
+                for algorithm in ("naive", "batched"):
+                    res = problems.solve("reserved-g", w, params, algorithm=algorithm)
+                    assert res.dp.cost == res.codebook.cost == want
+                    assert check_prefix_free(res.codebook.words)
+                    assert len(set(res.codebook.lengths)) <= g

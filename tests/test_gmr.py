@@ -12,6 +12,7 @@ from helpers import (
     tail_keys,
     tail_start,
     telescoped_cost,
+    valid_signature,
 )
 
 from prefixcodes import (
@@ -411,9 +412,26 @@ def _caps(spec, n: int) -> list[int]:
     """``cap_i`` for levels ``i = 0 .. L``: the most leaves one tagged
     level-i node can still become, ``min(n, product of the largest arity of
     each level after i)``, and 0 on the last level, which no level follows."""
-    widest = [max(r for r, _ in spec.options(i)) if isinstance(spec, ChoiceLevelSpec)
-              else spec.arity(i) for i in range(1, spec.num_levels + 1)]
+    widest = [max(r for r, _ in spec.options(i)) for i in range(1, spec.num_levels + 1)]
     return [min(n, math.prod(widest[i:])) for i in range(spec.num_levels)] + [0]
+
+
+def _keeps(spec, n: int) -> list:
+    """Per level ``i = 0 .. L``, whether a cut-off, tail-free fill keeps
+    ``(m, b)``: ``m + b * cap_i >= n`` (see ``_caps``), except on level
+    ``L - 1``, which keeps a ``b >= 1`` state only if some last-level arity
+    f finishes it into a valid signature,
+    ``max(n, f) <= m + f * b <= n + f - 1``.  A spec with a level-free tail
+    keeps every state."""
+    last = spec.num_levels
+    if tail_start(spec, n) is not None:
+        return [lambda m, b: True] * (last + 1)
+    keeps = [lambda m, b, cap=cap: m + b * cap >= n for cap in _caps(spec, n)]
+    if last >= 2:
+        arities = [f for f, _ in spec.options(last)]
+        keeps[last - 1] = lambda m, b: b == 0 or any(
+            max(n, f) <= m + f * b <= n + f - 1 for f in arities)
+    return keeps
 
 
 def _cut_and_full(w, spec):
@@ -422,10 +440,10 @@ def _cut_and_full(w, spec):
     backtrace and options for no more cells.  Without a level-free tail,
     each cut-off leveled table holds, entry for entry in insertion order
     (ascending diagonal, then m), the full table's entries ``(m, b)`` that
-    can still finish, ``m + b * cap_i >= n`` (see ``_caps``); with one, the
-    tables before the tail equal the full ones and the tail holds every
-    deeper level's minimum key.  Naive and batched tables agree in insertion
-    order too.  Returns the batched ``(cut, full)`` pair."""
+    can still finish (see ``_keeps``); with one, the tables before the tail
+    equal the full ones and the tail holds every deeper level's minimum key.
+    Naive and batched tables agree in insertion order too.  Returns the
+    batched ``(cut, full)`` pair."""
     try:
         _solve_any(w, spec, "batched", keep_tables=False, cutoff=False)
     except NoFeasibleTree:
@@ -449,9 +467,9 @@ def _cut_and_full(w, spec):
         full_items = [list(t.costs.items()) for t in full.tables]
         s = cut_tail_start(cut, spec, w.n)
         if s is None:
-            caps = _caps(spec, w.n)
-            assert cut_items == [[(sig, v) for sig, v in items if sig[0] + sig[1] * cap >= w.n]
-                                 for items, cap in zip(full_items, caps[:len(cut_items)])]
+            keeps = _keeps(spec, w.n)
+            assert cut_items == [[(sig, v) for sig, v in items if keep(*sig)]
+                                 for items, keep in zip(full_items, keeps[:len(cut_items)])]
         else:
             assert cut_items[:s] == full_items[:s]
             assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
@@ -476,6 +494,38 @@ class TestCutoff:
         feasible = sum(_cut_and_full(w, spec) is not None
                        for w, spec in _wide_instances(seed=808, per_draw=40))
         assert feasible >= 100
+
+    def test_level_before_the_last_keeps_only_finish_windows(self):
+        # on a tail-free spec of L >= 2 levels, level L - 1 stores the full
+        # fill's entries, each at its full cost, except the states whose one
+        # finished child (m + f * b, 0) is no valid signature for any option
+        # arity f of level L
+        checked = dropped = 0
+        for w, spec in [*_cutoff_instances(seed=717, per_draw=120),
+                        *_wide_instances(seed=727, per_draw=40)]:
+            last = spec.num_levels
+            if last < 2 or tail_start(spec, w.n) is not None:
+                continue
+            try:
+                full = _solve_any(w, spec, "batched", cutoff=False).tables[last - 1].costs
+            except NoFeasibleTree:
+                continue
+            tables = {}
+            for algorithm in ("naive", "batched"):
+                cut = _solve_any(w, spec, algorithm)
+                tables[algorithm] = [list(t.costs.items()) for t in cut.tables]
+            assert tables["naive"] == tables["batched"]
+            if cut.levels_filled < last - 1:
+                continue
+            checked += 1
+            kept = cut.tables[last - 1].costs
+            assert all(full[sig] == v for sig, v in kept.items())
+            arities = [f for f, _ in spec.options(last)]
+            for m, b in full.keys() - kept.keys():
+                assert b >= 1
+                assert not any(valid_signature(m + f * b, 0, w.n, f) for f in arities)
+                dropped += 1
+        assert checked >= 150 and dropped >= 500
 
     def test_levels_filled_is_first_dominated_level(self):
         # the loop stops where the test-side scan of the full tables says; on
@@ -513,16 +563,15 @@ def _first_dominated_level(w, spec, full, finish_aware=True):
     whose cheapest state costs at least the cheapest finished state so far,
     or the level-free tail's first level if the loop reaches it.  With
     ``finish_aware`` a tail-free scan first drops each level's entries that
-    cannot finish, ``m + b * cap_i < n`` (see ``_caps``), as the cut-off
-    fill does."""
+    cannot finish (see ``_keeps``), as the cut-off fill does."""
     s = tail_start(spec, w.n)
-    caps = _caps(spec, w.n)
+    keeps = _keeps(spec, w.n)
     best = UNREACHABLE
     expected = spec.num_levels
     for table in full.tables[1:]:
         costs = table.costs
         if finish_aware and s is None:
-            costs = {(m, b): v for (m, b), v in costs.items() if m + b * caps[table.level] >= w.n}
+            costs = {sig: v for sig, v in costs.items() if keeps[table.level](*sig)}
         best = min([best] + [v for (m, b), v in costs.items() if b == 0])
         if min(costs.values(), default=UNREACHABLE) >= best:
             expected = table.level
