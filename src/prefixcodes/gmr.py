@@ -9,15 +9,22 @@ to their minimum partial cost; absent entries mean UNREACHABLE.  The spec's
 levels are the only depth limit: a spec of L levels admits trees of up to L levels.
 
 Two fill strategies produce bit-identical tables, entries stored in the same
-order.  Both group the entries of one level whose signatures share
-``d = m + b`` and build the candidate value ``gamma(b')`` of each predecessor
-on that diagonal once:
+order.  Both group the states of one level whose signatures share
+``d = m + b``, list the states the diagonal may store (see ``_fill_level``)
+and build the candidate value ``gamma(b')`` of each predecessor
+``(d - r * b', b')`` on that diagonal once.  Every listed state ``(m, b)``
+takes its minimum over its window ``b' >= ceil(b / r)`` of that one row; a
+finished ``(d, 0)`` with ``d >= n`` reads the previous level's ``(d, 0)``
+as its ``b' = 0`` candidate, carried down at the same cost since
+``W_d = 0``:
 
-* ``solve_naive`` takes each entry's minimum over its own window of them;
-* ``solve_batched`` folds a running minimum while sweeping ``m`` upward, so
-  a whole batch costs O(d).  A level whose arity exceeds n reaches only
-  finished ``(m, 0)`` states, each with two candidates, and both fills scan
-  those directly.
+* ``solve_naive`` takes each state's minimum over its own window;
+* ``solve_batched`` folds one running minimum over the row, so a diagonal
+  costs O(d).
+
+``cells_updated`` counts candidate reads: a naive state, or the only state
+listed on its diagonal, reads its whole window, and a batched diagonal of
+two or more states reads its row once plus one cell per state.
 
 Each previous state ``(m', b')`` feeds exactly one diagonal,
 ``m' + r * b'``.  So a fill visits only the diagonals the previous level
@@ -38,10 +45,6 @@ finish window holds one or two b per diagonal and arity, where the cap keeps
 every ``b >= 1`` once L's widest arity reaches n.  A state dropped by either
 rule reaches no finished state, so it lies on no chain to the answer, and no
 answer or backtrace moves.
-
-A finished state ``(m, 0)`` with ``m >= n`` may also be the previous
-level's ``(m, 0)`` carried down at the same cost: ``W_m = 0``, so that tree
-pays no further edge.
 
 ``solve_choice`` runs the same level loop over a ``ChoiceLevelSpec``, whose
 levels each offer several (arity, edge length) options: every option is
@@ -185,8 +188,7 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
 
     Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
     pairs of finished-tree states ``(m, 0)`` in ascending m and ``cells``
-    counts evaluated candidates (predecessor visits for the naive mode, gamma
-    evaluations plus sweep steps for the batched mode).
+    counts the candidates read (see the module docstring).
 
     One loop visits the diagonals ``d`` of a map ``d -> B`` in ascending
     ``d``; ``B`` bounds the ``b'`` of the predecessors ``(d - r * b', b')``
@@ -198,11 +200,21 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     each with ``B = d // r``, as the paper's full fill visits them.  Both
     maps store the same entries in the same order; only the cells differ.
 
-    A diagonal ``d <= n`` builds its candidate row ``gamma(b')``,
-    ``b' = 0 .. B``, once.  The naive mode then takes every entry's minimum
-    over its window ``b' >= ceil(b / r)`` of the row; the batched mode folds
-    a running minimum while sweeping ``m`` upward from ``d - r * B``.  Both
-    store a diagonal's entries in ascending m.
+    Storage rule: a diagonal ``d <= n`` lists, in descending order, the b
+    from ``r * B`` down to 1; with a ``cap`` (see ``_solve``) only down to
+    ``ceil((n - d) / (cap - 1))``, with ``windows`` in place of a cap (the
+    level before the spec's last; see ``_FinishWindows``) only the b its
+    window keeps, and with ``cap == 0`` (the spec's last level) none.  From
+    ``d = max(n, r)`` on, where ``(d, 0)`` is a valid finished state, it
+    lists ``b = 0`` too, past n alone.  The candidate row runs from the
+    least listed b's window up to ``B``; its ``b' = 0`` entry is the carried
+    ``(d, 0)`` and every other candidate has ``m' < n``, so ``suffix`` is
+    read within its range.  A listed state whose window holds no reachable
+    candidate stays absent, and both modes store a diagonal's states in
+    ascending m.  The batched mode folds its running minimum by an m-sweep
+    upward from ``d - r * B`` over a contiguous run of two or more b, and
+    by a walk down the row over a window list of two or more; a diagonal
+    with a single state takes that state's window, as the naive mode does.
 
     The level-free tail passes its one table as both ``prev`` and ``costs``
     with a dense map, since its predecessors appear during the fill: every
@@ -210,28 +222,6 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     finished entries.  ``seeds`` maps a diagonal to ``(sig, value)`` pairs
     merged by minimum once that diagonal is visited, any left over at the
     end.
-
-    A finished state's ``b' = 0`` candidate is its own previous entry, with
-    no weight term since ``W_m = 0`` for ``m >= n``; every other candidate
-    has ``m' <= n``, so ``suffix`` is read within its range.  The batched
-    sweep runs only when ``r <= n``.  A wider level reaches no ``b > 0``
-    state (that needs ``m' + b' * r <= n`` with ``b' >= 1``), so the
-    per-state scan of the finished diagonals handles it alone: each
-    ``(m, 0)`` then has the two candidates ``(m, 0)`` and ``(m - r, 1)``.
-
-    With ``cap`` (see ``_solve``) a diagonal ``d < n`` stores only
-    ``b >= ceil((n - d) / (cap - 1))``: the naive mode skips lower b, and the
-    batched sweep stops there and builds no candidate it would not read.
-    With ``cap == 0`` only finished states are stored, diagonal n's by the
-    per-state scan, which takes the minimum of that whole row.
-
-    With ``windows`` in place of ``cap`` (the level before the spec's last;
-    see ``_FinishWindows``) a diagonal ``d <= n`` stores only the b its
-    window keeps, and ``(n, 0)`` as without it.  The row is built from the
-    least kept b's window up; the naive mode takes each kept state's window
-    minimum, and the batched mode walks the row once from ``b' = B`` down,
-    storing each kept b, in ascending m, once the walk has passed its
-    window's lower end.  It counts a cell per candidate and per kept state.
     """
     if costs is None:
         costs = {}
@@ -239,12 +229,8 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     cells = 0
     get = prev.get
     INF = UNREACHABLE
-    batched = mode == "batched" and r <= n
-    # batched: the finished states past n are full-window minima, counted as
-    # a gamma evaluation plus a sweep step per candidate
-    first, per_candidate = (n + 1, 2) if batched else (max(n, r), 1)
-    if cap == 0:  # the spec's last level: finished states only, (n, 0) by the scan
-        first = max(n, r)
+    batched = mode == "batched"
+    finish_from = max(n, r)
     if dense:
         reach = {d: d // r for d in chain(range(1, n + 1), range(max(n + 1, r), n + r))}
     else:
@@ -255,73 +241,56 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
                 reach[d] = b
         reach = dict(sorted(reach.items()))
     for d, B in reach.items():
-        # the least b stored on diagonal d: a lower one cannot finish
-        if windows is not None and d <= n:
-            kept = [b for b in windows[d] if b <= r * B]
-            # diagonal n still stores (n, 0); no kept b leaves no row to build
-            low = 0 if d == n else kept[-1] if kept else d + 1
-        elif cap == 0:
-            low = r * B + 1
-        elif cap is None or d >= n:
-            low = 0
+        # the listed b, descending: the run hi .. low, or the window list kept;
+        # b = 0 only where (d, 0) is a valid finished state
+        finished = d >= finish_from
+        kept = None
+        if d > n or cap == 0:
+            hi, low = 0, (0 if finished else 1)
+        elif windows is None:
+            hi = r * B
+            low = 0 if finished else (n - d + cap - 2) // (cap - 1) if cap and d < n else 1
         else:
-            low = (n - d + cap - 2) // (cap - 1)
-        if d <= n and low <= r * B:
-            q = -(-low // r)  # no window of a stored state reaches below b' = q
-            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp] for bp in range(q, B + 1)]
-            if q:
-                cand = [INF] * q + cand
-            if batched and windows is not None:
-                # walk the row once from b' = B down; each kept b, and (n, 0)
-                # on diagonal n, takes the running minimum in ascending m
-                kept = (*kept, 0) if d == n else kept
-                cells += (B + 1 - q) + len(kept)
-                best = INF
-                top = B + 1
-                for b in kept:
-                    lo = (b + r - 1) // r
-                    if lo < top:
-                        best = min(best, *cand[lo:top])
-                        top = lo
-                    if best < INF:
-                        costs[(d - b, b)] = best
-                        if not b:
-                            zeros.append((d, best))
-            elif batched:
-                t = d - r * B
-                cells += (B + 1 - q) + (d - low - t + 1)
-                best = INF
-                for m in range(t, d - low + 1):
+            kept = [b for b in windows[d] if b <= r * B]
+            if finished:
+                kept.append(0)
+            hi, low = (kept[0], kept[-1]) if kept else (0, 1)
+        if low <= hi:
+            q = -(-low // r)  # no window of a listed state reaches below b' = q
+            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp]
+                    for bp in range(q or 1, B + 1)]
+            # b' < q is never read; b' = 0 is the carried (d, 0)
+            cand[:0] = [INF] * q if q else [get((d, 0), INF)]
+            batch = batched and hi > low  # two or more states: one pass over the row
+            if batch:
+                cells += (B + 1 - q) + (hi - low + 1 if kept is None else len(kept))
+            best = INF
+            if batch and kept is None:
+                # m-sweep: each m folds in the candidate its window gains
+                for m in range(d - hi, d - low + 1):
                     rem = d - m
                     if rem % r == 0:
                         v = cand[rem // r]
                         if v < best:
                             best = v
                     if best < INF:
-                        if rem > 0:
-                            costs[(m, rem)] = best
-                        elif m == n:  # the only in-range (m, 0) state with d <= n
-                            costs[(m, 0)] = best
+                        costs[(m, rem)] = best
+                        if not rem:
                             zeros.append((m, best))
             else:
-                # naive: every entry scans its own predecessor window of the
-                # row, in ascending m as the sweep stores them
-                if windows is None:
-                    kept = range(r * B, max(low, 1) - 1, -1)
-                for b in kept:
+                top = B + 1
+                for b in kept or range(hi, low - 1, -1):
                     lo = (b + r - 1) // r
-                    cells += B + 1 - lo
-                    v = min(cand[lo:])
-                    if v < INF:
-                        costs[(d - b, b)] = v
-        if d >= first:
-            v = min((get((d - r * bp, bp), INF) + c * suffix[d - r * bp]
-                     for bp in range(1, B + 1)), default=INF)
-            v = min(v, get((d, 0), INF))
-            cells += per_candidate * (B + 1)
-            if v < INF:
-                costs[(d, 0)] = v
-                zeros.append((d, v))
+                    if not batch:
+                        cells += B + 1 - lo
+                        best = min(cand[lo:])
+                    elif lo < top:
+                        best = min(best, *cand[lo:top])
+                        top = lo
+                    if best < INF:
+                        costs[(d - b, b)] = best
+                        if not b:
+                            zeros.append((d, best))
         if seeds:
             _merge_min(costs, seeds.pop(d, ()))
     if seeds:
@@ -380,12 +349,11 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     ``c * K * W_m + 1`` and is seeded with level s - 1 at keys
     ``cost * K + s - 1``.
 
-    Choice solves also count each option's stored entries as cells, whatever
-    their option count.
+    A level counts the cells of each of its options' fills, plain and choice
+    levels alike; merging the options' tables by minimum costs no cell.
     """
     check_algorithm(mode)
     n = w.n
-    choice = isinstance(spec, ChoiceLevelSpec)
     tail = _tail_start(spec, n) if cutoff else None
     last = spec.num_levels
     caps = {}
@@ -410,7 +378,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
             fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff,
                                          cap=caps.get(i),
                                          windows=windows if i == last - 1 else None)
-            cells += k + len(fill) if choice else k
+            cells += k
             # the best finished state over all options is the best over each
             # option's own finished states
             best = min([best, *[(v, i, m) for m, v in zeros]])

@@ -10,7 +10,9 @@ It reruns every ``solve`` command of ``test_cli_golden.py`` and every
 ``cells_updated`` (a key of the solve documents, a column of the bench rows)
 and of the ``# slope`` lines may differ.  If anything else differs, it names
 the first such document, writes nothing and exits 1.  Otherwise it prints
-each moved value, old -> new, writes both files and exits 0.
+each moved value, old -> new, then a tally of the counts that went down,
+the counts that went up and the slopes that moved, writes both files and
+exits 0.
 """
 
 from __future__ import annotations
@@ -42,14 +44,16 @@ def _stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _solve_counts(doc: str) -> tuple[str, list[str]]:
-    """The document with its ``cells_updated`` values masked, and those values."""
-    return CELLS.sub("#", doc), CELLS.findall(doc)
+def _solve_counts(key: str, doc: str) -> tuple[str, list[tuple[str, str, str]]]:
+    """The document with its ``cells_updated`` values masked, and those values
+    as ``(key, "count", value)``."""
+    return CELLS.sub("#", doc), [(key, "count", v) for v in CELLS.findall(doc)]
 
 
-def _bench_counts(csv_text: str) -> tuple[str, list[str]]:
+def _bench_counts(csv_text: str) -> tuple[str, list[tuple[str, str, str]]]:
     """The CSV with its ``cells_updated`` column and slope values masked, and
-    those values in order."""
+    those values in order as ``(row, "count", value)`` or ``(line, "slope",
+    value)``; a row is named by its fields before the count."""
     masked, values = [], []
     column = None
     for line in csv_text.splitlines(keepends=True):
@@ -58,20 +62,21 @@ def _bench_counts(csv_text: str) -> tuple[str, list[str]]:
         fields = body.split(",")
         slope = SLOPE.match(body)
         if slope:
-            values.append(slope.group(2))
+            values.append((slope.group(1)[2:].removesuffix(" value="), "slope", slope.group(2)))
             body = slope.group(1) + "#"
         elif "cells_updated" in fields:
             column = fields.index("cells_updated")
         elif column is not None and len(fields) > column and not body.startswith("#"):
-            values.append(fields[column])
+            values.append(("bench " + ",".join(fields[:column]), "count", fields[column]))
             fields[column] = "#"
             body = ",".join(fields)
         masked.append(body + end)
     return "".join(masked), values
 
 
-def _moved(label: str, old: list[str], new: list[str]) -> list[str]:
-    return [f"{label}: {a} -> {b}" for a, b in zip(old, new) if a != b]
+def _moved(old: list, new: list) -> list[tuple[str, str, str, str]]:
+    """``(where, kind, old, new)`` for each value that moved."""
+    return [(where, kind, a, b) for (where, kind, a), (*_, b) in zip(old, new) if a != b]
 
 
 def main() -> int:
@@ -88,23 +93,25 @@ def main() -> int:
     moves = []
     for key in sorted(new_docs):
         (old_masked, old_values), (new_masked, new_values) = (
-            _solve_counts(old_docs[key]), _solve_counts(new_docs[key]))
+            _solve_counts(key, old_docs[key]), _solve_counts(key, new_docs[key]))
         if old_masked != new_masked:
             print(f"regen_golden: {key} differs beyond cells_updated; nothing written",
                   file=sys.stderr)
             return 1
-        moves += _moved(key, old_values, new_values)
+        moves += _moved(old_values, new_values)
     (old_masked, old_values), (new_masked, new_values) = (
         _bench_counts(old_csv), _bench_counts(new_csv))
     if old_masked != new_masked:
         print("regen_golden: bench CSV differs beyond cells_updated and slopes; "
               "nothing written", file=sys.stderr)
         return 1
-    moves += _moved("bench", old_values, new_values)
+    moves += _moved(old_values, new_values)
 
-    for line in moves:
-        print(line)
-    print(f"{len(moves)} values moved")
+    for where, _, a, b in moves:
+        print(f"{where}: {a} -> {b}")
+    counts = [(int(a), int(b)) for _, kind, a, b in moves if kind == "count"]
+    print(f"{len(moves)} values moved: {sum(b < a for a, b in counts)} counts down, "
+          f"{sum(b > a for a, b in counts)} counts up, {len(moves) - len(counts)} slopes")
     with open(GOLDEN, "w") as fh:
         json.dump(new_docs, fh, indent=1, sort_keys=True)
         fh.write("\n")

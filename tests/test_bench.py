@@ -20,10 +20,10 @@ def bench_argv(problem):
 # rows, demo 05 and acceptance criterion 6 read these counts, so they must
 # not come from a solve that stops early.
 FULL_DEPTH_CELLS = {
-    "gmr": (555_100, 101_350),
-    "huffman": (555_100, 101_350),
-    "reserved-given": (34_684, 7_274),
-    "reserved-g": (71_841, 28_926),
+    "gmr": (555_100, 95_150),
+    "huffman": (555_100, 95_150),
+    "reserved-given": (34_684, 6_742),
+    "reserved-g": (64_914, 19_749),
 }
 
 
@@ -54,15 +54,15 @@ def test_reserved_given_cut_off_fill_visits_only_reached_diagonals():
     cut, full = (problems.solve("reserved-given", w, params, algorithm="batched",
                                 want_code=False, cutoff=cutoff).dp for cutoff in (True, False))
     assert cut.cost == full.cost
-    assert cut.cells_updated == 61
-    assert full.cells_updated == 6_669_825
+    assert cut.cells_updated == 36
+    assert full.cells_updated == 6_652_522
     assert cut.cells_updated < full.cells_updated / 100
 
 
 @pytest.mark.parametrize("name,n,dist,params,levels,cells", [
-    ("reserved-g", 400, "uniform", problems.Params(radix=2, g=2), 2, 1_912),
-    ("gmr", 1000, "zipf", problems.Params(levels=LevelSpec.constant(2, 1, 10)), 10, 2_155),
-])
+    ("reserved-g", 400, "uniform", problems.Params(radix=2, g=2), 2, 945),
+    ("gmr", 1000, "zipf", problems.Params(levels=LevelSpec.constant(2, 1, 10)), 10, 1_150),
+], ids=["reserved-g-400-uniform-g2", "gmr-1000-zipf-L10"])
 def test_cut_off_fill_keeps_only_states_that_can_finish(name, n, dist, params, levels, cells):
     # with fewer levels than n and no level-free tail, a level keeps only the
     # states that can still reach n leaves in the levels left, the level before
@@ -75,7 +75,8 @@ def test_cut_off_fill_keeps_only_states_that_can_finish(name, n, dist, params, l
     assert dp.tables[-1].costs and all(b == 0 for _, b in dp.tables[-1].costs)
 
 
-@pytest.mark.parametrize("n,cells,middle_states", [(300, 38_106, 2_127), (400, 60_251, 3_019)])
+@pytest.mark.parametrize("n,cells,middle_states", [(300, 28_418, 2_127), (400, 46_950, 3_019)],
+                         ids=["n300", "n400"])
 def test_reserved_g3_middle_level_keeps_only_finishable_states(n, cells, middle_states):
     # reserved-g at g = 3: level 3's widest option has more than n slots, so
     # m + b * cap >= n holds for every b >= 1; level 2 keeps only the states

@@ -547,6 +547,101 @@ class TestCutoff:
                     == _first_dominated_level(w, spec, full, finish_aware=False) - 1)
 
 
+def _fill_cells(prev: dict, n: int, r: int, keep, algorithm: str, dense: bool) -> int:
+    """Cells of one level fill, from the cell definition: a naive state, or
+    the only state listed on its diagonal, reads its whole window
+    ``B + 1 - ceil(b / r)``, and a batched diagonal of two or more states
+    reads its row once, from the least listed b's window up to B, plus one
+    cell per state.  A diagonal ``d`` lists the valid signatures ``(d - b,
+    b)`` the level keeps whose window holds a slot, ``b <= r * B``; B is
+    ``d // r`` on a dense fill and the largest ``b'`` of a previous state
+    feeding d on a sparse one."""
+    if dense:
+        reach = {d: d // r for d in [*range(1, n + 1), *range(max(n + 1, r), n + r)]}
+    else:
+        reach = {}
+        for m, b in prev:
+            if m + r * b < n + r:
+                reach[m + r * b] = max(reach.get(m + r * b, 0), b)
+    cells = 0
+    for d, B in reach.items():
+        listed = [b for b in (range(min(r * B, d) + 1) if d <= n else (0,))
+                  if valid_signature(d - b, b, n, r) and keep(d - b, b)]
+        windows = [B + 1 - -(-b // r) for b in listed]
+        if algorithm == "naive" or len(listed) == 1:
+            cells += sum(windows)
+        elif listed:
+            cells += max(windows) + len(listed)
+    return cells
+
+
+def _derived_cells(w, spec, res, algorithm: str, cutoff: bool) -> int:
+    """``cells_updated`` of a solve as the sum of its level fills' cells
+    (``_fill_cells``), each option's fill read from the previous table the
+    solve kept.  A cut-off fill keeps what ``_keeps`` keeps; a full fill,
+    and the level-free tail, are dense and keep every state."""
+    n = w.n
+    keeps = _keeps(spec, n) if cutoff else [lambda m, b: True] * (spec.num_levels + 1)
+    s = cut_tail_start(res, spec, n) if cutoff else None
+    cells = 0
+    for i in range(1, res.levels_filled + 1):
+        if i == s:
+            cells += _fill_cells({}, n, spec.levels[-1][0], keeps[i], algorithm, dense=True)
+        else:
+            cells += sum(_fill_cells(res.tables[i - 1].costs, n, r, keeps[i], algorithm,
+                                     dense=not cutoff) for r, _ in spec.options(i))
+    return cells
+
+
+CELL_CASES = {
+    # one level: the spec's last, finished states only
+    "last-level": (normalize_weights([9, 5, 3, 2, 1, 1]), LevelSpec([(8, 1)])),
+    # caps on levels 1..3, the finish window on level 4, the last level on 5
+    "cap-and-window": (normalize_weights(random_weights(random.Random(3), 14)),
+                       LevelSpec.constant(2, 1, 5)),
+    # reserved-g at g = 3: choice levels, the window shared by the options
+    "choice-window": (normalize_weights(range(20, 0, -1)),
+                      ChoiceLevelSpec([problems.glengths_options(2, 20)] * 3)),
+    # arities past n, the widest 2**70: only finished states past n
+    "r-past-n": (normalize_weights([4, 4, 3, 1, 1]),
+                 LevelSpec([(2, 1), (6, 1), (2**70, 2)])),
+    "r-2**70": (normalize_weights([7, 1, 1]), LevelSpec([(2**70, 1), (2, 1)])),
+    # level-free tails: Huffman's from level 1, mixed radix 4 2 3 seeded
+    # from level 2
+    "tail": (normalize_weights(random_weights(random.Random(5), 12)), LevelSpec.constant(2, 1, 12)),
+    "seeded-tail": (normalize_weights(random_weights(random.Random(7), 16)),
+                    LevelSpec([(4, 1), (2, 1)] + [(3, 1)] * 14)),
+}
+
+
+class TestCells:
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    @pytest.mark.parametrize("cutoff", [True, False], ids=["cut-off", "dense"])
+    @pytest.mark.parametrize("case", sorted(CELL_CASES))
+    def test_cells_follow_the_cell_definition(self, case, cutoff, algorithm):
+        w, spec = CELL_CASES[case]
+        res = _solve_any(w, spec, algorithm, cutoff=cutoff)
+        assert res.cells_updated == _derived_cells(w, spec, res, algorithm, cutoff)
+        assert _solve_any(w, spec, algorithm, cutoff=cutoff,
+                          keep_tables=False).cells_updated == res.cells_updated
+        if case.endswith("tail"):
+            assert (cut_tail_start(res, spec, w.n) is not None) == cutoff
+
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    def test_cells_follow_the_cell_definition_randomized(self, algorithm):
+        checked = 0
+        for w, spec in [*_cutoff_instances(seed=929, per_draw=40),
+                        *_wide_instances(seed=939, per_draw=12)]:
+            for cutoff in (True, False):
+                try:
+                    res = _solve_any(w, spec, algorithm, cutoff=cutoff)
+                except NoFeasibleTree:
+                    continue
+                assert res.cells_updated == _derived_cells(w, spec, res, algorithm, cutoff)
+                checked += 1
+        assert checked >= 300
+
+
 # Tie-heavy draws (seeded runs of the generator above with n up to 24) on
 # which the finish-aware fill stops a level earlier than a fill that keeps
 # every state: the stop level's cheap states cannot finish.
