@@ -24,7 +24,8 @@ as its ``b' = 0`` candidate, carried down at the same cost since
 
 ``cells_updated`` counts candidate reads: a naive state, or the only state
 listed on its diagonal, reads its whole window, and a batched diagonal of
-two or more states reads its row once plus one cell per state.
+two or more states reads its row once plus one cell per state.  The
+level-free tail below counts its own way.
 
 Each previous state ``(m', b')`` feeds exactly one diagonal,
 ``m' + r * b'``.  So a fill visits only the diagonals the previous level
@@ -58,13 +59,40 @@ ties go to the shallower level, so no deeper level could change the answer or
 its backtrace.  ``cutoff=False`` fills every level of the spec, and every
 diagonal of each level, as the complexity harness measures.
 
-A plain spec of at least n levels whose levels from s on share one (arity,
-edge length) -- Huffman from level 1, mixed-radix (4, 2, 3) from level 3 --
-fills levels ``1 .. s - 1`` one table each and all deeper levels in one
+A plain spec of at least n levels whose levels from s on share one arity r
+and edge length c -- Huffman from level 1, mixed-radix (4, 2, 3) from level
+3 -- fills levels ``1 .. s - 1`` one table each and all deeper levels in one
 level-free table, as Golin & Rote's signature DP does: there a state's
 future does not depend on its level, so the table keeps each signature's
-least ``cost * K + level`` (``K = 2n + 2``) and is filled in place in
-diagonal order.
+least key ``cost * K + level`` (``K = 2n + 2``).  ``_fill_tail`` fills it in
+diagonal order; every predecessor lies on a smaller diagonal, so a diagonal
+reads only finished entries.  Each state of level ``s - 1`` seeds it as one
+more candidate of its own signature.
+
+The tail is pruned by a running bound, as the one-ended fill is.  A state
+``(m, b)`` needs one more expansion, so its cost plus ``c * W_m`` bounds every
+finish through it from below (for a finished ``(m, 0)``, ``W_m = 0``).  The
+bound is consistent: a child costs that much.  UB is the least one-level
+finish, cost plus ``c * W_m``, over the stored states with
+``max(n, r) <= m + r * b <= n + r - 1``, finished states included.  A
+diagonal stores a state only if its bound, with the cost read as
+``key // K``, is at most UB, and UB is updated once the diagonal's stores and
+seeds are done.  A dropped state's descendants would be dropped too, so every
+stored entry keeps its unpruned key, level tie-break included, and every
+state of an optimal chain is stored: no answer or backtrace moves.
+
+On one diagonal the bound never falls as b grows: the window ``b' >=
+ceil(b / r)`` shrinks and ``W_{d - b}`` grows.  So the states the row gives
+a diagonal are ``(d, 0)``, where it is valid, and the run ``b = 1 ..
+b_max``.  Diagonal d's row holds ``b' = 1 .. phi``, phi the largest
+``b' <= d // r`` that is at most the largest b stored on its predecessor's
+diagonal ``d - (r - 1) * b'``; with no such ``b'`` the diagonal reads
+nothing.  With a row, d lists ``b = 1 .. r * phi`` if ``d <= n`` and
+``(d, 0)`` from ``d = max(n, r)`` on, whose window is the whole row.
+``solve_naive`` takes each listed state's window minimum and tests it on its
+own, reading ``phi + 1 - ceil(b / r)`` cells per state.  ``solve_batched``
+builds the row's suffix minima once, phi cells, finds ``b_max`` by bisection
+and spends one cell per state it stores from the row.  Seeds cost no cell.
 
 The fills store costs only, so equal-cost predecessors are resolved in one
 place: ``backtrack`` recovers each step from the previous level's costs,
@@ -104,8 +132,9 @@ class LevelTable:
     """Reachable signatures of one level and their exact minimum costs;
     predecessors and options are recovered from these by ``backtrack``.  A
     level-free table covers ``level`` and every deeper level: the gmr tail
-    from level s holds keys (see ``DPResult``), and the one-ended table, at
-    level 0, the cost of every state it stores."""
+    from level s holds the keys of the states its running bound kept (see
+    ``DPResult``), and the one-ended table, at level 0, the cost of every
+    state it stores."""
 
     level: int
     costs: dict[Sig, int]
@@ -125,11 +154,13 @@ class DPResult:
     level-free tail from level s on has ``levels_filled == s``, and
     ``tables[s]`` (its ``level`` is s) covers levels s and deeper: its values
     are keys ``cost * (2n + 2) + level``, the least per signature over levels
-    ``s - 1`` and deeper.  Without a tail, a cut-off table holds only the
-    states that can still finish: the level before the spec's last only
-    those that some last-level arity finishes into a valid signature, the
-    last level only finished ones (see ``_solve``).  One-ended answers,
-    whose DP has no levels, leave ``levels_filled`` None.
+    ``s - 1`` and deeper, of the signatures whose bound stayed within the
+    running best finish; a signature it drops cannot finish at or below the
+    answer's cost (see the module docstring).  Without a tail, a cut-off
+    table holds only the states that can still finish: the level before the
+    spec's last only those that some last-level arity finishes into a valid
+    signature, the last level only finished ones (see ``_solve``).
+    One-ended answers, whose DP has no levels, leave ``levels_filled`` None.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
     """
@@ -182,8 +213,7 @@ class _FinishWindows(dict):
 
 
 def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
-                costs: dict | None = None, seeds: dict | None = None, cap: int | None = None,
-                windows: _FinishWindows | None = None):
+                cap: int | None = None, windows: _FinishWindows | None = None):
     """Fill one level from the previous one.
 
     Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
@@ -215,16 +245,8 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     upward from ``d - r * B`` over a contiguous run of two or more b, and
     by a walk down the row over a window list of two or more; a diagonal
     with a single state takes that state's window, as the naive mode does.
-
-    The level-free tail passes its one table as both ``prev`` and ``costs``
-    with a dense map, since its predecessors appear during the fill: every
-    predecessor lies on a smaller diagonal, so each diagonal reads only
-    finished entries.  ``seeds`` maps a diagonal to ``(sig, value)`` pairs
-    merged by minimum once that diagonal is visited, any left over at the
-    end.
     """
-    if costs is None:
-        costs = {}
+    costs: dict[Sig, int] = {}
     zeros: list[tuple[int, int]] = []
     cells = 0
     get = prev.get
@@ -291,12 +313,95 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
                         costs[(d - b, b)] = best
                         if not b:
                             zeros.append((d, best))
-        if seeds:
-            _merge_min(costs, seeds.pop(d, ()))
-    if seeds:
-        for pairs in seeds.values():
-            _merge_min(costs, pairs)
     return costs, zeros, cells
+
+
+def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: str):
+    """Fill the level-free table of levels s and deeper from level
+    ``s - 1``'s table ``prev``, pruned by the running bound of the module
+    docstring.  Returns ``(table, zeros, cells)`` as ``_fill_level`` does,
+    with keys ``cost * K + level`` in place of costs."""
+    K = 2 * n + 2
+    INF = UNREACHABLE
+    seeds: dict[int, list] = {}
+    for (m, b), v in prev.items():
+        seeds.setdefault(m + b, []).append((m, b, v * K + s - 1))
+    table: dict[Sig, int] = {}
+    get = table.get
+    zeros: list[tuple[int, int]] = []
+    cells = 0
+    batched = mode == "batched"
+    cw = [c * K * x for x in suffix]  # c * W_m in key units
+    grow = [x + 1 for x in cw]  # an expansion from m' adds grow[m'] to the key
+    finish_from = max(n, r)
+    hi = [0] * (n + 1)  # the largest b >= 1 stored on each diagonal, all d <= n
+    limit = INF  # a key v at (m, b) is stored iff v + cw[m] < limit = (UB + 1) * K
+
+    def merge(pairs):
+        # a seed is one more candidate of its state, under the diagonal's UB
+        for m, b, v in pairs:
+            if v + (cw[m] if b else 0) < limit and v < get((m, b), INF):
+                table[(m, b)] = v
+                if b:
+                    hi[m + b] = max(hi[m + b], b)
+
+    for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)):
+        phi = d // r
+        while phi and hi[d - (r - 1) * phi] < phi:
+            phi -= 1
+        if phi:
+            top = r * phi if d <= n else 0
+            preds = zip(range(d - r * phi, d, r), range(phi, 0, -1))  # b' = phi .. 1
+            if batched:
+                suf = []  # suf[phi - j]: the least candidate of the b' >= j
+                v = INF
+                for mp, bp in preds:
+                    x = get((mp, bp), INF) + grow[mp]
+                    if x < v:
+                        v = x
+                    suf.append(v)
+                lo, up = 0, top  # the bound never falls as b grows: bisect for b_max
+                while lo < up:
+                    mid = (lo + up + 1) // 2
+                    if suf[phi - (mid + r - 1) // r] + cw[d - mid] < limit:
+                        lo = mid
+                    else:
+                        up = mid - 1
+                for b in range(lo, 0, -1):
+                    table[(d - b, b)] = suf[phi - (b + r - 1) // r]
+                if lo:
+                    hi[d] = lo
+                # the row, then one cell per state stored from it
+                cells += phi + lo + (d >= finish_from and v < limit)
+            else:
+                # every listed state takes its own window and its own test
+                row = [get((mp, bp), INF) + grow[mp] for mp, bp in preds]
+                for b in range(top, 0, -1):
+                    j = (b + r - 1) // r
+                    cells += phi + 1 - j
+                    v = min(row[:phi + 1 - j])
+                    if v + cw[d - b] < limit:
+                        table[(d - b, b)] = v
+                        hi[d] = hi[d] or b
+                v = min(row)
+                if d >= finish_from:
+                    cells += phi
+            if d >= finish_from and v < limit:  # a finished state's bound is its cost
+                table[(d, 0)] = v
+                zeros.append((d, v))
+        pairs = seeds.pop(d, None)
+        if pairs:
+            merge(pairs)
+        # UB: the least one-level finish of the diagonal's states, those with
+        # max(n, r) <= m + r * b <= n + r - 1
+        for b in range(max(0, (finish_from - d + r - 2) // (r - 1)),
+                       min(hi[d] if d <= n else 0, (n + r - 1 - d) // (r - 1)) + 1):
+            v = get((d - b, b))
+            if v is not None:
+                limit = min(limit, ((v + (cw[d - b] if b else 0)) // K + 1) * K)
+    for pairs in seeds.values():  # finished seeds on diagonals the loop skips
+        merge(pairs)
+    return table, zeros, cells
 
 
 def _tail_start(spec, n: int) -> int | None:
@@ -342,12 +447,12 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
 
     Where ``_tail_start`` finds a constant tail from level s on, the loop
     fills levels ``1 .. s - 1`` only.  From level s on a state's future does
-    not depend on its level, so one dense ``_fill_level`` call fills a single
-    table in place, in diagonal order, keyed ``cost * K + level`` with
-    ``K = 2n + 2``: one integer minimum keeps the cheapest state and, among
-    equal costs, the shallowest.  It passes edge length 1 with the suffix
-    ``c * K * W_m + 1`` and is seeded with level s - 1 at keys
-    ``cost * K + s - 1``.
+    not depend on its level, so ``_fill_tail`` fills a single table in
+    diagonal order, keyed ``cost * K + level`` with ``K = 2n + 2``: one
+    integer minimum keeps the cheapest state and, among equal costs, the
+    shallowest.  It is seeded with level s - 1 at keys ``cost * K + s - 1``
+    and stores only the states whose bound stays within the running best
+    finish (see the module docstring).
 
     A level counts the cells of each of its options' fills, plain and choice
     levels alike; merging the options' tables by minimum costs no cell.
@@ -395,14 +500,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     else:
         if tail is not None:
             K = 2 * n + 2
-            r, c = spec.levels[-1]
-            seeds: dict[int, list] = {}
-            for (m, b), v in prev.items():
-                seeds.setdefault(m + b, []).append(((m, b), v * K + tail - 1))
-            table: dict[Sig, int] = {}
-            suffix = tuple(c * K * x + 1 for x in w.suffix)
-            _, zeros, cells_tail = _fill_level(table, n, r, 1, suffix, mode, dense=True,
-                                              costs=table, seeds=seeds)
+            table, zeros, cells_tail = _fill_tail(prev, tail, n, *spec.levels[-1], w.suffix, mode)
             cells += cells_tail
             best = min([best, *[(*divmod(key, K), m) for m, key in zeros]])
             if keep_tables:

@@ -104,6 +104,19 @@ def tail_keys(full_tables, s: int, n: int) -> dict:
     return out
 
 
+def assert_pruned_tail(tail: dict, full_tables, s: int, spec, w, cost: int):
+    """The level-free table ``tail`` of a cut-off solve against the tables of
+    a full-depth one: every kept entry is its ``tail_keys`` entry, and every
+    dropped signature's bound -- its decoded cost plus ``c * W_m``, which is
+    its cost when ``b = 0`` -- is above the answer's cost ``cost``."""
+    keys = tail_keys(full_tables, s, w.n)
+    c = spec.levels[-1][1]
+    for sig, v in tail.items():
+        assert keys[sig] == v
+    for m, b in keys.keys() - tail.keys():
+        assert keys[(m, b)] // (2 * w.n + 2) + c * w.tail_weight(m) > cost
+
+
 def table_entries(res, spec, n: int):
     """``(cost, level, sig)`` of every entry of a cut-off result's tables
     below the root, with the level-free table's keys decoded."""

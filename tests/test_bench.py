@@ -89,6 +89,34 @@ def test_reserved_g3_middle_level_keeps_only_finishable_states(n, cells, middle_
     assert len(dp.tables[2].costs) == middle_states
 
 
+# The level-free tail at n = 160, Huffman from level 1 and mixed radix
+# (4, 2, 3) from level 3: (states stored, batched cells).  It stores only the
+# states whose bound stays within the running best finish; stored unpruned,
+# the tail held 12,419 and 12,197 states for 19,283 and 17,106 cells.
+TAIL_PINS = {
+    ("huffman", "uniform"): (6_227, 12_513),
+    ("huffman", "zipf"): (6_165, 12_451),
+    ("huffman", "geometric"): (10_977, 17_263),
+    ("mixed-radix", "uniform"): (2_520, 6_707),
+    ("mixed-radix", "zipf"): (3_221, 7_408),
+    ("mixed-radix", "geometric"): (5_919, 10_106),
+}
+# each problem's parameters and the first level of its tail
+TAIL_PARAMS = {"huffman": (problems.Params(radix=2), 1),
+               "mixed-radix": (problems.Params(arities=(4, 2, 3)), 3)}
+
+
+@pytest.mark.parametrize("name,dist", sorted(TAIL_PINS))
+def test_level_free_tail_keeps_only_states_within_the_running_bound(name, dist):
+    w = normalize_weights(bench.generate_weights(160, dist, 1))
+    params, tail = TAIL_PARAMS[name]
+    states, cells = TAIL_PINS[name, dist]
+    assert problems.solve(name, w, params, want_code=False).dp.cells_updated == cells
+    dp = problems.solve(name, w, params).dp
+    assert dp.levels_filled == tail
+    assert (len(dp.tables[-1].costs), dp.cells_updated) == (states, cells)
+
+
 def test_bench_csv_is_pinned(capsysbinary):
     for problem in GOLDEN_PROBLEMS:
         assert cli.main(bench_argv(problem)) == 0

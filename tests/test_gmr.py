@@ -3,13 +3,13 @@ import random
 
 import pytest
 from helpers import (
+    assert_pruned_tail,
     assert_same_solution,
     cut_tail_start,
     predecessors,
     random_gmr_instance,
     random_weights,
     table_entries,
-    tail_keys,
     tail_start,
     telescoped_cost,
     valid_signature,
@@ -441,9 +441,10 @@ def _cut_and_full(w, spec):
     each cut-off leveled table holds, entry for entry in insertion order
     (ascending diagonal, then m), the full table's entries ``(m, b)`` that
     can still finish (see ``_keeps``); with one, the tables before the tail
-    equal the full ones and the tail holds every deeper level's minimum key.
-    Naive and batched tables agree in insertion order too.  Returns the
-    batched ``(cut, full)`` pair."""
+    equal the full ones, and the tail keeps each of its entries at every
+    deeper level's minimum key and drops only signatures whose bound is above
+    the answer's cost (see ``assert_pruned_tail``).  Naive and batched tables
+    agree in insertion order too.  Returns the batched ``(cut, full)`` pair."""
     try:
         _solve_any(w, spec, "batched", keep_tables=False, cutoff=False)
     except NoFeasibleTree:
@@ -472,7 +473,7 @@ def _cut_and_full(w, spec):
                                  for items, keep in zip(full_items, keeps[:len(cut_items)])]
         else:
             assert cut_items[:s] == full_items[:s]
-            assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
+            assert_pruned_tail(cut.tables[s].costs, full.tables, s, spec, w, cut.cost)
         items[algorithm] = cut_items, full_items
     assert items["naive"] == items["batched"]
     return cut, full
@@ -575,18 +576,56 @@ def _fill_cells(prev: dict, n: int, r: int, keep, algorithm: str, dense: bool) -
     return cells
 
 
+def _tail_cells(table: dict, w, r: int, c: int, algorithm: str) -> int:
+    """Cells of a level-free tail fill, from the tail's cell definition.
+    Diagonal d's row holds ``b' = 1 .. phi``: phi is the largest
+    ``b' <= d // r`` that is at most the largest b stored on its
+    predecessor's diagonal ``d - (r - 1) * b'``, 0 if none is.  With a row,
+    d lists ``b = 1 .. r * phi`` if ``d <= n`` and ``(d, 0)`` from
+    ``d = max(n, r)`` on.  A naive listed state reads its window,
+    ``phi + 1 - ceil(b / r)`` cells; a batched diagonal reads its row once,
+    phi cells, plus one cell per listed state whose bound, window minimum
+    decoded plus ``c * W_m``, is at most UB: the least one-level finish of
+    the states stored on earlier diagonals with
+    ``max(n, r) <= m + r * b <= n + r - 1``.  Seeds cost no cell."""
+    n = w.n
+    K = 2 * n + 2
+    largest = {}
+    for m, b in table:
+        largest[m + b] = max(largest.get(m + b, 0), b)
+    ub = UNREACHABLE
+    cells = 0
+    for d in [*range(1, n + 1), *range(max(n + 1, r), n + r)]:
+        phi = max([bp for bp in range(1, d // r + 1)
+                   if bp <= largest.get(d - (r - 1) * bp, 0)], default=0)
+        row = [table.get((d - r * bp, bp), UNREACHABLE) + c * K * w.tail_weight(d - r * bp) + 1
+               for bp in range(1, phi + 1)]
+        listed = [*(range(1, r * phi + 1) if d <= n else ()),
+                  *((0,) if phi and d >= max(n, r) else ())]
+        windows = {b: row[max(1, -(-b // r)) - 1:] for b in listed}
+        if algorithm == "naive":
+            cells += sum(map(len, windows.values()))
+        else:
+            cells += phi + sum(min(x) < UNREACHABLE and min(x) // K + c * w.tail_weight(d - b) <= ub
+                               for b, x in windows.items())
+        ub = min([ub] + [v // K + c * w.tail_weight(m) for (m, b), v in table.items()
+                         if m + b == d and max(n, r) <= m + r * b <= n + r - 1])
+    return cells
+
+
 def _derived_cells(w, spec, res, algorithm: str, cutoff: bool) -> int:
     """``cells_updated`` of a solve as the sum of its level fills' cells
     (``_fill_cells``), each option's fill read from the previous table the
-    solve kept.  A cut-off fill keeps what ``_keeps`` keeps; a full fill,
-    and the level-free tail, are dense and keep every state."""
+    solve kept, and the level-free tail's (``_tail_cells``) read from its
+    own table.  A cut-off fill keeps what ``_keeps`` keeps; a full fill is
+    dense and keeps every state."""
     n = w.n
     keeps = _keeps(spec, n) if cutoff else [lambda m, b: True] * (spec.num_levels + 1)
     s = cut_tail_start(res, spec, n) if cutoff else None
     cells = 0
     for i in range(1, res.levels_filled + 1):
         if i == s:
-            cells += _fill_cells({}, n, spec.levels[-1][0], keeps[i], algorithm, dense=True)
+            cells += _tail_cells(res.tables[s].costs, w, *spec.levels[-1], algorithm)
         else:
             cells += sum(_fill_cells(res.tables[i - 1].costs, n, r, keeps[i], algorithm,
                                      dense=not cutoff) for r, _ in spec.options(i))
@@ -631,7 +670,8 @@ class TestCells:
     def test_cells_follow_the_cell_definition_randomized(self, algorithm):
         checked = 0
         for w, spec in [*_cutoff_instances(seed=929, per_draw=40),
-                        *_wide_instances(seed=939, per_draw=12)]:
+                        *_wide_instances(seed=939, per_draw=12),
+                        *_tail_instances(seed=949, per_draw=20)]:
             for cutoff in (True, False):
                 try:
                     res = _solve_any(w, spec, algorithm, cutoff=cutoff)
@@ -795,14 +835,16 @@ class TestLevelFreeTail:
                     continue
                 assert cut.tables[:s] == full.tables[:s]
                 assert cut.tables[s].level == s
-                assert cut.tables[s].costs == tail_keys(full.tables, s, w.n)
+                assert_pruned_tail(cut.tables[s].costs, full.tables, s, spec, w, cut.cost)
                 results.append(cut)
             if results:
                 assert_same_solution(*results)
+                naive, batched = results
+                assert list(naive.tables[s].costs.items()) == list(batched.tables[s].costs.items())
                 reached += 1
         assert reached >= 300
 
-    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("n", [100, 300, 640])
     def test_huffman_through_the_tail_matches_greedy(self, n):
         rng = random.Random(n)
         for r in range(2, 6):
