@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check the solver against an oracle")
     _add_common(p)
-    p.add_argument("--max-oracle-n", type=int, default=8,
-                   help="largest n the exhaustive oracles enumerate (default 8)")
+    p.add_argument("--max-oracle-n", type=int, default=32,
+                   help="largest n the exhaustive oracles enumerate (default 32)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling run; CSV on stdout")

@@ -10,16 +10,17 @@ levels are the only depth limit: a spec of L levels admits trees of up to L leve
 
 Two fill strategies produce bit-identical tables, entries stored in the same
 order.  Both group the states of one level whose signatures share
-``d = m + b``, list the states the diagonal may store (see ``_fill_level``)
-and build the candidate value ``gamma(b')`` of each predecessor
-``(d - r * b', b')`` on that diagonal once.  Every listed state ``(m, b)``
-takes its minimum over its window ``b' >= ceil(b / r)`` of that one row; a
-finished ``(d, 0)`` with ``d >= n`` reads the previous level's ``(d, 0)``
-as its ``b' = 0`` candidate, carried down at the same cost since
-``W_d = 0``:
+``d = m + b`` and list the states the diagonal may store (see
+``_fill_level``).  Each previous state ``(m', b')`` feeds exactly one
+diagonal, ``m' + r * b'``, so one pass over the previous level pushes its
+candidate value ``gamma(b') = cost + c * W_m'`` into that diagonal's row.
+Every listed state ``(m, b)`` takes its minimum over its window
+``b' >= ceil(b / r)`` of that one row.  A finished ``(d, 0)`` with
+``d >= n`` also reads the previous level's ``(d, 0)``, which pushes its own
+cost at ``b' = 0``, since ``W_d = 0``:
 
 * ``solve_naive`` takes each state's minimum over its own window;
-* ``solve_batched`` folds one running minimum over the row, so a diagonal
+* ``solve_batched`` folds one running minimum down the row, so a diagonal
   costs O(d).
 
 ``cells_updated`` counts candidate reads: a naive state, or the only state
@@ -27,10 +28,9 @@ listed on its diagonal, reads its whole window, and a batched diagonal of
 two or more states reads its row once plus one cell per state.  The
 level-free tail below counts its own way.
 
-Each previous state ``(m', b')`` feeds exactly one diagonal,
-``m' + r * b'``.  So a fill visits only the diagonals the previous level
-reaches, each up to its largest reaching ``b'``, as Golin & Rote's signature
-DP and Larmore & Hirschberg's package-merge work only on reachable states.
+A fill visits only the diagonals that received a push, each row up to its
+largest pushed ``b'``, as Golin & Rote's signature DP and Larmore &
+Hirschberg's package-merge work only on reachable states.
 ``cutoff=False`` selects the paper's full, dense fill, which visits every
 diagonal; it stores the same tables and counts more cells.
 
@@ -220,15 +220,17 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     pairs of finished-tree states ``(m, 0)`` in ascending m and ``cells``
     counts the candidates read (see the module docstring).
 
-    One loop visits the diagonals ``d`` of a map ``d -> B`` in ascending
-    ``d``; ``B`` bounds the ``b'`` of the predecessors ``(d - r * b', b')``
-    read on that diagonal.  Each previous state ``(m', b')`` feeds only the
-    diagonal ``m' + r * b'`` (a finished ``(m', 0)`` its own), so the sparse
-    map holds the reached diagonals below ``n + r``, where the level's
-    signatures end, each with its largest reaching ``b'``.  With ``dense``
-    the map holds every diagonal ``1 .. n`` and every finished diagonal,
-    each with ``B = d // r``, as the paper's full fill visits them.  Both
-    maps store the same entries in the same order; only the cells differ.
+    Each previous state ``(m', b')`` feeds only the diagonal ``m' + r * b'``
+    (a finished ``(m', 0)`` its own), so one pass over ``prev`` pushes its
+    candidate ``cost + c * W_m'`` into that diagonal's row at ``b'``, for the
+    diagonals below ``n + r``, where the level's signatures end; a finished
+    predecessor has ``m' >= n`` and ``W_m' = 0``.  One loop then
+    visits the diagonals ``d`` of a map ``d -> B`` in ascending ``d``, ``B``
+    bounding the row: the sparse map holds the diagonals with a row, each
+    with its largest pushed ``b'``.  With ``dense`` the map holds every
+    diagonal ``1 .. n`` and every finished diagonal, each with
+    ``B = d // r``, as the paper's full fill visits them.  Both maps store
+    the same entries in the same order; only the cells differ.
 
     Storage rule: a diagonal ``d <= n`` lists, in descending order, the b
     from ``r * B`` down to 1; with a ``cap`` (see ``_solve``) only down to
@@ -236,83 +238,61 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     level before the spec's last; see ``_FinishWindows``) only the b its
     window keeps, and with ``cap == 0`` (the spec's last level) none.  From
     ``d = max(n, r)`` on, where ``(d, 0)`` is a valid finished state, it
-    lists ``b = 0`` too, past n alone.  The candidate row runs from the
-    least listed b's window up to ``B``; its ``b' = 0`` entry is the carried
-    ``(d, 0)`` and every other candidate has ``m' < n``, so ``suffix`` is
-    read within its range.  A listed state whose window holds no reachable
-    candidate stays absent, and both modes store a diagonal's states in
-    ascending m.  The batched mode folds its running minimum by an m-sweep
-    upward from ``d - r * B`` over a contiguous run of two or more b, and
-    by a walk down the row over a window list of two or more; a diagonal
-    with a single state takes that state's window, as the naive mode does.
+    lists ``b = 0`` too, past n alone.  A listed state whose window holds no
+    pushed candidate stays absent, and both modes store a diagonal's states
+    in ascending m.  The naive mode takes each listed state's window
+    minimum; the batched mode folds one running minimum down the row, from
+    ``B`` to the last listed state's window, reading each candidate once.
     """
     costs: dict[Sig, int] = {}
     zeros: list[tuple[int, int]] = []
     cells = 0
-    get = prev.get
     INF = UNREACHABLE
     batched = mode == "batched"
     finish_from = max(n, r)
+    rows: dict[int, dict[int, int]] = {}
+    for (m, b), v in prev.items():
+        d = m + r * b
+        if d < n + r:
+            rows.setdefault(d, {})[b] = v + c * suffix[min(m, n)]
     if dense:
         reach = {d: d // r for d in chain(range(1, n + 1), range(max(n + 1, r), n + r))}
     else:
-        reach = {}
-        for m, b in prev:
-            d = m + r * b
-            if d < n + r and reach.get(d, -1) < b:
-                reach[d] = b
-        reach = dict(sorted(reach.items()))
+        reach = {d: max(rows[d]) for d in sorted(rows)}
     for d, B in reach.items():
-        # the listed b, descending: the run hi .. low, or the window list kept;
-        # b = 0 only where (d, 0) is a valid finished state
+        # the listed b, descending; b = 0 only where (d, 0) is a valid finished state
         finished = d >= finish_from
-        kept = None
         if d > n or cap == 0:
-            hi, low = 0, (0 if finished else 1)
+            listed = (0,) if finished else ()
         elif windows is None:
-            hi = r * B
             low = 0 if finished else (n - d + cap - 2) // (cap - 1) if cap and d < n else 1
+            listed = range(r * B, low - 1, -1)
         else:
-            kept = [b for b in windows[d] if b <= r * B]
-            if finished:
-                kept.append(0)
-            hi, low = (kept[0], kept[-1]) if kept else (0, 1)
-        if low <= hi:
-            q = -(-low // r)  # no window of a listed state reaches below b' = q
-            cand = [get((d - r * bp, bp), INF) + c * suffix[d - r * bp]
-                    for bp in range(q or 1, B + 1)]
-            # b' < q is never read; b' = 0 is the carried (d, 0)
-            cand[:0] = [INF] * q if q else [get((d, 0), INF)]
-            batch = batched and hi > low  # two or more states: one pass over the row
-            if batch:
-                cells += (B + 1 - q) + (hi - low + 1 if kept is None else len(kept))
-            best = INF
-            if batch and kept is None:
-                # m-sweep: each m folds in the candidate its window gains
-                for m in range(d - hi, d - low + 1):
-                    rem = d - m
-                    if rem % r == 0:
-                        v = cand[rem // r]
-                        if v < best:
-                            best = v
-                    if best < INF:
-                        costs[(m, rem)] = best
-                        if not rem:
-                            zeros.append((m, best))
+            listed = [b for b in windows[d] if b <= r * B] + ([0] if finished else [])
+        if not listed:
+            continue
+        cand = [INF] * (B + 1)
+        for bp, v in rows.get(d, {}).items():
+            cand[bp] = v
+        best = INF
+        top = B + 1
+        for b in listed:
+            lo = (b + r - 1) // r
+            if batched:
+                while top > lo:
+                    top -= 1
+                    if cand[top] < best:
+                        best = cand[top]
             else:
-                top = B + 1
-                for b in kept or range(hi, low - 1, -1):
-                    lo = (b + r - 1) // r
-                    if not batch:
-                        cells += B + 1 - lo
-                        best = min(cand[lo:])
-                    elif lo < top:
-                        best = min(best, *cand[lo:top])
-                        top = lo
-                    if best < INF:
-                        costs[(d - b, b)] = best
-                        if not b:
-                            zeros.append((d, best))
+                cells += B + 1 - lo
+                best = min(cand[lo:])
+            if best < INF:
+                costs[(d - b, b)] = best
+                if not b:
+                    zeros.append((d, best))
+        if batched:
+            # the row once, plus one cell per state if it lists two or more
+            cells += B + 1 - top + (len(listed) if len(listed) > 1 else 0)
     return costs, zeros, cells
 
 

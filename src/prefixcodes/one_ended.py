@@ -37,17 +37,20 @@ Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
 ``_fill`` builds the diagonal's candidate row once, and a state's
 predecessors form the window ceil(b/2) <= b' <= min(b, floor(d/2))
-of that row.  The fill records each diagonal's kept b range, builds the row
-only from the least to the greatest b' whose predecessor lies in its
-diagonal's range, ``[plo, phi]``, and sweeps only the b whose window meets
-it, ``plo <= b <= 2 phi``.  From ``b = phi`` on the window's upper end stays
-at phi, so neither gamma's window minimum nor W_m can fall: the first state
+of that row.  Each state ``(m', b')`` feeds only the diagonal ``m' + 2b'``,
+so when it is stored it pushes gamma(b') into that diagonal's row, if the
+diagonal is below n.  The row spans ``[plo, phi]``, from the least to the
+greatest stored predecessor; b' between them that no stored state pushed
+are holes.  The fill sweeps only the b whose window meets the row,
+``plo <= b <= 2 phi``.  From ``b = phi`` on the window's upper end stays at
+phi, so neither gamma's window minimum nor W_m can fall: the first state
 there that fails the bound ends the sweep.  The naive fill takes each
 window's minimum directly, O(n) per state.  The batched fill uses that both
 ends of the window only move up as b grows: a sliding-window minimum (a
 monotone deque) answers every state of the diagonal in amortized O(1).
-``cells_updated`` counts one cell per candidate built and per state swept in
-the batched fill, one per window entry read in the naive one; the answer
+``cells_updated`` counts one cell per row entry from plo to phi, holes
+included, and per state swept in the batched fill, and one per entry of
+``[plo, phi]`` in each swept state's window in the naive one; the answer
 scan adds none.
 
 Both fills store costs only.  The chain walk in ``solve_one_ended`` recovers
@@ -95,32 +98,22 @@ def _fill(w: WeightSeq, mode: str):
     n = w.n
     INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
-    get = costs.get
     suffix = w.suffix
     best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else None
-    # the least and greatest kept b of each diagonal: 0 is empty, 1 the seed
-    kept_lo = [0, 1] + [0] * n
-    kept_hi = [-1, 1] + [-1] * n
+    # rows[d][b']: gamma(b') of each stored predecessor (d - 2b', b'), pushed
+    # when it is stored; the seed's feeds diagonal 2
+    rows: dict[int, dict[int, int]] = {2: {1: suffix[0]}}
     batched = mode == "batched"
     cells = 0
     for d in range(2, n):
-        # [plo, phi]: from the least to the greatest b' whose predecessor
-        # (d - 2b', b') lies in its diagonal's kept range
-        half = d // 2
-        plo = 1
-        while plo <= half and not kept_lo[d - plo] <= plo <= kept_hi[d - plo]:
-            plo += 1
-        if plo > half:
+        row = rows.pop(d, None)
+        if row is None:
             continue
-        phi = half
-        while not kept_lo[d - phi] <= phi <= kept_hi[d - phi]:
-            phi -= 1
-        # cand[bp] = gamma(bp); no window reads below plo
-        cand = [INF] * plo
-        cand += [get((d - 2 * bp, bp), INF) + suffix[d - 2 * bp]
-                 for bp in range(plo, phi + 1)]
+        plo, phi = min(row), max(row)
+        cand = [INF] * (phi + 1)  # no window reads below plo
+        for bp, v in row.items():
+            cand[bp] = v
         limit = (best[0] if best else INF) - suffix[d]  # store iff gamma + W_m <= limit
-        first = last = 0
         if batched:
             cells += phi - plo + 1
             window: deque[int] = deque()  # b' ascending, gamma non-decreasing
@@ -149,15 +142,13 @@ def _fill(w: WeightSeq, mode: str):
                     break  # from b = phi on, neither v nor W_m decreases
                 continue
             costs[(m, b)] = v
-            first = first or b
-            last = b
-            if d + b >= n:
+            if d + b < n:
+                rows.setdefault(d + b, {})[b] = v + suffix[m]
+            else:
                 key = (v + suffix[m] + suffix[d], 3 * b + m - n, b, m)
                 if best is None or key < best:
                     best = key
                     limit = best[0] - suffix[d]
-        if first:
-            kept_lo[d], kept_hi[d] = first, last
     return costs, best, cells
 
 

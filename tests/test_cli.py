@@ -166,8 +166,10 @@ class TestExitCodes:
         assert "3**200 exceeds the supported arity range" in proc.stderr
 
     def test_budget_is_5(self):
-        run_cli("verify", "--problem", "gmr",
-                "--weights", "1 2 3 4 5 6 7 8 9 10 11 12", expect=5)
+        # one weight past the default --max-oracle-n of 32
+        proc = run_cli("verify", "--problem", "gmr",
+                       "--weights", " ".join(map(str, range(1, 34))), expect=5)
+        assert "n=33 exceeds oracle budget 32" in proc.stderr
 
     @pytest.mark.parametrize("problem", ["reserved-g", "huffman"])
     def test_bench_unknown_algorithm_is_2(self, problem):

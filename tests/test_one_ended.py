@@ -150,7 +150,7 @@ class TestNaiveBatchedAgreement:
                 rn = solve_one_ended(w, algorithm="naive")
                 assert rb.cost == rn.cost, name
                 assert rb.expansions == rn.expansions, name
-                assert rb.table.costs == rn.table.costs, name
+                assert list(rb.table.costs.items()) == list(rn.table.costs.items()), name
         assert solve_one_ended(w, with_code=False).table is None
         assert isinstance(rb.table, LevelTable) and rb.table.level == 0
 
@@ -165,7 +165,7 @@ class TestNaiveBatchedAgreement:
                 rn = solve_one_ended(w, algorithm="naive")
                 assert rb.cost == rn.cost, name
                 assert rb.expansions == rn.expansions, name
-                assert rb.table.costs == rn.table.costs, name
+                assert list(rb.table.costs.items()) == list(rn.table.costs.items()), name
 
 
 def _full_table(w):
@@ -255,6 +255,44 @@ class TestPrunedFill:
                     assert res.cost == want, (name, algorithm)
                     assert res.codebook.cost == want, (name, algorithm)
                     assert (list(res.table.costs) == [(0, 1)]) == (n <= 2), (name, algorithm)
+
+
+def _derived_cells(w, costs, algorithm: str) -> int:
+    """``cells_updated`` of a solve from its stored table, by the module
+    docstring's rule: diagonal d's row spans ``[plo, phi]``, its least and
+    greatest stored predecessor ``(d - 2b', b')``, and its sweep runs from
+    ``b = plo`` up to its first unstored ``b >= phi``, or to ``min(2 phi, d)``.
+    A batched diagonal spends one cell per row entry and per swept state, a
+    naive state one per entry of its window within the row."""
+    cells = 0
+    for d in range(2, w.n):
+        stored = [bp for bp in range(1, d // 2 + 1) if (d - 2 * bp, bp) in costs]
+        if not stored:
+            continue
+        plo, phi = stored[0], stored[-1]
+        end = next((b for b in range(phi, min(2 * phi, d) + 1) if (d - b, b) not in costs),
+                   min(2 * phi, d))
+        if algorithm == "batched":
+            cells += phi - plo + 1 + end - plo + 1
+        else:
+            cells += sum(min(b, phi) - max((b + 1) // 2, plo) + 1 for b in range(plo, end + 1))
+    return cells
+
+
+@pytest.mark.parametrize("algorithm", ["naive", "batched"])
+def test_cells_follow_the_cell_definition(algorithm):
+    # a row spans its least to its greatest stored predecessor, the holes
+    # between them included
+    for name, draw in WEIGHT_DRAWS.items():
+        rng = random.Random(67)
+        for _ in range(12):
+            w = normalize_weights(draw(rng, rng.randint(1, 80)))
+            res = solve_one_ended(w, algorithm=algorithm)
+            assert res.cells_updated == _derived_cells(w, res.table.costs, algorithm), name
+    for dist in ("uniform", "geometric"):
+        w = normalize_weights(bench.generate_weights(300, dist, 1))
+        res = solve_one_ended(w, algorithm=algorithm)
+        assert res.cells_updated == _derived_cells(w, res.table.costs, algorithm), dist
 
 
 def test_pruned_table_is_a_third_of_the_full_one():
