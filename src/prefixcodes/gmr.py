@@ -116,7 +116,6 @@ from .core import (
     LevelSpec,
     WeightSeq,
     check_algorithm,
-    cost_of_leaf_sequence,
 )
 from .errors import (
     InternalInconsistency,
@@ -609,23 +608,19 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq, *,
     return tuple(chain), LeafSequence(counts), options
 
 
-def _index_to_word(index: int, radices: list[int]) -> tuple[int, ...]:
-    word = []
-    for r in reversed(radices):
-        index, sym = divmod(index, r)
-        word.append(sym)
-    word.reverse()
-    return tuple(word)
-
-
 def leafseq_to_codewords(seq: LeafSequence, spec: LevelSpec, w: WeightSeq) -> CodeBook:
     """Deterministic codeword emission: leftmost slots become leaves.
 
-    At each level the available slots (children of the previous level's
-    internal nodes) form a contiguous range in the positional number system
-    whose per-position radix is the level arity; taking the first ``count``
-    as leaves keeps the remainder contiguous, so no slot set is ever
-    materialized.  Words come out level by level, lengths non-decreasing.
+    At each level the free slots (children of the previous level's internal
+    nodes) form a contiguous range in the positional number system whose
+    per-position radix is the level arity; taking the first ``count`` as
+    leaves keeps the remainder contiguous, so no slot set is ever
+    materialized.  One walk keeps the digits of the level's first free slot:
+    a new level appends a 0 digit (the first child of the first internal
+    node), and each leaf emits its word and steps to the next slot with a
+    mixed-radix carry.  The same walk sums the cost, ``depth(i)`` times the
+    weight of the leaves placed on level ``i``.  Words come out level by
+    level, lengths non-decreasing.
     """
     if seq.total != w.n:
         raise InvalidLeafSequence(
@@ -634,21 +629,23 @@ def leafseq_to_codewords(seq: LeafSequence, spec: LevelSpec, w: WeightSeq) -> Co
     deepest = seq.deepest
     if deepest > 0 and spec.num_levels < deepest:
         raise InvalidLeafSequence("level spec does not cover the sequence")
+    counts = dict(seq.items())
+    radices = [r for r, _ in spec.levels[:deepest]]
     words: list[tuple[int, ...]] = []
-    lo, hi = 0, 1  # available slot range at the current level
-    radices: list[int] = []
+    word: list[int] = []  # digits of the first free slot on the current level
+    free, cost = 1, 0  # free slots on the current level, cost of the words so far
     for i in range(1, deepest + 1):
-        r = spec.arity(i)
-        radices.append(r)
-        lo, hi = lo * r, hi * r
-        count = seq.count(i)
-        if count > hi - lo:
-            raise InvalidLeafSequence(f"level {i} has {hi - lo} slots, needs {count}")
-        for idx in range(lo, lo + count):
-            words.append(_index_to_word(idx, radices))
-        lo += count
-    return CodeBook(
-        words=tuple(words),
-        lengths=tuple(len(word) for word in words),
-        cost=cost_of_leaf_sequence(seq, w, spec),
-    )
+        word.append(0)
+        free *= radices[i - 1]
+        count = counts.get(i, 0)
+        if count > free:
+            raise InvalidLeafSequence(f"level {i} has {free} slots, needs {count}")
+        free -= count
+        cost += spec.depth(i) * (w.suffix[len(words)] - w.suffix[len(words) + count])
+        for _ in range(count):
+            words.append(tuple(word))
+            for p in range(i - 1, -1, -1):
+                word[p] = (word[p] + 1) % radices[p]
+                if word[p]:
+                    break
+    return CodeBook(words=tuple(words), lengths=tuple(map(len, words)), cost=cost)

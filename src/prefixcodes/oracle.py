@@ -4,8 +4,9 @@ These are intentionally naive: exhaustive enumeration over small instances
 plus the classical greedy Huffman merge.  They share only the levels'
 (arity, edge length) options and the weight suffix sums of
 :mod:`prefixcodes.core` with the dynamic-programming solvers, never any DP
-code, so agreement between the two is a meaningful check.  The cost of an
-emitted code is checked apart from both, from its leaf depths, by
+code, so agreement between the two is a meaningful check.  The emitter sums
+a code's cost in its own slot walk; the tests, not the emitter, check that
+cost apart from both, from the leaf depths, against
 :func:`prefixcodes.core.cost_of_leaf_sequence`.
 """
 

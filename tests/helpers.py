@@ -19,6 +19,17 @@ def random_gmr_instance(rng: random.Random, max_n: int = 8, max_levels: int = 5,
     return w, LevelSpec(levels)
 
 
+def slot_digits(index: int, radices) -> tuple[int, ...]:
+    """The word of slot ``index`` on a level below ``len(radices)`` levels of
+    the given arities: its mixed-radix digits, most significant first."""
+    word = []
+    for r in reversed(radices):
+        index, sym = divmod(index, r)
+        word.append(sym)
+    word.reverse()
+    return tuple(word)
+
+
 def telescoped_cost(expansions, w, spec: LevelSpec) -> int:
     """A backtrace's cost as the telescoped sum of c_i * W_{m_{i-1}}."""
     return sum(spec.edge_length(i) * w.tail_weight(expansions[i - 1][0])

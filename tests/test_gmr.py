@@ -9,6 +9,7 @@ from helpers import (
     predecessors,
     random_gmr_instance,
     random_weights,
+    slot_digits,
     table_entries,
     tail_start,
     telescoped_cost,
@@ -19,6 +20,7 @@ from prefixcodes import (
     UNREACHABLE,
     ChoiceLevelSpec,
     InternalInconsistency,
+    InvalidLeafSequence,
     LeafSequence,
     LevelSpec,
     MixedRadixSpec,
@@ -241,6 +243,50 @@ class TestCodewords:
         cb = leafseq_to_codewords(LeafSequence({1: 2}), spec, w)
         assert cb.words == ((0,), (1,))
 
+    def test_words_are_consecutive_slots_randomized(self):
+        # arities past 2**64, edges > 1, levels with no leaves, and full
+        # levels, whose carries run into the first digit
+        rng = random.Random(23)
+        full = 0
+        for _ in range(400):
+            levels = [(rng.choice((2, 2, 3, 5, 2**64 + 3)), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 6))]
+            counts, free = {}, 1
+            for i, (r, _) in enumerate(levels, start=1):
+                free *= r
+                whole = free if free <= 24 else 1  # the full level, where it is small
+                counts[i] = rng.choice((0, whole, rng.randint(0, min(free, 6))))
+                free -= counts[i]
+                if free == 0:
+                    full += 1
+                    break
+            seq = LeafSequence(counts)
+            if seq.total == 0:
+                continue
+            spec = LevelSpec(levels)
+            w = normalize_weights(random_weights(rng, seq.total))
+            cb = leafseq_to_codewords(seq, spec, w)
+            expected, lo = [], 0
+            for i in range(1, seq.deepest + 1):
+                lo *= spec.arity(i)
+                radices = [spec.arity(j) for j in range(1, i + 1)]
+                expected += [slot_digits(x, radices) for x in range(lo, lo + seq.count(i))]
+                lo += seq.count(i)
+            assert cb.words == tuple(expected)
+            assert cb.lengths == tuple(map(len, expected))
+            assert cb.cost == cost_of_leaf_sequence(seq, w, spec)
+        assert full > 0
+
+    @pytest.mark.parametrize("counts, n, message", [
+        ({1: 1, 2: 1}, 3, "sequence has 2 leaves but 3 codewords are needed"),
+        ({1: 1, 3: 1}, 2, "level spec does not cover the sequence"),
+        ({1: 1, 2: 3}, 4, "level 2 has 2 slots, needs 3"),
+    ])
+    def test_invalid_sequences(self, counts, n, message):
+        with pytest.raises(InvalidLeafSequence) as exc:
+            leafseq_to_codewords(LeafSequence(counts), BINARY(2), normalize_weights([1] * n))
+        assert str(exc.value) == message
+
 
 class TestInvariants:
     def test_naive_batched_bit_equality_randomized(self):
@@ -348,6 +394,7 @@ class TestInvariants:
             except NoFeasibleTree:
                 continue
             cb = leafseq_to_codewords(res.leaf_sequence, spec, w)
+            assert cb.cost == res.cost
             assert check_prefix_free(cb.words)
             assert _kraft_slack(res.leaf_sequence, spec) >= 0
             assert all(a <= b for a, b in zip(cb.lengths, cb.lengths[1:]))
