@@ -17,7 +17,6 @@ from .core import (
     LevelSpec,
     WeightSeq,
     check_prefix_free,
-    cost_of_leaf_sequence,
     normalize_weights,
 )
 from .errors import (
@@ -87,7 +86,6 @@ __all__ = [
     "UNREACHABLE",
     "WeightSeq",
     "check_prefix_free",
-    "cost_of_leaf_sequence",
     "enumerate_choice",
     "enumerate_gmr",
     "enumerate_one_ended",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    InsufficientLeaves,
     InvalidInput,
     InvalidLeafSequence,
 )
@@ -267,40 +266,6 @@ class CodeBook:
     words: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
     cost: int
-
-
-def _kraft_slack(seq: LeafSequence, spec: LevelSpec) -> int:
-    """Remaining node budget on the terminal level after placing all leaves.
-
-    Zero means the tree is exactly full, positive means spare slots, negative
-    means the sequence is unrealizable.  ``spec`` must cover the sequence.
-    """
-    slack = 1  # the root
-    for i in range(1, seq.deepest + 1):
-        slack = slack * spec.arity(i) - seq.count(i)
-    return slack
-
-
-def cost_of_leaf_sequence(seq: LeafSequence, w: WeightSeq, spec: LevelSpec) -> int:
-    """Exact cost of a leaf sequence: weights are assigned shallowest-first.
-
-    Leaves beyond the real weight count carry weight zero, so padding a
-    sequence with extra deep leaves never changes its cost.
-    """
-    if seq.deepest > 0 and spec.num_levels < seq.deepest:
-        raise InvalidLeafSequence("level spec does not cover the sequence")
-    if _kraft_slack(seq, spec) < 0:
-        raise InvalidLeafSequence(f"{seq!r} is not realizable under {spec!r}")
-    if seq.total < w.n:
-        raise InsufficientLeaves(f"{seq.total} leaves cannot host {w.n} weights")
-    cost = 0
-    placed = 0
-    for level, count in seq.items():
-        lo = min(placed, w.n)
-        hi = min(placed + count, w.n)
-        cost += spec.depth(level) * (w.suffix[lo] - w.suffix[hi])
-        placed += count
-    return cost
 
 
 def check_prefix_free(words: Iterable[Sequence]) -> bool:

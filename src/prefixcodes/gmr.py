@@ -15,24 +15,24 @@ order.  Both group the states of one level whose signatures share
 diagonal, ``m' + r * b'``, so one pass over the previous level pushes its
 candidate value ``gamma(b') = cost + c * W_m'`` into that diagonal's row.
 Every listed state ``(m, b)`` takes its minimum over its window
-``b' >= ceil(b / r)`` of that one row.  A finished ``(d, 0)`` with
-``d >= n`` also reads the previous level's ``(d, 0)``, which pushes its own
-cost at ``b' = 0``, since ``W_d = 0``:
+``b' >= ceil(b / r)`` of the pushed ``b'``; holes are never read.  A
+finished ``(d, 0)`` with ``d >= n`` also reads the previous level's
+``(d, 0)``, which pushes its own cost at ``b' = 0``, since ``W_d = 0``.
+``solve_naive`` takes each state's minimum over its own window;
+``solve_batched`` folds one running minimum down the row, so a diagonal
+costs O(d).
 
-* ``solve_naive`` takes each state's minimum over its own window;
-* ``solve_batched`` folds one running minimum down the row, so a diagonal
-  costs O(d).
-
-``cells_updated`` counts candidate reads: a naive state, or the only state
-listed on its diagonal, reads its whole window, and a batched diagonal of
-two or more states reads its row once plus one cell per state.  The
+``cells_updated`` counts row spans, holes included, as the paper's fill
+reads them: a naive state, or a diagonal's only listed state, its window up
+to the row's bound B, and a batched diagonal of two or more states the span
+from B down to its last listed window plus one cell per state.  The
 level-free tail below counts its own way.
 
-A fill visits only the diagonals that received a push, each row up to its
-largest pushed ``b'``, as Golin & Rote's signature DP and Larmore &
-Hirschberg's package-merge work only on reachable states.
-``cutoff=False`` selects the paper's full, dense fill, which visits every
-diagonal; it stores the same tables and counts more cells.
+A fill visits only the diagonals that received a push, as Golin & Rote's
+signature DP and Larmore & Hirschberg's package-merge work only on reachable
+states; the spec's last level pushes only into the finished diagonals it
+stores.  ``cutoff=False`` selects the paper's full, dense fill, which visits
+every diagonal; it stores the same tables and counts more cells.
 
 A cut-off solve with no level-free tail keeps on level i only the states
 that can still finish, ``(m, b)`` with ``m + b * cap_i >= n``: ``cap_i`` is
@@ -105,6 +105,7 @@ leaf sequence simply stops counting at n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -190,46 +191,47 @@ def _merge_min(costs: dict, pairs) -> None:
 
 
 class _FinishWindows(dict):
-    """``d ->`` the ``b >= 1``, descending, of the states ``(d - b, b)`` on
-    the level before a spec's last that some last-level arity f finishes
+    """``d <= n ->`` the ``b >= 1``, descending, of the states ``(d - b, b)``
+    on the level before a spec's last that some last-level arity f finishes
     into a valid signature, ``max(n, f) <= d + (f - 1) * b <= n + f - 1``:
-    one or two b per arity.  Filled lazily per visited diagonal and shared
-    by that level's options."""
+    with ``q, rem = divmod(n - d, f - 1)``, ``b = q + 1``, and ``q`` too if
+    ``rem == 0``, up to d.  Filled lazily per visited diagonal and shared by
+    that level's options."""
 
     def __init__(self, n: int, arities):
         super().__init__()
         self.n = n
-        self.arities = arities
+        self.steps = sorted(f - 1 for f in arities)
 
     def __missing__(self, d: int) -> list[int]:
-        n = self.n
-        kept = set()
-        for f in self.arities:
-            kept.update(range(max(1, -((d - max(n, f)) // (f - 1))),
-                              min(d, (n + f - 1 - d) // (f - 1)) + 1))
-        self[d] = window = sorted(kept, reverse=True)
+        x, top = self.n - d, d + 1  # every b kept is below top: descending, no repeats
+        self[d] = window = []
+        for g in self.steps:  # f - 1 ascending: q never grows
+            q = x // g
+            if q + 1 < top:
+                top = q + 1
+                window.append(top)
+            if 0 < q < top and not x % g:
+                top = q
+                window.append(q)
         return window
 
 
 def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
                 cap: int | None = None, windows: _FinishWindows | None = None):
-    """Fill one level from the previous one.
+    """Fill one level from the previous one; returns ``(costs, zeros,
+    cells)``, ``zeros`` the ``(m, cost)`` of the finished states ``(m, 0)``
+    in ascending m and ``cells`` the row spans (see the module docstring).
 
-    Returns ``(costs, zeros, cells)`` where ``zeros`` lists the ``(m, cost)``
-    pairs of finished-tree states ``(m, 0)`` in ascending m and ``cells``
-    counts the candidates read (see the module docstring).
-
-    Each previous state ``(m', b')`` feeds only the diagonal ``m' + r * b'``
-    (a finished ``(m', 0)`` its own), so one pass over ``prev`` pushes its
-    candidate ``cost + c * W_m'`` into that diagonal's row at ``b'``, for the
-    diagonals below ``n + r``, where the level's signatures end; a finished
-    predecessor has ``m' >= n`` and ``W_m' = 0``.  One loop then
-    visits the diagonals ``d`` of a map ``d -> B`` in ascending ``d``, ``B``
-    bounding the row: the sparse map holds the diagonals with a row, each
-    with its largest pushed ``b'``.  With ``dense`` the map holds every
-    diagonal ``1 .. n`` and every finished diagonal, each with
-    ``B = d // r``, as the paper's full fill visits them.  Both maps store
-    the same entries in the same order; only the cells differ.
+    One pass over ``prev`` pushes each state's candidate ``cost + c * W_m'``
+    into its one diagonal ``m' + r * b'`` at ``b'``: below ``n + r``, where
+    the level's signatures end, and with ``cap == 0`` only into the finished
+    diagonals, ``max(n, r)`` on, the only ones that level lists a state on.
+    A row keeps its pushed ``b'`` ascending in ``bs``, their candidates in
+    ``vs``.  The diagonals are visited in ascending ``d``, each with a bound
+    ``B``: the sparse map holds those with a row, ``B = bs[-1]``; ``dense``
+    every diagonal ``1 .. n`` and every finished one, ``B = d // r``, as the
+    paper's full fill visits them.  Both store the same entries, in order.
 
     Storage rule: a diagonal ``d <= n`` lists, in descending order, the b
     from ``r * B`` down to 1; with a ``cap`` (see ``_solve``) only down to
@@ -239,9 +241,9 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     ``d = max(n, r)`` on, where ``(d, 0)`` is a valid finished state, it
     lists ``b = 0`` too, past n alone.  A listed state whose window holds no
     pushed candidate stays absent, and both modes store a diagonal's states
-    in ascending m.  The naive mode takes each listed state's window
-    minimum; the batched mode folds one running minimum down the row, from
-    ``B`` to the last listed state's window, reading each candidate once.
+    in ascending m.  The naive mode takes each listed state's minimum over
+    its window's ``vs``; the batched mode folds one running minimum down
+    ``bs``, reading each pushed candidate once.
     """
     costs: dict[Sig, int] = {}
     zeros: list[tuple[int, int]] = []
@@ -249,16 +251,16 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     INF = UNREACHABLE
     batched = mode == "batched"
     finish_from = max(n, r)
+    first = finish_from if cap == 0 else 0  # the last level lists only finished states
     rows: dict[int, dict[int, int]] = {}
     for (m, b), v in prev.items():
         d = m + r * b
-        if d < n + r:
-            rows.setdefault(d, {})[b] = v + c * suffix[min(m, n)]
-    if dense:
-        reach = {d: d // r for d in chain(range(1, n + 1), range(max(n + 1, r), n + r))}
-    else:
-        reach = {d: max(rows[d]) for d in sorted(rows)}
-    for d, B in reach.items():
+        if first <= d < n + r:
+            rows.setdefault(d, {})[b] = v + c * suffix[m] if b else v
+    for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)) if dense else sorted(rows):
+        row = rows.get(d, {})
+        bs = sorted(row)
+        B = d // r if dense else bs[-1]
         # the listed b, descending; b = 0 only where (d, 0) is a valid finished state
         finished = d >= finish_from
         if d > n or cap == 0:
@@ -270,28 +272,26 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
             listed = [b for b in windows[d] if b <= r * B] + ([0] if finished else [])
         if not listed:
             continue
-        cand = [INF] * (B + 1)
-        for bp, v in rows.get(d, {}).items():
-            cand[bp] = v
-        best = INF
-        top = B + 1
+        vs = [row[b] for b in bs]
+        k, best = len(bs), INF
         for b in listed:
             lo = (b + r - 1) // r
             if batched:
-                while top > lo:
-                    top -= 1
-                    if cand[top] < best:
-                        best = cand[top]
+                while k and bs[k - 1] >= lo:
+                    k -= 1
+                    if vs[k] < best:
+                        best = vs[k]
             else:
                 cells += B + 1 - lo
-                best = min(cand[lo:])
+                j = bisect_left(bs, lo)
+                best = min(vs[j:]) if j < len(vs) else INF
             if best < INF:
                 costs[(d - b, b)] = best
                 if not b:
                     zeros.append((d, best))
         if batched:
-            # the row once, plus one cell per state if it lists two or more
-            cells += B + 1 - top + (len(listed) if len(listed) > 1 else 0)
+            # the row span from B to the last window, plus one cell per state if two or more
+            cells += B + 1 - lo + (len(listed) if len(listed) > 1 else 0)
     return costs, zeros, cells
 
 

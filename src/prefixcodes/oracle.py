@@ -7,7 +7,7 @@ plus the classical greedy Huffman merge.  They share only the levels'
 code, so agreement between the two is a meaningful check.  The emitter sums
 a code's cost in its own slot walk; the tests, not the emitter, check that
 cost apart from both, from the leaf depths, against
-:func:`prefixcodes.core.cost_of_leaf_sequence`.
+``cost_of_leaf_sequence`` in the tests' ``helpers`` module.
 """
 
 from __future__ import annotations

@@ -1,8 +1,16 @@
-"""Shared generators and comparison helpers for the test suite."""
+"""Shared generators, comparison helpers and test-side references for the
+test suite."""
 
 import random
+from itertools import chain
 
-from prefixcodes import UNREACHABLE, LevelSpec, normalize_weights
+from prefixcodes import (
+    UNREACHABLE,
+    InsufficientLeaves,
+    InvalidLeafSequence,
+    LevelSpec,
+    normalize_weights,
+)
 
 
 def random_weights(rng: random.Random, n: int, lo: int = 0, hi: int = 50) -> list[int]:
@@ -135,3 +143,105 @@ def table_entries(res, spec, n: int):
     for table in res.tables[1:]:
         for sig, v in table.costs.items():
             yield (*divmod(v, 2 * n + 2), sig) if table.level == s else (v, table.level, sig)
+
+
+def kraft_slack(seq, spec: LevelSpec) -> int:
+    """Remaining node budget on the terminal level after placing all leaves.
+
+    Zero means the tree is exactly full, positive means spare slots, negative
+    means the sequence is unrealizable.  ``spec`` must cover the sequence.
+    """
+    slack = 1  # the root
+    for i in range(1, seq.deepest + 1):
+        slack = slack * spec.arity(i) - seq.count(i)
+    return slack
+
+
+def cost_of_leaf_sequence(seq, w, spec: LevelSpec) -> int:
+    """Exact cost of a leaf sequence: weights are assigned shallowest-first.
+    The tests' cost reference, apart from the emitter's own slot walk.
+
+    Leaves beyond the real weight count carry weight zero, so padding a
+    sequence with extra deep leaves never changes its cost.
+    """
+    if seq.deepest > 0 and spec.num_levels < seq.deepest:
+        raise InvalidLeafSequence("level spec does not cover the sequence")
+    if kraft_slack(seq, spec) < 0:
+        raise InvalidLeafSequence(f"{seq!r} is not realizable under {spec!r}")
+    if seq.total < w.n:
+        raise InsufficientLeaves(f"{seq.total} leaves cannot host {w.n} weights")
+    cost = 0
+    placed = 0
+    for level, count in seq.items():
+        lo = min(placed, w.n)
+        hi = min(placed + count, w.n)
+        cost += spec.depth(level) * (w.suffix[lo] - w.suffix[hi])
+        placed += count
+    return cost
+
+
+def finish_window(n: int, arities, d: int) -> list:
+    """The ``b >= 1``, descending, with ``max(n, f) <= d + (f - 1) * b <=
+    n + f - 1`` for some arity f: the union of each arity's range of b."""
+    kept = set()
+    for f in arities:
+        kept.update(range(max(1, -((d - max(n, f)) // (f - 1))),
+                          min(d, (n + f - 1 - d) // (f - 1)) + 1))
+    return sorted(kept, reverse=True)
+
+
+def reference_fill_level(prev: dict, n: int, r: int, c: int, suffix, mode: str, dense: bool,
+                         cap=None, windows=None):
+    """``gmr._fill_level`` as a hole-reading fold: every previous state
+    pushes into its diagonal below ``n + r``, the last level's too, and each
+    visited diagonal spreads its pushes into a candidate array ``b' = 0 ..
+    B``, holes at UNREACHABLE, that both modes read entry by entry.
+    ``windows`` maps each ``d <= n`` to its finish window."""
+    costs = {}
+    zeros = []
+    cells = 0
+    INF = UNREACHABLE
+    batched = mode == "batched"
+    finish_from = max(n, r)
+    rows = {}
+    for (m, b), v in prev.items():
+        d = m + r * b
+        if d < n + r:
+            rows.setdefault(d, {})[b] = v + c * suffix[min(m, n)]
+    if dense:
+        reach = {d: d // r for d in chain(range(1, n + 1), range(max(n + 1, r), n + r))}
+    else:
+        reach = {d: max(rows[d]) for d in sorted(rows)}
+    for d, B in reach.items():
+        finished = d >= finish_from
+        if d > n or cap == 0:
+            listed = (0,) if finished else ()
+        elif windows is None:
+            low = 0 if finished else (n - d + cap - 2) // (cap - 1) if cap and d < n else 1
+            listed = range(r * B, low - 1, -1)
+        else:
+            listed = [b for b in windows[d] if b <= r * B] + ([0] if finished else [])
+        if not listed:
+            continue
+        cand = [INF] * (B + 1)
+        for bp, v in rows.get(d, {}).items():
+            cand[bp] = v
+        best = INF
+        top = B + 1
+        for b in listed:
+            lo = (b + r - 1) // r
+            if batched:
+                while top > lo:
+                    top -= 1
+                    if cand[top] < best:
+                        best = cand[top]
+            else:
+                cells += B + 1 - lo
+                best = min(cand[lo:])
+            if best < INF:
+                costs[(d - b, b)] = best
+                if not b:
+                    zeros.append((d, best))
+        if batched:
+            cells += B + 1 - top + (len(listed) if len(listed) > 1 else 0)
+    return costs, zeros, cells

@@ -36,7 +36,6 @@ PUBLIC = [
     "UNREACHABLE",
     "WeightSeq",
     "check_prefix_free",
-    "cost_of_leaf_sequence",
     "enumerate_choice",
     "enumerate_gmr",
     "enumerate_one_ended",

@@ -1,4 +1,5 @@
 import pytest
+from helpers import cost_of_leaf_sequence, kraft_slack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +12,8 @@ from prefixcodes import (
     LevelSpec,
     WeightSeq,
     check_prefix_free,
-    cost_of_leaf_sequence,
     normalize_weights,
 )
-from prefixcodes.core import _kraft_slack
 
 BINARY3 = LevelSpec.constant(2, 1, 3)
 
@@ -137,19 +136,19 @@ class TestCheckPrefixFree:
 
 class TestKraftSlack:
     def test_exactly_full(self):
-        assert _kraft_slack(LeafSequence({1: 2}), BINARY3) == 0
+        assert kraft_slack(LeafSequence({1: 2}), BINARY3) == 0
 
     def test_overfull(self):
-        assert _kraft_slack(LeafSequence({1: 3}), BINARY3) == -1
+        assert kraft_slack(LeafSequence({1: 3}), BINARY3) == -1
 
     def test_spare_slot(self):
-        assert _kraft_slack(LeafSequence({1: 3}), LevelSpec([(4, 1)])) == 1
+        assert kraft_slack(LeafSequence({1: 3}), LevelSpec([(4, 1)])) == 1
 
     def test_empty_sequence(self):
-        assert _kraft_slack(LeafSequence({}), BINARY3) == 1
+        assert kraft_slack(LeafSequence({}), BINARY3) == 1
 
     def test_deficit_propagates(self):
-        assert _kraft_slack(LeafSequence({1: 3, 2: 1}), BINARY3) == -3
+        assert kraft_slack(LeafSequence({1: 3, 2: 1}), BINARY3) == -3
 
 
 class TestLevelSpec:

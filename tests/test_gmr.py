@@ -5,10 +5,14 @@ import pytest
 from helpers import (
     assert_pruned_tail,
     assert_same_solution,
+    cost_of_leaf_sequence,
     cut_tail_start,
+    finish_window,
+    kraft_slack,
     predecessors,
     random_gmr_instance,
     random_weights,
+    reference_fill_level,
     slot_digits,
     table_entries,
     tail_start,
@@ -28,7 +32,6 @@ from prefixcodes import (
     OracleBudget,
     ReservedSpec,
     check_prefix_free,
-    cost_of_leaf_sequence,
     enumerate_gmr,
     huffman_greedy,
     leafseq_to_codewords,
@@ -41,8 +44,7 @@ from prefixcodes import (
     solve_naive,
     solve_reserved_given,
 )
-from prefixcodes.core import _kraft_slack
-from prefixcodes.gmr import backtrack
+from prefixcodes.gmr import _fill_level, _FinishWindows, backtrack
 
 BINARY = lambda k: LevelSpec.constant(2, 1, k)  # noqa: E731
 
@@ -396,7 +398,7 @@ class TestInvariants:
             cb = leafseq_to_codewords(res.leaf_sequence, spec, w)
             assert cb.cost == res.cost
             assert check_prefix_free(cb.words)
-            assert _kraft_slack(res.leaf_sequence, spec) >= 0
+            assert kraft_slack(res.leaf_sequence, spec) >= 0
             assert all(a <= b for a, b in zip(cb.lengths, cb.lengths[1:]))
 
 
@@ -727,6 +729,79 @@ class TestCells:
                 assert res.cells_updated == _derived_cells(w, spec, res, algorithm, cutoff)
                 checked += 1
         assert checked >= 300
+
+
+def _random_table(rng: random.Random, n: int, rp: int) -> dict:
+    """Random costs on a random share of the valid signatures of a level of
+    arity ``rp``, holes left, inserted in random order."""
+    sigs = [(d - b, b) for d in range(1, n + 1) for b in range(1, d + 1)]
+    sigs += [(m, 0) for m in range(max(n, rp), n + rp)]
+    share = rng.random()
+    sigs = [sig for sig in sigs if rng.random() < share]
+    rng.shuffle(sigs)
+    hi = rng.choice([2, 100])
+    return {sig: rng.randint(0, hi) for sig in sigs}
+
+
+def _fold_inputs(seed: int):
+    """``(prev, n, r, c, suffix)`` fill inputs: random tables with holes, and
+    the merged choice tables of reserved-g solves at g = 2..4, r = 2 and 3,
+    each fed to every option of its next level."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        w = normalize_weights(random_weights(rng, n))
+        yield (_random_table(rng, n, rng.randint(2, 6)), n, rng.randint(2, n + 4),
+               rng.randint(1, 3), w.suffix)
+    for g in (2, 3, 4):
+        for radix in (2, 3):
+            for cutoff in (True, False):
+                n = rng.randint(2, 80)
+                w = normalize_weights(random_weights(rng, n))
+                params = problems.Params(radix=radix, g=g)
+                spec = problems.PROBLEMS["reserved-g"].levels(params, n)
+                tables = problems.solve("reserved-g", w, params, cutoff=cutoff).dp.tables
+                for table in tables[:-1]:
+                    for r, c in spec.options(table.level + 1):
+                        yield table.costs, n, r, c, w.suffix
+
+
+class TestReferenceFold:
+    """``_fill_level`` reads only pushed candidates, ``reference_fill_level``
+    every row entry, holes included.  Both store the same entries in the
+    same order and count the same cells, under every storage rule."""
+
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    def test_fill_matches_the_hole_reading_fold(self, algorithm):
+        rng = random.Random(2024)
+        compared = stored = 0
+        for prev, n, r, c, suffix in _fold_inputs(seed=1212):
+            arities = {rng.randint(2, n + 3) for _ in range(rng.randint(1, 4))}
+            ref_windows = {d: finish_window(n, arities, d) for d in range(1, n + 1)}
+            cap = min(n, rng.randint(2, 12))
+            for dense, kw, ref_kw in [
+                (True, {}, {}),
+                (False, {}, {}),
+                (False, dict(cap=cap), dict(cap=cap)),
+                (False, dict(windows=_FinishWindows(n, arities)), dict(windows=ref_windows)),
+                (False, dict(cap=0), dict(cap=0)),
+            ]:
+                got = _fill_level(prev, n, r, c, suffix, algorithm, dense, **kw)
+                want = reference_fill_level(prev, n, r, c, suffix, algorithm, dense, **ref_kw)
+                assert list(got[0].items()) == list(want[0].items())
+                assert got[1:] == want[1:]
+                compared += 1
+                stored += len(got[0])
+        assert compared >= 1000 and stored >= 50_000
+
+    def test_finish_windows_match_the_range_formula(self):
+        rng = random.Random(77)
+        for _ in range(3000):
+            n = rng.randint(1, 60)
+            arities = {rng.randint(2, 2 * n + 4) for _ in range(rng.randint(1, 5))}
+            windows = _FinishWindows(n, arities)
+            for d in range(1, n + 1):
+                assert windows[d] == finish_window(n, arities, d), (n, sorted(arities), d)
 
 
 # Tie-heavy draws (seeded runs of the generator above with n up to 24) on
