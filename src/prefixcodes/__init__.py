@@ -22,7 +22,6 @@ from .core import (
 from .errors import (
     ArityOverflow,
     BudgetExceeded,
-    InsufficientLeaves,
     InternalInconsistency,
     InvalidInput,
     InvalidLeafSequence,
@@ -68,7 +67,6 @@ __all__ = [
     "CodeBook",
     "DPResult",
     "GLengthsSpec",
-    "InsufficientLeaves",
     "InternalInconsistency",
     "InvalidInput",
     "InvalidLeafSequence",

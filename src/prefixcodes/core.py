@@ -16,6 +16,8 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -55,6 +57,20 @@ def _check_weight(value) -> int:
     return value
 
 
+def _check_weights(values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` as a non-empty tuple of weights, each an exact integer in
+    ``0 .. MAX_WEIGHT``; else InvalidInput for the first bad one.  The usual
+    all-``int`` input is checked by type set, ``min`` and ``max``; anything
+    else falls back to ``_check_weight`` per value, in order."""
+    ws = tuple(values)
+    if not ws:
+        raise InvalidInput("weight sequence must be non-empty")
+    if set(map(type, ws)) != {int} or min(ws) < 0 or max(ws) > MAX_WEIGHT:
+        for x in ws:
+            _check_weight(x)
+    return ws
+
+
 class WeightSeq:
     """A non-increasing sequence of exact integer weights with suffix sums.
 
@@ -67,24 +83,18 @@ class WeightSeq:
     __slots__ = ("weights", "n", "suffix", "order")
 
     def __init__(self, weights: Sequence[int], order: Sequence[int] | None = None):
-        ws = tuple(_check_weight(x) for x in weights)
-        if not ws:
-            raise InvalidInput("weight sequence must be non-empty")
-        for a, b in zip(ws, ws[1:]):
-            if a < b:
-                raise InvalidInput("weights must be sorted non-increasing")
+        ws = _check_weights(weights)
+        if any(map(lt, ws, ws[1:])):
+            raise InvalidInput("weights must be sorted non-increasing")
         n = len(ws)
-        suf = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suf[i] = suf[i + 1] + ws[i]
         self.weights = ws
         self.n = n
-        self.suffix = tuple(suf)
+        self.suffix = tuple(accumulate(reversed(ws), initial=0))[::-1]
         if order is None:
             order = tuple(range(n))
         else:
             order = tuple(order)
-            if sorted(order) != list(range(n)):
+            if len(order) != n or set(order) != set(range(n)):
                 raise InvalidInput("order must be a permutation of 0..n-1")
         self.order = order
 
@@ -112,12 +122,8 @@ def normalize_weights(raw: Sequence[int]) -> WeightSeq:
     ``k``) so codewords can be reported in input order.  Ties keep their
     original relative order, which makes output deterministic.
     """
-    items = list(raw)
-    if not items:
-        raise InvalidInput("weight sequence must be non-empty")
-    for x in items:
-        _check_weight(x)
-    order = sorted(range(len(items)), key=lambda i: -items[i])
+    items = _check_weights(raw)
+    order = sorted(range(len(items)), key=items.__getitem__, reverse=True)
     return WeightSeq([items[i] for i in order], order)
 
 

@@ -13,10 +13,6 @@ class InvalidLeafSequence(PrefixCodeError):
     """A leaf sequence that no tree under the given level spec can realize."""
 
 
-class InsufficientLeaves(PrefixCodeError):
-    """A leaf sequence with fewer leaves than there are weights to place."""
-
-
 class NoFeasibleTree(PrefixCodeError):
     """No tree satisfying the constraints can host all codewords."""
 

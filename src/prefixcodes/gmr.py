@@ -183,13 +183,6 @@ def _valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
     return max(n, arity) <= m <= n + arity - 1
 
 
-def _merge_min(costs: dict, pairs) -> None:
-    """Lower each ``costs[sig]`` to ``v`` over the ``(sig, v)`` pairs."""
-    for sig, v in pairs:
-        if v < costs.get(sig, UNREACHABLE):
-            costs[sig] = v
-
-
 class _FinishWindows(dict):
     """``d <= n ->`` the ``b >= 1``, descending, of the states ``(d - b, b)``
     on the level before a spec's last that some last-level arity f finishes
@@ -217,11 +210,13 @@ class _FinishWindows(dict):
         return window
 
 
-def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, dense: bool,
-                cap: int | None = None, windows: _FinishWindows | None = None):
-    """Fill one level from the previous one; returns ``(costs, zeros,
-    cells)``, ``zeros`` the ``(m, cost)`` of the finished states ``(m, 0)``
-    in ascending m and ``cells`` the row spans (see the module docstring).
+def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
+                dense: bool, cap: int | None = None, windows: _FinishWindows | None = None):
+    """Fill one option of a level from the previous level into ``costs``,
+    the level's one table, storing a state only where it lowers the entry an
+    earlier option left.  Returns ``(zeros, cells)``, ``zeros`` the
+    ``(m, cost)`` of the finished states ``(m, 0)`` it stored, in ascending
+    m, and ``cells`` the row spans (see the module docstring).
 
     One pass over ``prev`` pushes each state's candidate ``cost + c * W_m'``
     into its one diagonal ``m' + r * b'`` at ``b'``: below ``n + r``, where
@@ -245,7 +240,7 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
     its window's ``vs``; the batched mode folds one running minimum down
     ``bs``, reading each pushed candidate once.
     """
-    costs: dict[Sig, int] = {}
+    get = costs.get
     zeros: list[tuple[int, int]] = []
     cells = 0
     INF = UNREACHABLE
@@ -285,14 +280,15 @@ def _fill_level(prev: dict, n: int, r: int, c: int, suffix: tuple, mode: str, de
                 cells += B + 1 - lo
                 j = bisect_left(bs, lo)
                 best = min(vs[j:]) if j < len(vs) else INF
-            if best < INF:
-                costs[(d - b, b)] = best
+            sig = (d - b, b)
+            if best < get(sig, INF):
+                costs[sig] = best
                 if not b:
                     zeros.append((d, best))
         if batched:
             # the row span from B to the last window, plus one cell per state if two or more
             cells += B + 1 - lo + (len(listed) if len(listed) > 1 else 0)
-    return costs, zeros, cells
+    return zeros, cells
 
 
 def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: str):
@@ -434,7 +430,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     finish (see the module docstring).
 
     A level counts the cells of each of its options' fills, plain and choice
-    levels alike; merging the options' tables by minimum costs no cell.
+    levels alike; storing into the level's one table costs no cell of its own.
     """
     check_algorithm(mode)
     n = w.n
@@ -457,19 +453,14 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     cells = 0
     levels_filled = 0
     for i in range(1, last + 1 if tail is None else tail):
-        costs = None
+        costs: dict[Sig, int] = {}
         for r, c in spec.options(i):
-            fill, zeros, k = _fill_level(prev, n, r, c, w.suffix, mode, dense=not cutoff,
-                                         cap=caps.get(i),
-                                         windows=windows if i == last - 1 else None)
+            zeros, k = _fill_level(prev, costs, n, r, c, w.suffix, mode, dense=not cutoff,
+                                   cap=caps.get(i), windows=windows if i == last - 1 else None)
             cells += k
-            # the best finished state over all options is the best over each
-            # option's own finished states
+            # a finished state an option does not store is no better than
+            # one already in ``best``
             best = min([best, *[(v, i, m) for m, v in zeros]])
-            if costs is None:
-                costs = fill
-            else:
-                _merge_min(costs, fill.items())
         if keep_tables:
             tables.append(LevelTable(i, costs))
         prev = costs

@@ -22,16 +22,24 @@ down from its middle state.  (For n = 1 the seed finishes in one level, and
 
 The same sum bounds every state from below: a state ``(m, b)`` below
 diagonal n needs two more expansions, which cost at least W_m and then
-``W_{m+b}``.  The bound is consistent (as A*'s heuristics are): a child
-``(m_s, b_s)`` has ``m_s <= m + b``, so its cost ``c + W_m`` plus its own bound
-is at least ``c + W_m + W_{m+b}``.  ``_fill`` therefore keeps a running upper
-bound UB, the least two-level finish of the states stored so far with
-``m + 2b >= n`` (the seed's when ``n <= 2``), and stores a state only if
-``c + W_m + W_{m+b} <= UB``.  A dropped state's descendants would all be
-dropped, so every stored state keeps the cost and the tied predecessors it has
-in the full table, and every state of an optimal chain is stored: its bound
-is at most the optimum.  The answer scan is that running minimum, taken
-inside the fill with the tie key ``(finish, 3b + m - n, b, m)``.
+``W_{m+b}``.  Where ``d + b < n`` (``d = m + b``) it needs three: each child
+``(m + k, 2b - k)`` lies on diagonal ``d + b < n`` with ``m + k <= d``, so
+its own two expansions cost at least ``W_d + W_{d+b}``.  The bound of a state
+is therefore ``c + W_m + W_d + W_{d+b}`` below diagonal ``n - b`` and the
+exact two-level finish ``c + W_m + W_d`` from there.  It is consistent (as
+A*'s heuristics are): a child ``(m_s, b_s)`` has ``m_s <= d`` and
+``m_s + b_s = d + b``, so its cost ``c + W_m`` plus its own bound is at least
+the parent's.
+
+``_fill`` keeps an upper bound UB and stores a state only if its bound is at
+most UB.  UB starts at ``_incumbent``, the cost of a one-ended code read off
+a binary Huffman tree, and falls to the least two-level finish of the states
+stored so far with ``m + 2b >= n`` (the seed's when ``n <= 2``).  A dropped
+state's descendants would all be dropped, so every stored state keeps the
+cost and the tied predecessors it has in the full table, and every state of
+an optimal chain is stored: its bound is at most the optimum, which is at
+most UB.  The answer scan is that running minimum, taken inside the fill
+with the tie key ``(finish, 3b + m - n, b, m)``.
 
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
@@ -43,11 +51,12 @@ diagonal is below n.  The row spans ``[plo, phi]``, from the least to the
 greatest stored predecessor; b' between them that no stored state pushed
 are holes.  The fill sweeps only the b whose window meets the row,
 ``plo <= b <= 2 phi``.  From ``b = phi`` on the window's upper end stays at
-phi, so neither gamma's window minimum nor W_m can fall: the first state
-there that fails the bound ends the sweep.  The naive fill takes each
-window's minimum directly, O(n) per state.  The batched fill uses that both
-ends of the window only move up as b grows: a sliding-window minimum (a
-monotone deque) answers every state of the diagonal in amortized O(1).
+phi, so neither gamma's window minimum nor W_m can fall, while ``W_{d+b}``
+can: the first state there whose two-level part ``c + W_m + W_d`` exceeds UB
+ends the sweep.  The naive fill takes each window's minimum directly, O(n)
+per state.  The batched fill uses that both ends of the window only move up
+as b grows: a sliding-window minimum (a monotone deque) answers every state
+of the diagonal in amortized O(1).
 ``cells_updated`` counts one cell per row entry from plo to phi, holes
 included, and per state swept in the batched fill, and one per entry of
 ``[plo, phi]`` in each swept state's window in the naive one; the answer
@@ -60,8 +69,9 @@ first (smallest b') whose cost plus W_m' equals the state's cost wins ties.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
 from .errors import InternalInconsistency
@@ -75,8 +85,8 @@ class OneEndedResult:
     cost: int
     codebook: CodeBook | None
     expansions: tuple[Sig, ...]
-    # level-free from level 0, only the states whose two-level bound stayed
-    # within the running best finish; None for cost-only solves
+    # level-free from level 0, only the states whose bound stayed within UB
+    # (see the module docstring); None for cost-only solves
     table: LevelTable | None
     cells_updated: int
 
@@ -92,17 +102,38 @@ def _oe_predecessors(sig: Sig) -> list[Sig]:
     return [(d - 2 * bp, bp) for bp in range(max(1, (b + 1) // 2), min(b, d // 2) + 1)]
 
 
+def _incumbent(w: WeightSeq) -> int | None:
+    """The cost of a one-ended code read off a binary Huffman tree, an upper
+    bound on the optimum; None for n <= 2, where the seed's finish serves.
+
+    Where two leaves are siblings the lighter takes the 0-edge and a
+    trailing 1, one level deeper; every other leaf keeps its 1-edge, and a
+    subtree beside a leaf takes the 0-edge.  Every word ends in 1 and the
+    words stay prefix-free.
+    """
+    if w.n <= 2:
+        return None
+    heap = [(x, 0) for x in reversed(w.weights)]  # ascending, so a heap; 0 marks a leaf
+    cost = 0
+    while len(heap) > 1:
+        x, internal_x = heappop(heap)
+        y, internal_y = heappop(heap)
+        cost += x + y if internal_x or internal_y else 2 * x + y
+        heappush(heap, (x + y, 1))
+    return cost
+
+
 def _fill(w: WeightSeq, mode: str):
     """The pruned table, the least tie key ``(finish, 3b + m - n, b, m)`` of
     its two-level finishes and the cells spent (see the module docstring)."""
     n = w.n
-    INF = UNREACHABLE
     costs: dict[Sig, int] = {(0, 1): 0}
     suffix = w.suffix
-    best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else None
+    best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else (UNREACHABLE,)
+    ub = _incumbent(w)  # None only for n <= 2, where no diagonal is filled
     # rows[d][b']: gamma(b') of each stored predecessor (d - 2b', b'), pushed
     # when it is stored; the seed's feeds diagonal 2
-    rows: dict[int, dict[int, int]] = {2: {1: suffix[0]}}
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict, {2: {1: suffix[0]}})
     batched = mode == "batched"
     cells = 0
     for d in range(2, n):
@@ -110,10 +141,10 @@ def _fill(w: WeightSeq, mode: str):
         if row is None:
             continue
         plo, phi = min(row), max(row)
-        cand = [INF] * (phi + 1)  # no window reads below plo
+        cand = [UNREACHABLE] * (phi + 1)  # no window reads below plo
         for bp, v in row.items():
             cand[bp] = v
-        limit = (best[0] if best else INF) - suffix[d]  # store iff gamma + W_m <= limit
+        limit = ub - suffix[d]  # store iff gamma + W_m (+ W_{d+b} if d + b < n) <= limit
         if batched:
             cells += phi - plo + 1
             window: deque[int] = deque()  # b' ascending, gamma non-decreasing
@@ -137,18 +168,24 @@ def _fill(w: WeightSeq, mode: str):
                 hi = min(b, phi)
                 cells += hi - lo + 1
                 v = min(cand[lo:hi + 1])
-            if v == INF or v + suffix[m] > limit:
+            g = v + suffix[m]
+            if g > limit:
                 if b >= phi:
                     break  # from b = phi on, neither v nor W_m decreases
                 continue
-            costs[(m, b)] = v
             if d + b < n:
-                rows.setdefault(d + b, {})[b] = v + suffix[m]
+                if g + suffix[d + b] <= limit:  # the three-level bound
+                    costs[(m, b)] = v
+                    rows[d + b][b] = g
             else:
-                key = (v + suffix[m] + suffix[d], 3 * b + m - n, b, m)
-                if best is None or key < best:
+                costs[(m, b)] = v
+                key = (g + suffix[d], 3 * b + m - n, b, m)
+                if key < best:
                     best = key
-                    limit = best[0] - suffix[d]
+                    ub = key[0]
+                    limit = ub - suffix[d]
+    if best[0] == UNREACHABLE:
+        raise InternalInconsistency("the pruned fill stored no finishing state")
     return costs, best, cells
 
 

@@ -1,14 +1,15 @@
 """Shared generators, comparison helpers and test-side references for the
 test suite."""
 
+import heapq
 import random
 from itertools import chain
 
 from prefixcodes import (
     UNREACHABLE,
-    InsufficientLeaves,
     InvalidLeafSequence,
     LevelSpec,
+    PrefixCodeError,
     normalize_weights,
 )
 
@@ -145,6 +146,10 @@ def table_entries(res, spec, n: int):
             yield (*divmod(v, 2 * n + 2), sig) if table.level == s else (v, table.level, sig)
 
 
+class InsufficientLeaves(PrefixCodeError):
+    """A leaf sequence with fewer leaves than there are weights to place."""
+
+
 def kraft_slack(seq, spec: LevelSpec) -> int:
     """Remaining node budget on the terminal level after placing all leaves.
 
@@ -245,3 +250,26 @@ def reference_fill_level(prev: dict, n: int, r: int, c: int, suffix, mode: str, 
         if batched:
             cells += B + 1 - top + (len(listed) if len(listed) > 1 else 0)
     return costs, zeros, cells
+
+
+def huffman_one_ended_words(weights) -> list:
+    """The one-ended code whose cost ``one_ended._incumbent`` returns: per
+    weight of the non-increasing ``weights``, its word.  A binary Huffman
+    merge, lightest first and a leaf before a subtree of equal weight, joins
+    two subtrees on the 0- and 1-edge; a leaf beside a subtree takes the
+    1-edge, and of two sibling leaves the lighter takes the 0-edge and a
+    trailing 1."""
+    heap = [(x, 0, k, [(k, ())]) for k, x in enumerate(weights)]  # 0 marks a leaf
+    heapq.heapify(heap)
+    count = len(heap)
+    while len(heap) > 1:
+        x, internal_x, _, a = heapq.heappop(heap)
+        y, internal_y, _, b = heapq.heappop(heap)
+        if internal_x or internal_y:
+            zero, one = (a, b) if internal_x else (b, a)
+        else:
+            zero, one = [(k, (1,)) for k, _ in a], b
+        merged = [(k, (0,) + word) for k, word in zero] + [(k, (1,) + word) for k, word in one]
+        heapq.heappush(heap, (x + y, 1, count, merged))
+        count += 1
+    return [word for _, word in sorted(heap[0][3])]

@@ -18,7 +18,6 @@ PUBLIC = [
     "CodeBook",
     "DPResult",
     "GLengthsSpec",
-    "InsufficientLeaves",
     "InternalInconsistency",
     "InvalidInput",
     "InvalidLeafSequence",

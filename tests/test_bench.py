@@ -38,7 +38,7 @@ def test_one_ended_scaling_cells():
     # n, each swept only over the b that a kept predecessor can reach, and
     # the answer scan inside that sweep costs no cell of its own
     rows = bench.run_scaling("one-ended", [50], ["naive", "batched"], seed=1)
-    assert tuple(row["cells_updated"] for row in rows) == (2_571, 1_030)
+    assert tuple(row["cells_updated"] for row in rows) == (1_425, 633)
 
 
 def test_reserved_given_cut_off_fill_visits_only_reached_diagonals():

@@ -1,11 +1,10 @@
 import pytest
-from helpers import cost_of_leaf_sequence, kraft_slack
+from helpers import InsufficientLeaves, cost_of_leaf_sequence, kraft_slack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixcodes import (
     MAX_WEIGHT,
-    InsufficientLeaves,
     InvalidInput,
     InvalidLeafSequence,
     LeafSequence,
@@ -49,6 +48,22 @@ class TestNormalizeWeights:
         with pytest.raises(InvalidInput):
             normalize_weights(bad)
 
+    @pytest.mark.parametrize("bad,message", [
+        (True, "weights must be exact integers, got True"),
+        (-1, "weights must be non-negative, got -1"),
+        (MAX_WEIGHT + 1, f"weight {MAX_WEIGHT + 1} exceeds the 64-bit input range"),
+        (1.5, "weights must be exact integers, got 1.5"),
+    ])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_names_the_first_bad_weight(self, bad, message, at):
+        # a later bad weight of another kind does not change the message
+        raw = [5, 4, 3, "x"]
+        raw[at] = bad
+        for build in (normalize_weights, WeightSeq):
+            with pytest.raises(InvalidInput) as exc:
+                build(raw)
+            assert str(exc.value) == message
+
     def test_padding_reads_as_zero(self):
         w = normalize_weights([4, 2])
         assert w.weight(1) == 4
@@ -67,6 +82,12 @@ class TestNormalizeWeights:
     def test_rejects_unsorted_direct_construction(self):
         with pytest.raises(InvalidInput):
             WeightSeq([1, 2])
+
+    @pytest.mark.parametrize("order", [[0, 0], [1, 2], [0, 1, 2], [0]])
+    def test_rejects_an_order_that_is_no_permutation(self, order):
+        assert WeightSeq([2, 1], [1, 0]).order == (1, 0)
+        with pytest.raises(InvalidInput, match="permutation"):
+            WeightSeq([2, 1], order)
 
 
 class TestCostOfLeafSequence:

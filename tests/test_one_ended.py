@@ -3,18 +3,21 @@ import itertools
 import random
 
 import pytest
-from helpers import random_weights
+from helpers import huffman_one_ended_words, random_weights
 
 from prefixcodes import (
+    UNREACHABLE,
+    InternalInconsistency,
     LevelTable,
     OracleBudget,
     bench,
     check_prefix_free,
     enumerate_one_ended,
     normalize_weights,
+    one_ended,
     solve_one_ended,
 )
-from prefixcodes.one_ended import _oe_predecessors
+from prefixcodes.one_ended import _incumbent, _oe_predecessors
 
 
 class TestPredecessors:
@@ -182,15 +185,58 @@ def _full_table(w):
 
 
 def _bound(sig, v, w):
-    """The two-level bound ``c + W_m + W_{m+b}`` of a state of cost v."""
+    """The lower bound of a state of cost v: ``c + W_m + W_d + W_{d+b}``
+    with ``d = m + b``, which is the exact two-level finish once ``d + b >= n``
+    (``tail_weight`` reads 0 past n)."""
     m, b = sig
-    return v + w.suffix[m] + w.suffix[m + b]
+    return v + w.suffix[m] + w.suffix[m + b] + w.tail_weight(m + 2 * b)
+
+
+class TestBounds:
+    def test_incumbent_is_at_least_the_optimum(self):
+        budget = OracleBudget(max_n=12, max_depth=14)
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(71)
+            for n in range(1, 13):
+                w = normalize_weights(draw(rng, n))
+                ub = _incumbent(w)
+                assert (ub is None) == (n <= 2), name
+                if ub is not None:
+                    assert ub >= enumerate_one_ended(w, budget=budget), (name, n)
+
+    def test_incumbent_is_the_cost_of_a_one_ended_code(self):
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(73)
+            for _ in range(40):
+                w = normalize_weights(draw(rng, rng.randint(3, 60)))
+                words = huffman_one_ended_words(w.weights)
+                assert len(words) == w.n and check_prefix_free(words), name
+                assert all(word[-1] == 1 for word in words), name
+                assert sum(x * len(word) for x, word in zip(w.weights, words)) == _incumbent(w)
+
+    def test_bound_is_consistent(self):
+        # a child (m + k, 2b - k) reached from (m, b) at cost c + W_m has a
+        # bound at least the parent's, so a dropped state's descendants are
+        # all dropped
+        checked = 0
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(79)
+            for n in range(1, 13):
+                w = normalize_weights(draw(rng, n))
+                full = _full_table(w)
+                for (m, b), v in full.items():
+                    for k in range(b + 1):
+                        child = (m + k, 2 * b - k)
+                        if child in full:
+                            assert _bound(child, v + w.suffix[m], w) >= _bound((m, b), v, w), name
+                            checked += 1
+        assert checked
 
 
 class TestNaiveFill:
     def test_naive_fill_agrees_with_predecessor_enumeration(self):
         # every stored state holds its value in the enumerated full table, and
-        # every reachable state left out has a two-level bound above the
+        # every reachable state left out has a bound (`_bound`) above the
         # optimum; the naive fill reads at least each stored state's stored
         # predecessors and at most every enumerated predecessor of every
         # state below diagonal n
@@ -241,6 +287,13 @@ class TestPrunedFill:
                         dropped += 1
         assert dropped
 
+    def test_a_fill_without_a_finish_is_an_internal_error(self, monkeypatch):
+        # an incumbent below the optimum would drop every finishing state
+        monkeypatch.setattr(one_ended, "_incumbent", lambda w: 0)
+        for algorithm in ("naive", "batched"):
+            with pytest.raises(InternalInconsistency):
+                solve_one_ended(normalize_weights([3, 2, 1]), algorithm=algorithm)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_seed_finishes(self, n):
         # for n <= 2 the seed's own two-level finish is the answer and the
@@ -261,21 +314,39 @@ def _derived_cells(w, costs, algorithm: str) -> int:
     """``cells_updated`` of a solve from its stored table, by the module
     docstring's rule: diagonal d's row spans ``[plo, phi]``, its least and
     greatest stored predecessor ``(d - 2b', b')``, and its sweep runs from
-    ``b = plo`` up to its first unstored ``b >= phi``, or to ``min(2 phi, d)``.
-    A batched diagonal spends one cell per row entry and per swept state, a
-    naive state one per entry of its window within the row."""
+    ``b = plo`` up to its first ``b >= phi`` whose two-level part
+    ``c + W_m + W_d`` exceeds UB, or to ``min(2 phi, d)``.  There c is the
+    least ``c' + W_m'`` over the window's stored predecessors, and UB the
+    least of ``_incumbent`` and the two-level finishes of the states stored
+    before ``(d - b, b)``, those on smaller diagonals or on d with a smaller
+    b.  A batched diagonal spends one cell per row entry and per swept
+    state, a naive state one per entry of its window within the row."""
+    n, suffix = w.n, w.suffix
+    finishes = {}  # d -> (b, two-level finish) of its stored states with d + b >= n
+    for (m, b), v in costs.items():
+        if m + 2 * b >= n:
+            finishes.setdefault(m + b, []).append((b, v + suffix[m] + suffix[m + b]))
+    ub = _incumbent(w)
     cells = 0
-    for d in range(2, w.n):
+    for d in range(2, n):
         stored = [bp for bp in range(1, d // 2 + 1) if (d - 2 * bp, bp) in costs]
-        if not stored:
-            continue
-        plo, phi = stored[0], stored[-1]
-        end = next((b for b in range(phi, min(2 * phi, d) + 1) if (d - b, b) not in costs),
-                   min(2 * phi, d))
-        if algorithm == "batched":
-            cells += phi - plo + 1 + end - plo + 1
-        else:
-            cells += sum(min(b, phi) - max((b + 1) // 2, plo) + 1 for b in range(plo, end + 1))
+        if stored:
+            plo, phi = stored[0], stored[-1]
+            end = min(2 * phi, d)
+            for b in range(phi, end + 1):
+                c = min([costs[(d - 2 * bp, bp)] + suffix[d - 2 * bp]
+                         for bp in range((b + 1) // 2, min(b, phi) + 1)
+                         if (d - 2 * bp, bp) in costs], default=UNREACHABLE)
+                below = [f for bf, f in finishes.get(d, ()) if bf < b]
+                if c + suffix[d - b] + suffix[d] > min([ub] + below):
+                    end = b
+                    break
+            if algorithm == "batched":
+                cells += phi - plo + 1 + end - plo + 1
+            else:
+                cells += sum(min(b, phi) - max((b + 1) // 2, plo) + 1
+                             for b in range(plo, end + 1))
+        ub = min([ub] + [f for _, f in finishes.get(d, ())])
     return cells
 
 
@@ -295,12 +366,12 @@ def test_cells_follow_the_cell_definition(algorithm):
         assert res.cells_updated == _derived_cells(w, res.table.costs, algorithm), dist
 
 
-def test_pruned_table_is_a_third_of_the_full_one():
+def test_pruned_table_is_an_eighth_of_the_full_one():
     # uniform weights, n = 400: the full table below diagonal n holds 78,385
-    # states; the bound keeps 26,568 of them
+    # states; the bounds keep 9,722 of them
     w = normalize_weights(bench.generate_weights(400, "uniform", 1))
     res = solve_one_ended(w)
-    assert len(res.table.costs) == 26_568 < 78_385 // 2
+    assert len(res.table.costs) == 9_722 < 78_385 // 8
 
 
 @pytest.mark.parametrize("algorithm", ["naive", "batched"])
@@ -313,9 +384,9 @@ def test_table_stops_below_diagonal_n(algorithm):
     assert all(m + b < n for m, b in res.table.costs if (m, b) != (0, 1))
     assert len(res.table.costs) < n * n // 2
     if algorithm == "batched":
-        # these weights are 0 from position 21 on, so the bound keeps 74,543
-        # of the 78,385 states: 39,192 candidates built and 74,739 states swept
-        assert res.cells_updated == 113_931
+        # these weights are 0 from position 21 on, so the bounds keep 70,699
+        # of the 78,385 states: 35,359 candidates built and 70,718 states swept
+        assert res.cells_updated == 106_077
 
 
 def test_costs_match_enumeration():
