@@ -67,7 +67,7 @@ def _read_weights(args) -> list[int]:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("["):
-            data = json.loads(text)
+            data = _load_json(text, args.weights_file)
             if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
                 raise ValueError("weights file JSON must be an array of integers")
             return data
@@ -84,9 +84,17 @@ def _read_weights(args) -> list[int]:
     raise ValueError("provide --weights or --weights-file")
 
 
+def _load_json(text: str, path: str):
+    """``json.loads(text)``; a malformed document names its file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_spec_file(path: str) -> LevelSpec:
     with open(path) as fh:
-        pairs = json.load(fh)
+        pairs = _load_json(fh.read(), path)
     if not isinstance(pairs, list) or not all(
         isinstance(pair, list) and len(pair) == 2
         and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)

@@ -85,14 +85,16 @@ On one diagonal the bound never falls as b grows: the window ``b' >=
 ceil(b / r)`` shrinks and ``W_{d - b}`` grows.  So the states the row gives
 a diagonal are ``(d, 0)``, where it is valid, and the run ``b = 1 ..
 b_max``.  Diagonal d's row holds ``b' = 1 .. phi``, phi the largest
-``b' <= d // r`` that is at most the largest b stored on its predecessor's
-diagonal ``d - (r - 1) * b'``; with no such ``b'`` the diagonal reads
-nothing.  With a row, d lists ``b = 1 .. r * phi`` if ``d <= n`` and
-``(d, 0)`` from ``d = max(n, r)`` on, whose window is the whole row.
-``solve_naive`` takes each listed state's window minimum and tests it on its
-own, reading ``phi + 1 - ceil(b / r)`` cells per state.  ``solve_batched``
-builds the row's suffix minima once, phi cells, finds ``b_max`` by bisection
-and spends one cell per state it stores from the row.  Seeds cost no cell.
+``b' <= d // r`` whose predecessor ``(d - r * b', b')`` is stored, the
+largest stored predecessor; with none the diagonal reads nothing.  With a
+row, d lists ``b = 1 .. r * phi`` if ``d <= n`` and ``(d, 0)`` from
+``d = max(n, r)`` on, whose window is the whole row.  The two modes differ
+only in how they take the window minima: ``solve_naive`` takes each distinct
+window ``b' >= j`` on its own, ``phi * (phi + 1) / 2`` cells for ``d <= n``
+and the whole row, phi cells, past n; ``solve_batched`` folds one running
+minimum down the row, phi cells.  Both then find ``b_max`` by one bisection
+and store the run; the batched mode also spends one cell per state it stores
+from the row.  Seeds cost no cell.
 
 The fills store costs only, so equal-cost predecessors are resolved in one
 place: ``backtrack`` recovers each step from the previous level's costs,
@@ -295,7 +297,11 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
     """Fill the level-free table of levels s and deeper from level
     ``s - 1``'s table ``prev``, pruned by the running bound of the module
     docstring.  Returns ``(table, zeros, cells)`` as ``_fill_level`` does,
-    with keys ``cost * K + level`` in place of costs."""
+    with keys ``cost * K + level`` in place of costs.
+
+    Each diagonal reads its row up to the largest stored predecessor and
+    builds its window minima ``suf``, naive or batched; one bisection, one
+    store loop in descending b and one finished-state test serve both."""
     K = 2 * n + 2
     INF = UNREACHABLE
     seeds: dict[int, list] = {}
@@ -309,7 +315,6 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
     cw = [c * K * x for x in suffix]  # c * W_m in key units
     grow = [x + 1 for x in cw]  # an expansion from m' adds grow[m'] to the key
     finish_from = max(n, r)
-    hi = [0] * (n + 1)  # the largest b >= 1 stored on each diagonal, all d <= n
     limit = INF  # a key v at (m, b) is stored iff v + cw[m] < limit = (UB + 1) * K
 
     def merge(pairs):
@@ -317,60 +322,48 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
         for m, b, v in pairs:
             if v + (cw[m] if b else 0) < limit and v < get((m, b), INF):
                 table[(m, b)] = v
-                if b:
-                    hi[m + b] = max(hi[m + b], b)
 
     for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)):
         phi = d // r
-        while phi and hi[d - (r - 1) * phi] < phi:
+        while phi and (d - r * phi, phi) not in table:
             phi -= 1
         if phi:
-            top = r * phi if d <= n else 0
             preds = zip(range(d - r * phi, d, r), range(phi, 0, -1))  # b' = phi .. 1
-            if batched:
-                suf = []  # suf[phi - j]: the least candidate of the b' >= j
-                v = INF
+            # suf[phi - j]: the least candidate of the b' >= j
+            if batched:  # one running minimum down the row
+                suf, v = [], INF
                 for mp, bp in preds:
                     x = get((mp, bp), INF) + grow[mp]
                     if x < v:
                         v = x
                     suf.append(v)
-                lo, up = 0, top  # the bound never falls as b grows: bisect for b_max
-                while lo < up:
-                    mid = (lo + up + 1) // 2
-                    if suf[phi - (mid + r - 1) // r] + cw[d - mid] < limit:
-                        lo = mid
-                    else:
-                        up = mid - 1
-                for b in range(lo, 0, -1):
-                    table[(d - b, b)] = suf[phi - (b + r - 1) // r]
-                if lo:
-                    hi[d] = lo
-                # the row, then one cell per state stored from it
-                cells += phi + lo + (d >= finish_from and v < limit)
-            else:
-                # every listed state takes its own window and its own test
+            else:  # each distinct window on its own; past n only (d, 0)'s, the whole row
                 row = [get((mp, bp), INF) + grow[mp] for mp, bp in preds]
-                for b in range(top, 0, -1):
-                    j = (b + r - 1) // r
-                    cells += phi + 1 - j
-                    v = min(row[:phi + 1 - j])
-                    if v + cw[d - b] < limit:
-                        table[(d - b, b)] = v
-                        hi[d] = hi[d] or b
-                v = min(row)
-                if d >= finish_from:
-                    cells += phi
-            if d >= finish_from and v < limit:  # a finished state's bound is its cost
+                suf = [min(row[:k]) for k in range(1, phi + 1)] if d <= n else [min(row)]
+            cells += phi if batched or d > n else phi * (phi + 1) // 2
+            lo, up = 0, r * phi if d <= n else 0  # the bound never falls as b grows
+            while lo < up:
+                mid = (lo + up + 1) // 2
+                if suf[phi - (mid + r - 1) // r] + cw[d - mid] < limit:
+                    lo = mid
+                else:
+                    up = mid - 1
+            for b in range(lo, 0, -1):
+                table[(d - b, b)] = suf[phi - (b + r - 1) // r]
+            v = suf[-1]
+            finished = d >= finish_from and v < limit  # a finished state's bound is its cost
+            if finished:
                 table[(d, 0)] = v
                 zeros.append((d, v))
+            if batched:  # one cell per state stored from the row
+                cells += lo + finished
         pairs = seeds.pop(d, None)
         if pairs:
             merge(pairs)
         # UB: the least one-level finish of the diagonal's states, those with
         # max(n, r) <= m + r * b <= n + r - 1
         for b in range(max(0, (finish_from - d + r - 2) // (r - 1)),
-                       min(hi[d] if d <= n else 0, (n + r - 1 - d) // (r - 1)) + 1):
+                       min(d, (n + r - 1 - d) // (r - 1)) + 1):
             v = get((d - b, b))
             if v is not None:
                 limit = min(limit, ((v + (cw[d - b] if b else 0)) // K + 1) * K)

@@ -193,6 +193,17 @@ class TestExitCodes:
                        "--weights", "3 2 1", expect=2)
         assert "[[arity, edge_length], ...]" in proc.stderr
 
+    @pytest.mark.parametrize("flag,content,extra", [
+        ("--weights-file", "[1, 2,", ["--problem", "huffman"]),
+        ("--spec-file", "[[2, 1], [2", ["--problem", "gmr", "--weights", "3 2 1"]),
+    ])
+    def test_malformed_json_names_the_file(self, tmp_path, flag, content, extra):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        proc = run_cli("solve", *extra, flag, str(path), expect=2)
+        assert proc.stderr.startswith(f"error: {path}: ")
+        assert proc.stdout == ""
+
     def test_spec_file_of_bools_is_2(self, tmp_path):
         # true once solved as edge length 1 and exited 0
         path = tmp_path / "levels.json"

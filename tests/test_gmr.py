@@ -628,32 +628,28 @@ def _fill_cells(prev: dict, n: int, r: int, keep, algorithm: str, dense: bool) -
 def _tail_cells(table: dict, w, r: int, c: int, algorithm: str) -> int:
     """Cells of a level-free tail fill, from the tail's cell definition.
     Diagonal d's row holds ``b' = 1 .. phi``: phi is the largest
-    ``b' <= d // r`` that is at most the largest b stored on its
-    predecessor's diagonal ``d - (r - 1) * b'``, 0 if none is.  With a row,
-    d lists ``b = 1 .. r * phi`` if ``d <= n`` and ``(d, 0)`` from
-    ``d = max(n, r)`` on.  A naive listed state reads its window,
-    ``phi + 1 - ceil(b / r)`` cells; a batched diagonal reads its row once,
-    phi cells, plus one cell per listed state whose bound, window minimum
-    decoded plus ``c * W_m``, is at most UB: the least one-level finish of
-    the states stored on earlier diagonals with
+    ``b' <= d // r`` whose predecessor ``(d - r * b', b')`` is stored, 0 if
+    none is.  With a row, d lists ``b = 1 .. r * phi`` if ``d <= n`` and
+    ``(d, 0)`` from ``d = max(n, r)`` on.  A naive diagonal reads each
+    distinct window of its listed states once, ``b' >= j`` for
+    ``j = 1 .. phi`` if ``d <= n`` and the whole row past n; a batched
+    diagonal reads its row once, phi cells, plus one cell per listed state
+    whose bound, window minimum decoded plus ``c * W_m``, is at most UB: the
+    least one-level finish of the states stored on earlier diagonals with
     ``max(n, r) <= m + r * b <= n + r - 1``.  Seeds cost no cell."""
     n = w.n
     K = 2 * n + 2
-    largest = {}
-    for m, b in table:
-        largest[m + b] = max(largest.get(m + b, 0), b)
     ub = UNREACHABLE
     cells = 0
     for d in [*range(1, n + 1), *range(max(n + 1, r), n + r)]:
-        phi = max([bp for bp in range(1, d // r + 1)
-                   if bp <= largest.get(d - (r - 1) * bp, 0)], default=0)
+        phi = max([bp for bp in range(1, d // r + 1) if (d - r * bp, bp) in table], default=0)
         row = [table.get((d - r * bp, bp), UNREACHABLE) + c * K * w.tail_weight(d - r * bp) + 1
                for bp in range(1, phi + 1)]
         listed = [*(range(1, r * phi + 1) if d <= n else ()),
                   *((0,) if phi and d >= max(n, r) else ())]
         windows = {b: row[max(1, -(-b // r)) - 1:] for b in listed}
         if algorithm == "naive":
-            cells += sum(map(len, windows.values()))
+            cells += sum(set(map(len, windows.values())))  # each distinct window once
         else:
             cells += phi + sum(min(x) < UNREACHABLE and min(x) // K + c * w.tail_weight(d - b) <= ub
                                for b, x in windows.items())
