@@ -74,7 +74,10 @@ def _read_weights(args) -> list[int]:
         values = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip():
-                token = line.split()[0]
+                token, *extra = line.split()
+                if extra:
+                    raise ValueError(f"{args.weights_file}: line {lineno}: "
+                                     f"expected one integer, got {line.strip()!r}")
                 try:
                     values.append(int(token))
                 except ValueError:

@@ -163,9 +163,6 @@ class LevelSpec:
     def arity(self, i: int) -> int:
         return self.levels[i - 1][0]
 
-    def edge_length(self, i: int) -> int:
-        return self.levels[i - 1][1]
-
     def depth(self, i: int) -> int:
         return self._depths[i]
 
@@ -215,13 +212,9 @@ class LeafSequence:
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: Mapping[int, int] | Iterable[tuple[int, int]]):
-        if isinstance(counts, Mapping):
-            items = counts.items()
-        else:
-            items = counts
+    def __init__(self, counts: Mapping[int, int]):
         norm: dict[int, int] = {}
-        for level, count in items:
+        for level, count in counts.items():
             check_int(level, "leaf levels")
             if check_int(count, "leaf counts") < 0:
                 raise InvalidInput(f"leaf count at level {level} is negative")
@@ -229,14 +222,8 @@ class LeafSequence:
                 continue
             if level < 1:
                 raise InvalidInput("leaves may only appear on levels >= 1")
-            norm[level] = norm.get(level, 0) + count
+            norm[level] = count
         self._counts = tuple(sorted(norm.items()))
-
-    def count(self, level: int) -> int:
-        for lv, c in self._counts:
-            if lv == level:
-                return c
-        return 0
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._counts

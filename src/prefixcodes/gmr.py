@@ -47,11 +47,13 @@ every ``b >= 1`` once L's widest arity reaches n.  A state dropped by either
 rule reaches no finished state, so it lies on no chain to the answer, and no
 answer or backtrace moves.
 
-``solve_choice`` runs the same level loop over a ``ChoiceLevelSpec``, whose
-levels each offer several (arity, edge length) options: every option is
-filled from the previous combined table, and the combined entry is the
-per-signature minimum.  The loop reads both spec types through
-``spec.options(i)``; a ``LevelSpec`` level is a one-option level.
+``solve_choice`` is the one level loop, for a ``LevelSpec`` and a
+``ChoiceLevelSpec`` alike; ``solve_naive`` and ``solve_batched`` are its
+fixed-algorithm names.  A ``ChoiceLevelSpec``'s levels each offer several
+(arity, edge length) options: every option is filled from the previous
+combined table, and the combined entry is the per-signature minimum.  The
+loop reads both spec types through ``spec.options(i)``; a ``LevelSpec``
+level is a one-option level.
 
 The level loop stops after the first level whose cheapest state costs at
 least the best finished tree seen so far.  Expansions never lower a cost and
@@ -152,8 +154,8 @@ class DPResult:
     ``tables``, ``expansions`` and ``leaf_sequence`` are
     present only when the solver ran with ``keep_tables=True``; the tables
     run from level 0 to ``levels_filled``, the last level the level loop
-    filled before it stopped (see ``_solve``).  A solve that reached a
-    level-free tail from level s on has ``levels_filled == s``, and
+    filled before it stopped (see ``solve_choice``).  A solve that reached
+    a level-free tail from level s on has ``levels_filled == s``, and
     ``tables[s]`` (its ``level`` is s) covers levels s and deeper: its values
     are keys ``cost * (2n + 2) + level``, the least per signature over levels
     ``s - 1`` and deeper, of the signatures whose bound stayed within the
@@ -161,7 +163,7 @@ class DPResult:
     answer's cost (see the module docstring).  Without a tail, a cut-off
     table holds only the states that can still finish: the level before the
     spec's last only those that some last-level arity finishes into a valid
-    signature, the last level only finished ones (see ``_solve``).
+    signature, the last level only finished ones (see ``solve_choice``).
     One-ended answers, whose DP has no levels, leave ``levels_filled`` None.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
@@ -176,13 +178,6 @@ class DPResult:
     leaf_sequence: LeafSequence | None = None
     tables: tuple | None = None
     options: tuple[int, ...] | None = None
-
-
-def _valid_signature(m: int, b: int, *, n: int, arity: int) -> bool:
-    """Validity of a non-negative ``(m, b)`` on a level with the given arity."""
-    if b > 0:
-        return m + b <= n
-    return max(n, arity) <= m <= n + arity - 1
 
 
 class _FinishWindows(dict):
@@ -231,8 +226,8 @@ def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, 
     paper's full fill visits them.  Both store the same entries, in order.
 
     Storage rule: a diagonal ``d <= n`` lists, in descending order, the b
-    from ``r * B`` down to 1; with a ``cap`` (see ``_solve``) only down to
-    ``ceil((n - d) / (cap - 1))``, with ``windows`` in place of a cap (the
+    from ``r * B`` down to 1; with a ``cap`` (see ``solve_choice``) only down
+    to ``ceil((n - d) / (cap - 1))``, with ``windows`` in place of a cap (the
     level before the spec's last; see ``_FinishWindows``) only the b its
     window keeps, and with ``cap == 0`` (the spec's last level) none.  From
     ``d = max(n, r)`` on, where ``(d, 0)`` is a valid finished state, it
@@ -373,10 +368,11 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
 
 
 def _tail_start(spec, n: int) -> int | None:
-    """The first level s of the constant suffix that a cut-off ``_solve``
-    fills in one level-free table, or None.  That takes a plain spec of at
-    least n levels: d = m + b grows by at least 1 per level, so no tree is
-    deeper than n levels and the spec never ends a tail chain early."""
+    """The first level s of the constant suffix that a cut-off
+    ``solve_choice`` fills in one level-free table, or None.  That takes a
+    plain spec of at least n levels: d = m + b grows by at least 1 per
+    level, so no tree is deeper than n levels and the spec never ends a tail
+    chain early."""
     if isinstance(spec, ChoiceLevelSpec) or spec.num_levels < n:
         return None
     levels = spec.levels
@@ -386,9 +382,13 @@ def _tail_start(spec, n: int) -> int | None:
     return s
 
 
-def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
-           cutoff: bool = True) -> DPResult:
-    """The level loop over the levels of ``spec``, plain and choice alike.
+def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
+                 algorithm: str = "batched", keep_tables: bool = True,
+                 cutoff: bool = True) -> DPResult:
+    """Minimum-cost tree over the levels of ``spec``, plain and choice alike:
+    the one level loop, filling each level by ``algorithm``.  For a choice
+    spec the result's ``options`` holds the chosen option index per level
+    of the backtrace.
 
     With ``cutoff`` the loop stops after the first level whose cheapest
     state costs at least the best finished ``(m, 0)`` seen so far, or that
@@ -425,7 +425,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     A level counts the cells of each of its options' fills, plain and choice
     levels alike; storing into the level's one table costs no cell of its own.
     """
-    check_algorithm(mode)
+    check_algorithm(algorithm)
     n = w.n
     tail = _tail_start(spec, n) if cutoff else None
     last = spec.num_levels
@@ -448,7 +448,7 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     for i in range(1, last + 1 if tail is None else tail):
         costs: dict[Sig, int] = {}
         for r, c in spec.options(i):
-            zeros, k = _fill_level(prev, costs, n, r, c, w.suffix, mode, dense=not cutoff,
+            zeros, k = _fill_level(prev, costs, n, r, c, w.suffix, algorithm, dense=not cutoff,
                                    cap=caps.get(i), windows=windows if i == last - 1 else None)
             cells += k
             # a finished state an option does not store is no better than
@@ -463,8 +463,8 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
     else:
         if tail is not None:
             K = 2 * n + 2
-            table, zeros, cells_tail = _fill_tail(prev, tail, n, *spec.levels[-1], w.suffix, mode)
-            cells += cells_tail
+            table, zeros, k = _fill_tail(prev, tail, n, *spec.levels[-1], w.suffix, algorithm)
+            cells += k
             best = min([best, *[(*divmod(key, K), m) for m, key in zeros]])
             if keep_tables:
                 tables.append(LevelTable(tail, table))
@@ -492,21 +492,15 @@ def _solve(w: WeightSeq, spec, mode: str, keep_tables: bool, *,
 
 def solve_naive(w: WeightSeq, spec: LevelSpec, *, keep_tables: bool = True,
                 cutoff: bool = True) -> DPResult:
-    """Fill the level tables by direct minimization over predecessors."""
-    return _solve(w, spec, "naive", keep_tables, cutoff=cutoff)
+    """:func:`solve_choice` by direct minimization over predecessors."""
+    return solve_choice(w, spec, algorithm="naive", keep_tables=keep_tables, cutoff=cutoff)
 
 
 def solve_batched(w: WeightSeq, spec: LevelSpec, *, keep_tables: bool = True,
                   cutoff: bool = True) -> DPResult:
-    """Batched fill; identical tables and answer as :func:`solve_naive`."""
-    return _solve(w, spec, "batched", keep_tables, cutoff=cutoff)
-
-
-def solve_choice(w: WeightSeq, cspec: ChoiceLevelSpec, *, algorithm: str = "batched",
-                 keep_tables: bool = True, cutoff: bool = True) -> DPResult:
-    """Minimum-cost tree over all per-level option assignments; the result's
-    ``options`` holds the chosen option index per level of the backtrace."""
-    return _solve(w, cspec, algorithm, keep_tables, cutoff=cutoff)
+    """:func:`solve_choice` by the batched fill; identical tables and answer
+    as :func:`solve_naive`."""
+    return solve_choice(w, spec, algorithm="batched", keep_tables=keep_tables, cutoff=cutoff)
 
 
 def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):
@@ -515,8 +509,8 @@ def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):
     m, b = sig
     d = m + b
     for j, (r, c) in enumerate(options):
-        if not _valid_signature(m, b, n=w.n, arity=r):
-            continue
+        if not b and not max(w.n, r) <= m <= w.n + r - 1:
+            continue  # no valid finished state of arity r
         for bp in range(d // r, (b + r - 1) // r - 1, -1):  # ascending m'
             pred = (d - r * bp, bp)
             v = prev.get(pred)
@@ -536,7 +530,7 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq, *,
     stored cost is its predecessor.
 
     With ``tail`` the last table, ``tables[s]``, is the level-free tail of
-    levels s and deeper (see ``_solve``).  Its steps take the first
+    levels s and deeper (see ``solve_choice``).  Its steps take the first
     predecessor whose key plus ``c * K * W_m'`` is ``sig``'s key less one,
     until the chain is back on level ``s - 1``.  Those are the same steps:
     every state on an optimal chain is at its tail key, or a cheaper or

@@ -123,8 +123,8 @@ def solve(name: str, w: WeightSeq, params: Params, *, algorithm: str = "batched"
           want_code: bool = True, cutoff: bool = True) -> ProblemResult:
     """Build the engine spec of problem ``name``, run the plain or choice
     engine with ``keep_tables=want_code``, and emit the code if ``want_code``.
-    ``cutoff=False`` selects the paper's full, dense fill: every level, every
-    diagonal (see ``gmr._solve``); the one-ended DP has no levels to cut off.
+    ``cutoff=False`` selects the paper's full, dense fill (see
+    ``gmr.solve_choice``); the one-ended DP has no levels to cut off.
     The engines and emitters are module globals looked up at call time."""
     if name not in PROBLEMS:
         raise InvalidInput(f"unknown problem {name!r}")

@@ -41,7 +41,7 @@ def slot_digits(index: int, radices) -> tuple[int, ...]:
 
 def telescoped_cost(expansions, w, spec: LevelSpec) -> int:
     """A backtrace's cost as the telescoped sum of c_i * W_{m_{i-1}}."""
-    return sum(spec.edge_length(i) * w.tail_weight(expansions[i - 1][0])
+    return sum(spec.levels[i - 1][1] * w.tail_weight(expansions[i - 1][0])
                for i in range(1, len(expansions)))
 
 
@@ -157,8 +157,9 @@ def kraft_slack(seq, spec: LevelSpec) -> int:
     means the sequence is unrealizable.  ``spec`` must cover the sequence.
     """
     slack = 1  # the root
+    counts = dict(seq.items())
     for i in range(1, seq.deepest + 1):
-        slack = slack * spec.arity(i) - seq.count(i)
+        slack = slack * spec.arity(i) - counts.get(i, 0)
     return slack
 
 

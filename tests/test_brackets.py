@@ -105,3 +105,14 @@ def test_reserved_given_up_to_the_huffman_depth_is_huffman(n, dist, r):
     depth = max(_huffman_lengths(w.weights, r))
     assert _cost("reserved-given", w, radix=r, lengths=tuple(range(1, depth + 1))) \
         == huffman_greedy(w, r)
+
+
+@pytest.mark.parametrize("arities", [(4, 2, 3), (3, 2), (2, 5)])
+@pytest.mark.parametrize("n,dist", SHAPES)
+def test_mixed_radix_costs_at_least_the_widest_huffman(n, dist, arities):
+    # a mixed-radix tree is an r-ary tree for r = max(arities) with some
+    # children never used, and r-ary Huffman is optimal over those
+    w = _weights(n, dist)
+    floor = huffman_greedy(w, max(arities))
+    for algorithm in ("naive", "batched") if n <= SMALL else ("batched",):
+        assert _cost("mixed-radix", w, algorithm, arities=arities) >= floor

@@ -136,6 +136,14 @@ class TestWeightInputs:
         proc = run_cli("solve", "--problem", "huffman", "--weights-file", str(path), expect=2)
         assert f"{path}: line 4: 'x' is not an integer" in proc.stderr
 
+    def test_file_line_with_two_integers_is_2(self, tmp_path):
+        # once kept the first token: n = 3, cost 9, exit 0, the 4 dropped
+        path = tmp_path / "w.txt"
+        path.write_text("3 4\n2\n1\n")
+        proc = run_cli("solve", "--problem", "huffman", "--weights-file", str(path), expect=2)
+        assert f"{path}: line 1: expected one integer, got '3 4'" in proc.stderr
+        assert proc.stdout == ""
+
     def test_malformed_json_array_is_2(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("[1, 2")

@@ -190,7 +190,7 @@ class TestLevelSpec:
 
 class TestLeafSequence:
     def test_normalizes(self):
-        assert LeafSequence({2: 1, 1: 0}) == LeafSequence([(2, 1)])
+        assert LeafSequence({2: 1, 1: 0}) == LeafSequence({2: 1})
         assert LeafSequence({1: 2}).total == 2
         assert LeafSequence({3: 1, 1: 1}).deepest == 3
 

@@ -272,8 +272,9 @@ class TestCodewords:
             for i in range(1, seq.deepest + 1):
                 lo *= spec.arity(i)
                 radices = [spec.arity(j) for j in range(1, i + 1)]
-                expected += [slot_digits(x, radices) for x in range(lo, lo + seq.count(i))]
-                lo += seq.count(i)
+                count = counts.get(i, 0)
+                expected += [slot_digits(x, radices) for x in range(lo, lo + count)]
+                lo += count
             assert cb.words == tuple(expected)
             assert cb.lengths == tuple(map(len, expected))
             assert cb.cost == cost_of_leaf_sequence(seq, w, spec)
@@ -383,7 +384,7 @@ class TestInvariants:
                 sigs += [(m, 0) for m in range(max(n, r), n + r)]
                 assert set(cur) <= set(sigs)
                 for sig in sigs:
-                    cands = [prev[p] + spec.edge_length(i) * w.tail_weight(p[0])
+                    cands = [prev[p] + spec.levels[i - 1][1] * w.tail_weight(p[0])
                              for p in predecessors(i, sig, spec, n) if p in prev]
                     assert cur.get(sig) == (min(cands) if cands else None)
 
@@ -431,9 +432,7 @@ def _cutoff_instances(seed: int, per_draw: int):
 
 
 def _solve_any(w, spec, algorithm, **kw):
-    if isinstance(spec, ChoiceLevelSpec):
-        return solve_choice(w, spec, algorithm=algorithm, **kw)
-    return (solve_naive if algorithm == "naive" else solve_batched)(w, spec, **kw)
+    return solve_choice(w, spec, algorithm=algorithm, **kw)
 
 
 def _wide_instances(seed: int, per_draw: int):
