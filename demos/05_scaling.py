@@ -4,9 +4,10 @@
 the asymptotic exponent independent of the machine.  The batched fill wins a
 full factor of n on every family.  Wall times are shown for orientation.
 The harness runs the paper's full, dense fill (``cutoff=False``): every level
-and every diagonal, as the complexity bounds count them.  A plain solve stops
-once no deeper level can beat its best tree, and fills only the diagonals the
-previous level reaches.
+and every diagonal, and for one-ended codes every reachable state below
+diagonal n, as the complexity bounds count them.  A plain solve stops once no
+deeper level can beat its best tree, fills only the diagonals the previous
+level reaches, and prunes one-ended states by a lower bound.
 
 Run:  PYTHONPATH=src python demos/05_scaling.py   (a few seconds)
 """

@@ -5,9 +5,12 @@ solver performed -- so complexity claims are machine-independent.  Wall time
 is reported alongside for orientation only.  Every instance is solved
 through ``problems.solve`` with ``cutoff=False``, the paper's full, dense
 fill: the level loop fills all of its levels and every diagonal of each, as
-the paper's complexity bounds count them.  A plain solve stops once no
-deeper level can beat the best finished tree, and on each level visits only
-the diagonals the previous level reaches.
+the paper's complexity bounds count them, and the one-ended fill prunes
+nothing, so its table keeps every reachable state below diagonal n, about
+n**2 / 2 of them (78,385 at n = 400).  A plain solve stops once no deeper
+level can beat the best finished tree, on each level visits only the
+diagonals the previous level reaches, and in the one-ended fill stores only
+the states whose lower bound stays within its upper bound.
 
 Weight distributions (all produce exact integers):
 

@@ -246,7 +246,6 @@ def _add_common(p):
     p.add_argument("--arities", help="mixed-radix per-position arities, e.g. '4 2 3'")
     p.add_argument("--lengths", help="reserved-given permitted lengths, e.g. '1 3 6'")
     p.add_argument("--g", type=int, help="reserved-g distinct-length budget")
-    p.add_argument("--timing", action="store_true", help="include wall-clock timings")
 
 
 @functools.cache
@@ -262,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance and print JSON")
     _add_common(p)
     p.add_argument("--output", default="code", choices=("cost", "code", "leafseq", "trace"))
+    p.add_argument("--timing", action="store_true", help="include wall-clock timings")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="cross-check the solver against an oracle")

@@ -164,7 +164,9 @@ class DPResult:
     table holds only the states that can still finish: the level before the
     spec's last only those that some last-level arity finishes into a valid
     signature, the last level only finished ones (see ``solve_choice``).
-    One-ended answers, whose DP has no levels, leave ``levels_filled`` None.
+    One-ended answers are the subclass ``one_ended.OneEndedResult``: their
+    DP has no levels, so ``levels_filled``, ``tables`` and ``options`` stay
+    None, and they keep ``expansions`` in cost-only solves too.
     ``options`` records the chosen per-level option index for choice solves
     that keep their tables.
     """
@@ -472,11 +474,10 @@ def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
     if best[0] == UNREACHABLE:
         raise NoFeasibleTree(f"no full tree with >= {n} leaves within {spec.num_levels} levels")
     cost, level, nprime = best
-    if not keep_tables:
-        return DPResult(cost=cost, level=level, leaves_full=nprime, cells_updated=cells,
-                        levels_filled=levels_filled)
-    expansions, leaf_sequence, options = backtrack(tables, (level, nprime, cost), spec, w,
-                                                   tail=levels_filled == tail)
+    expansions = leaf_sequence = options = None
+    if keep_tables:
+        expansions, leaf_sequence, options = backtrack(tables, (level, nprime, cost), spec, w,
+                                                       tail=levels_filled == tail)
     return DPResult(
         cost=cost,
         level=level,
@@ -485,7 +486,7 @@ def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
         levels_filled=levels_filled,
         expansions=expansions,
         leaf_sequence=leaf_sequence,
-        tables=tuple(tables),
+        tables=tuple(tables) if keep_tables else None,
         options=options,
     )
 

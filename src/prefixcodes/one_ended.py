@@ -39,7 +39,10 @@ state's descendants would all be dropped, so every stored state keeps the
 cost and the tied predecessors it has in the full table, and every state of
 an optimal chain is stored: its bound is at most the optimum, which is at
 most UB.  The answer scan is that running minimum, taken inside the fill
-with the tie key ``(finish, 3b + m - n, b, m)``.
+with the tie key ``(finish, 3b + m - n, b, m)``.  With ``cutoff=False`` UB
+stays infinite and never falls, so the fill stores every reachable state
+below diagonal n, about n**2 / 2 of them: the paper's full fill, as the
+complexity harness measures it.
 
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
@@ -73,22 +76,27 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .core import UNREACHABLE, CodeBook, WeightSeq, check_algorithm, check_prefix_free
+from .core import (UNREACHABLE, CodeBook, LeafSequence, WeightSeq, check_algorithm,
+                   check_prefix_free)
 from .errors import InternalInconsistency
-from .gmr import LevelTable
+from .gmr import DPResult, LevelTable
 
 Sig = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class OneEndedResult:
-    cost: int
-    codebook: CodeBook | None
-    expansions: tuple[Sig, ...]
-    # level-free from level 0, only the states whose bound stayed within UB
-    # (see the module docstring); None for cost-only solves
-    table: LevelTable | None
-    cells_updated: int
+class OneEndedResult(DPResult):
+    """A ``DPResult`` that also carries the code and the one level-free table.
+
+    ``level`` is the depth of the chain ``expansions`` (present in cost-only
+    solves too) and ``leaves_full`` is n; ``levels_filled``, ``tables`` and
+    ``options`` stay None.  ``codebook``, ``leaf_sequence`` and ``table`` are
+    None for cost-only solves.  ``table`` is level-free from level 0 and holds
+    only the states whose bound stayed within UB (see the module docstring).
+    """
+
+    codebook: CodeBook | None = None
+    table: LevelTable | None = None
 
 
 def _oe_predecessors(sig: Sig) -> list[Sig]:
@@ -123,14 +131,16 @@ def _incumbent(w: WeightSeq) -> int | None:
     return cost
 
 
-def _fill(w: WeightSeq, mode: str):
+def _fill(w: WeightSeq, mode: str, cutoff: bool):
     """The pruned table, the least tie key ``(finish, 3b + m - n, b, m)`` of
-    its two-level finishes and the cells spent (see the module docstring)."""
+    its two-level finishes and the cells spent (see the module docstring).
+    Without ``cutoff`` UB stays infinite, so no state is dropped."""
     n = w.n
     costs: dict[Sig, int] = {(0, 1): 0}
     suffix = w.suffix
     best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else (UNREACHABLE,)
-    ub = _incumbent(w)  # None only for n <= 2, where no diagonal is filled
+    # the incumbent is None only for n <= 2, where no diagonal is filled
+    ub = _incumbent(w) if cutoff else UNREACHABLE
     # rows[d][b']: gamma(b') of each stored predecessor (d - 2b', b'), pushed
     # when it is stored; the seed's feeds diagonal 2
     rows: defaultdict[int, dict[int, int]] = defaultdict(dict, {2: {1: suffix[0]}})
@@ -182,8 +192,9 @@ def _fill(w: WeightSeq, mode: str):
                 key = (g + suffix[d], 3 * b + m - n, b, m)
                 if key < best:
                     best = key
-                    ub = key[0]
-                    limit = ub - suffix[d]
+                    if cutoff:
+                        ub = key[0]
+                        limit = ub - suffix[d]
     if best[0] == UNREACHABLE:
         raise InternalInconsistency("the pruned fill stored no finishing state")
     return costs, best, cells
@@ -214,14 +225,18 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
     return CodeBook(words=tuple(words), lengths=tuple(len(word) for word in words), cost=cost)
 
 
-def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
-                    with_code: bool = True) -> OneEndedResult:
+def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched", with_code: bool = True,
+                    cutoff: bool = True) -> OneEndedResult:
     """Diagonal-batched solver with a sliding-window minimum, or with
     ``algorithm="naive"`` a direct minimum over each state's predecessor
-    window.  The DP table is kept only when ``with_code``."""
+    window.  The DP table is kept only when ``with_code``.
+
+    ``cutoff=False`` selects the paper's full fill, as the complexity harness
+    measures: UB stays infinite, so every reachable state below diagonal n is
+    stored and swept, with the same answer and backtrace."""
     check_algorithm(algorithm)
     n = w.n
-    costs, (cost, b_final, b, m), cells = _fill(w, algorithm)
+    costs, (cost, b_final, b, m), cells = _fill(w, algorithm, cutoff)
     suffix = w.suffix
     sig: Sig = (m + b, b)
     chain = [(n, b_final), sig] if m + b < n else [sig]
@@ -237,15 +252,22 @@ def solve_one_ended(w: WeightSeq, *, algorithm: str = "batched",
         chain.append(sig)
     chain.reverse()
     expansions = tuple(chain)
-    codebook = None
+    codebook = leaf_sequence = table = None
     if with_code:
         codebook = _codewords_from_expansions(expansions, w)
         if codebook.cost != cost or not check_prefix_free(codebook.words):
             raise InternalInconsistency("reconstructed code disagrees with the DP answer")
+        # level i holds the m_i - m_{i-1} weighted 1-leaves its expansion placed
+        leaf_sequence = LeafSequence({i: expansions[i][0] - expansions[i - 1][0]
+                                      for i in range(1, len(expansions))})
+        table = LevelTable(0, costs)
     return OneEndedResult(
         cost=cost,
-        codebook=codebook,
-        expansions=expansions,
-        table=LevelTable(0, costs) if with_code else None,
+        level=len(expansions) - 1,
+        leaves_full=n,
         cells_updated=cells,
+        expansions=expansions,
+        leaf_sequence=leaf_sequence,
+        codebook=codebook,
+        table=table,
     )

@@ -13,7 +13,6 @@ emitter uses.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,8 +82,8 @@ class GLengthsSpec:
 @dataclass(frozen=True)
 class ProblemResult:
     """A solved problem: the emitted code (None in cost-only runs) plus the
-    DP result.  One-ended solves report their answer in the same shape,
-    without tables."""
+    DP result.  A one-ended solve's ``dp`` is the engine's ``OneEndedResult``,
+    whose own ``codebook`` is this one."""
 
     codebook: CodeBook | None
     dp: DPResult
@@ -123,15 +122,19 @@ def solve(name: str, w: WeightSeq, params: Params, *, algorithm: str = "batched"
           want_code: bool = True, cutoff: bool = True) -> ProblemResult:
     """Build the engine spec of problem ``name``, run the plain or choice
     engine with ``keep_tables=want_code``, and emit the code if ``want_code``.
-    ``cutoff=False`` selects the paper's full, dense fill (see
-    ``gmr.solve_choice``); the one-ended DP has no levels to cut off.
-    The engines and emitters are module globals looked up at call time."""
+    The one-ended DP has no spec: its engine emits the code itself, and its
+    ``OneEndedResult`` is the result's ``dp``.  ``cutoff=False`` selects the
+    paper's full fill in every engine (see ``gmr.solve_choice`` and
+    ``one_ended.solve_one_ended``).  The engines and emitters are module
+    globals looked up at call time."""
     if name not in PROBLEMS:
         raise InvalidInput(f"unknown problem {name!r}")
     problem = PROBLEMS[name]
     spec = problem.levels(params, w.n)
     if spec is None:
-        return _solve_one_ended(w, algorithm=algorithm, want_code=want_code)
+        res = one_ended.solve_one_ended(w, algorithm=algorithm, with_code=want_code,
+                                        cutoff=cutoff)
+        return ProblemResult(res.codebook, res)
     check_algorithm(algorithm)
     if isinstance(spec, ChoiceLevelSpec):
         dp = solve_choice(w, spec, algorithm=algorithm, keep_tables=want_code, cutoff=cutoff)
@@ -246,20 +249,6 @@ def _emit_radix(dp: DPResult, spec, w: WeightSeq, params: Params) -> CodeBook:
     counts = {spec.depth(level): count for level, count in seq.items()}
     radix_levels = LevelSpec.constant(params.radix, 1, spec.depth(seq.deepest))
     return leafseq_to_codewords(LeafSequence(counts), radix_levels, w)
-
-
-def _solve_one_ended(w: WeightSeq, *, algorithm: str, want_code: bool) -> ProblemResult:
-    res = one_ended.solve_one_ended(w, algorithm=algorithm, with_code=want_code)
-    book = res.codebook
-    dp = DPResult(
-        cost=res.cost,
-        level=len(res.expansions) - 1,
-        leaves_full=w.n,
-        cells_updated=res.cells_updated,
-        expansions=res.expansions,
-        leaf_sequence=LeafSequence(Counter(book.lengths)) if book is not None else None,
-    )
-    return ProblemResult(book, dp)
 
 
 def _enumerate_levels(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, max_n: int) -> int:

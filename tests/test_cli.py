@@ -229,6 +229,13 @@ class TestExitCodes:
         assert f"--max-oracle-n: must be at least 1, got {value}" in proc.stderr
         assert proc.stdout == ""
 
+    def test_verify_timing_is_2(self):
+        # verify times nothing; it once took --timing and ignored it
+        proc = run_cli("verify", "--problem", "huffman", "--weights", "3 2 1", "--timing",
+                       expect=2)
+        assert "unrecognized arguments: --timing" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("flag,args", [
         ("--weights", ("solve", "--problem", "huffman")),
         ("--arities", ("solve", "--problem", "mixed-radix", "--weights", "3 2 1")),

@@ -1,13 +1,16 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from helpers import huffman_one_ended_words, random_weights
 
 from prefixcodes import (
     UNREACHABLE,
+    DPResult,
     InternalInconsistency,
+    LeafSequence,
     LevelTable,
     OracleBudget,
     bench,
@@ -190,6 +193,47 @@ def _bound(sig, v, w):
     (``tail_weight`` reads 0 past n)."""
     m, b = sig
     return v + w.suffix[m] + w.suffix[m + b] + w.tail_weight(m + 2 * b)
+
+
+class TestResult:
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    def test_result_is_a_dp_result(self, algorithm):
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(43)
+            for _ in range(10):
+                n = rng.randint(1, 40)
+                w = normalize_weights(draw(rng, n))
+                res = solve_one_ended(w, algorithm=algorithm)
+                assert isinstance(res, DPResult), name
+                assert res.level == len(res.expansions) - 1, name
+                assert res.leaves_full == n, name
+                assert res.leaf_sequence == LeafSequence(Counter(res.codebook.lengths)), name
+                assert res.levels_filled is res.tables is res.options is None, name
+                bare = solve_one_ended(w, algorithm=algorithm, with_code=False)
+                assert bare.leaf_sequence is bare.codebook is bare.table is None, name
+                assert (bare.cost, bare.level, bare.expansions, bare.cells_updated) == (
+                    res.cost, res.level, res.expansions, res.cells_updated), name
+
+
+class TestFullFill:
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    def test_full_fill_keeps_every_state_and_the_answer(self, algorithm):
+        # cutoff=False never lowers UB from infinity: the table is the whole
+        # reachable table below diagonal n, in which the pruned one sits
+        # entry for entry, and the answer and backtrace do not move
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(37)
+            for _ in range(8):
+                n = rng.randint(1, 60)
+                w = normalize_weights(draw(rng, n))
+                full = solve_one_ended(w, algorithm=algorithm, cutoff=False)
+                cut = solve_one_ended(w, algorithm=algorithm)
+                assert (full.cost, full.expansions, full.codebook.words) == (
+                    cut.cost, cut.expansions, cut.codebook.words), (name, n)
+                assert full.table.costs == _full_table(w), (name, n)
+                assert all(full.table.costs.get(sig) == v
+                           for sig, v in cut.table.costs.items()), (name, n)
+                assert full.cells_updated >= cut.cells_updated, (name, n)
 
 
 class TestBounds:

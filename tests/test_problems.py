@@ -276,6 +276,15 @@ def test_registry_solve_matches_the_named_entry_point(name, algorithm, want_code
         assert got == _named_solve(name, w, algorithm, want_code)
 
 
+@pytest.mark.parametrize("want_code", [True, False])
+@pytest.mark.parametrize("cutoff", [True, False])
+def test_one_ended_dp_is_the_engine_result(want_code, cutoff):
+    w = normalize_weights([9, 5, 3, 2, 1, 1, 1, 1, 0, 0])
+    got = problems.solve("one-ended", w, Params(), want_code=want_code, cutoff=cutoff)
+    assert got.dp == solve_one_ended(w, with_code=want_code, cutoff=cutoff)
+    assert got.dp.codebook is got.codebook
+
+
 def _random_params(rng, name, n):
     if name == "gmr":
         return Params(levels=LevelSpec([(rng.randint(2, 3), rng.randint(1, 2))
