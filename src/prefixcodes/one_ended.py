@@ -20,29 +20,32 @@ final bad count and then the smaller b'; ``solve_one_ended`` walks the chain
 down from its middle state.  (For n = 1 the seed finishes in one level, and
 ``W_1 = 0`` keeps the formula right.)
 
-The same sum bounds every state from below: a state ``(m, b)`` below
-diagonal n needs two more expansions, which cost at least W_m and then
-``W_{m+b}``.  Where ``d + b < n`` (``d = m + b``) it needs three: each child
-``(m + k, 2b - k)`` lies on diagonal ``d + b < n`` with ``m + k <= d``, so
-its own two expansions cost at least ``W_d + W_{d+b}``.  The bound of a state
-is therefore ``c + W_m + W_d + W_{d+b}`` below diagonal ``n - b`` and the
-exact two-level finish ``c + W_m + W_d`` from there.  It is consistent (as
-A*'s heuristics are): a child ``(m_s, b_s)`` has ``m_s <= d`` and
-``m_s + b_s = d + b``, so its cost ``c + W_m`` plus its own bound is at least
-the parent's.
+The same sum bounds every state from below, and longer chains tighten it.
+An expansion places at most b leaves and at most doubles b, so after j >= 1
+expansions of ``(m, b)`` at most ``m + 2^(j-1) b`` leaves are placed, and
+while that is below n another expansion, costing at least its W, follows.
+The bound of a state is therefore ``c + W_m`` plus the capacity series
+``W_{m+b} + W_{m+2b} + W_{m+4b} + ...`` over the indices below n, the exact
+two-level finish once ``m + 2b >= n``.  It is consistent (as A*'s
+heuristics are): a child ``(m + k, 2b - k)`` costs ``c + W_m`` and has
+``m + k <= m + b`` and ``2b - k <= 2b``, so each term of its series is at
+least the parent's next one.
 
-``_fill`` keeps an upper bound UB and stores a state only if its bound is at
-most UB.  UB starts at ``_incumbent``, the cost of a one-ended code read off
-a binary Huffman tree, and falls to the least two-level finish of the states
-stored so far with ``m + 2b >= n`` (the seed's when ``n <= 2``).  A dropped
-state's descendants would all be dropped, so every stored state keeps the
-cost and the tied predecessors it has in the full table, and every state of
-an optimal chain is stored: its bound is at most the optimum, which is at
-most UB.  The answer scan is that running minimum, taken inside the fill
-with the tie key ``(finish, 3b + m - n, b, m)``.  With ``cutoff=False`` UB
-stays infinite and never falls, so the fill stores every reachable state
-below diagonal n, about n**2 / 2 of them: the paper's full fill, as the
-complexity harness measures it.
+``_fill`` stores a state only if its bound is at most an upper bound UB,
+summing the series only while it stays within UB.  UB starts at
+``_incumbent``, the cost of a one-ended code read off a binary Huffman tree,
+and each stored state lowers it to its steady finish ``c + W_m + W_{m+b} +
+W_{m+2b} + ...`` (indices below n), the real code ``(m, b) -> (m + b, b) ->
+...`` that weights all b 1-children per level and the rest at the end.  A
+dropped state's descendants would all be dropped, so every stored state
+keeps the cost and the tied predecessors it has in the full table, and
+every state of an optimal chain is stored: its bound is at most the
+optimum, which is at most UB.  The answer scan is the least two-level
+finish of the states with ``m + 2b >= n`` (the seed's when ``n <= 2``),
+taken inside the fill with the tie key ``(finish, 3b + m - n, b, m)``.
+With ``cutoff=False`` UB stays infinite and never falls, so the fill stores
+every reachable state below diagonal n, about n**2 / 2 of them: the paper's
+full fill, as the complexity harness measures it.
 
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
 the candidate value gamma(b') depends only on the predecessor's bad count, so
@@ -154,7 +157,7 @@ def _fill(w: WeightSeq, mode: str, cutoff: bool):
         cand = [UNREACHABLE] * (phi + 1)  # no window reads below plo
         for bp, v in row.items():
             cand[bp] = v
-        limit = ub - suffix[d]  # store iff gamma + W_m (+ W_{d+b} if d + b < n) <= limit
+        limit = ub - suffix[d]  # store iff gamma + W_m (+ the series if d + b < n) <= limit
         if batched:
             cells += phi - plo + 1
             window: deque[int] = deque()  # b' ascending, gamma non-decreasing
@@ -184,17 +187,22 @@ def _fill(w: WeightSeq, mode: str, cutoff: bool):
                     break  # from b = phi on, neither v nor W_m decreases
                 continue
             if d + b < n:
-                if g + suffix[d + b] <= limit:  # the three-level bound
-                    costs[(m, b)] = v
-                    rows[d + b][b] = g
+                # the rest of the capacity series, W_{m+2b} + W_{m+4b} + ...
+                s, step = g, 2 * b
+                while s <= limit and m + step < n:
+                    s += suffix[m + step]
+                    step += step
+                if s > limit:
+                    continue
+                rows[d + b][b] = g
+                f = g + sum(suffix[d:n:b]) if cutoff else UNREACHABLE  # the steady finish
             else:
-                costs[(m, b)] = v
-                key = (g + suffix[d], 3 * b + m - n, b, m)
-                if key < best:
-                    best = key
-                    if cutoff:
-                        ub = key[0]
-                        limit = ub - suffix[d]
+                f = g + suffix[d]
+                best = min(best, (f, 3 * b + m - n, b, m))
+            costs[(m, b)] = v
+            if cutoff and f < ub:
+                ub = f
+                limit = ub - suffix[d]
     if best[0] == UNREACHABLE:
         raise InternalInconsistency("the pruned fill stored no finishing state")
     return costs, best, cells

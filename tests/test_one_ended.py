@@ -20,7 +20,7 @@ from prefixcodes import (
     one_ended,
     solve_one_ended,
 )
-from prefixcodes.one_ended import _incumbent, _oe_predecessors
+from prefixcodes.one_ended import _codewords_from_expansions, _incumbent, _oe_predecessors
 
 
 class TestPredecessors:
@@ -188,11 +188,15 @@ def _full_table(w):
 
 
 def _bound(sig, v, w):
-    """The lower bound of a state of cost v: ``c + W_m + W_d + W_{d+b}``
-    with ``d = m + b``, which is the exact two-level finish once ``d + b >= n``
-    (``tail_weight`` reads 0 past n)."""
+    """The lower bound of a state of cost v: ``c + W_m`` plus the capacity
+    series ``W_{m+b} + W_{m+2b} + W_{m+4b} + ...`` over the indices below n,
+    which is the exact two-level finish once ``m + 2b >= n``."""
     m, b = sig
-    return v + w.suffix[m] + w.suffix[m + b] + w.tail_weight(m + 2 * b)
+    total, step = v + w.suffix[m], b
+    while m + step < w.n:
+        total += w.suffix[m + step]
+        step += step
+    return total
 
 
 class TestResult:
@@ -257,6 +261,40 @@ class TestBounds:
                 assert len(words) == w.n and check_prefix_free(words), name
                 assert all(word[-1] == 1 for word in words), name
                 assert sum(x * len(word) for x, word in zip(w.weights, words)) == _incumbent(w)
+
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    def test_steady_finish_is_a_real_code(self, algorithm):
+        # every stored state (m, b) of cost c names a one-ended code: its chain
+        # back to the seed, then (m + b, b), (m + 2b, b), ... and a last
+        # expansion that places the rest, at cost c + W_m + W_{m+b} + ...;
+        # that is what lets the fill lower UB to it
+        budget = OracleBudget(max_n=12, max_depth=14)
+        checked = 0
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(83)
+            for n in [*range(1, 13), *(rng.randint(13, 60) for _ in range(6))]:
+                w = normalize_weights(draw(rng, n))
+                costs = solve_one_ended(w, algorithm=algorithm).table.costs
+                want = enumerate_one_ended(w, budget=budget) if n <= 12 else None
+                for (m, b), v in costs.items():
+                    chain, sig = [(m, b)], (m, b)
+                    while sig != (0, 1):  # the backtrace of solve_one_ended
+                        sig = next(p for p in _oe_predecessors(sig)
+                                   if costs.get(p, UNREACHABLE) + w.suffix[p[0]] == costs[sig])
+                        chain.append(sig)
+                    chain.reverse()
+                    x = m
+                    while x + b < n:
+                        x += b
+                        chain.append((x, b))
+                    chain.append((n, 2 * b - (n - x)))
+                    code = _codewords_from_expansions(chain, w)
+                    assert len(code.words) == n and check_prefix_free(code.words), (name, n)
+                    assert all(word[-1] == 1 for word in code.words), (name, n)
+                    assert code.cost == v + sum(w.suffix[m:n:b]), (name, n, (m, b))
+                    assert want is None or code.cost >= want, (name, n, (m, b))
+                    checked += want is not None
+        assert checked
 
     def test_bound_is_consistent(self):
         # a child (m + k, 2b - k) reached from (m, b) at cost c + W_m has a
@@ -360,16 +398,19 @@ def _derived_cells(w, costs, algorithm: str) -> int:
     greatest stored predecessor ``(d - 2b', b')``, and its sweep runs from
     ``b = plo`` up to its first ``b >= phi`` whose two-level part
     ``c + W_m + W_d`` exceeds UB, or to ``min(2 phi, d)``.  There c is the
-    least ``c' + W_m'`` over the window's stored predecessors, and UB the
-    least of ``_incumbent`` and the two-level finishes of the states stored
-    before ``(d - b, b)``, those on smaller diagonals or on d with a smaller
-    b.  A batched diagonal spends one cell per row entry and per swept
-    state, a naive state one per entry of its window within the row."""
+    least ``c' + W_m'`` over the window's stored predecessors, and UB is
+    replayed in the table's insertion order: the least of ``_incumbent`` and
+    the steady finishes ``c + W_m + W_{m+b} + ...`` (a two-level finish once
+    ``m + 2b >= n``) of the states stored before ``(d - b, b)``, those on
+    smaller diagonals or on d with a smaller b.  A batched diagonal spends
+    one cell per row entry and per swept state, a naive state one per entry
+    of its window within the row."""
     n, suffix = w.n, w.suffix
-    finishes = {}  # d -> (b, two-level finish) of its stored states with d + b >= n
-    for (m, b), v in costs.items():
-        if m + 2 * b >= n:
-            finishes.setdefault(m + b, []).append((b, v + suffix[m] + suffix[m + b]))
+    order = [(m + b, b) for m, b in costs][1:]  # the seed comes first
+    assert order == sorted(order)  # insertion order is the sweep's (d, b) order
+    finishes = {}  # d -> (b, steady finish) of its stored states
+    for (m, b), v in list(costs.items())[1:]:
+        finishes.setdefault(m + b, []).append((b, v + sum(suffix[m:n:b])))
     ub = _incumbent(w)
     cells = 0
     for d in range(2, n):
@@ -410,12 +451,13 @@ def test_cells_follow_the_cell_definition(algorithm):
         assert res.cells_updated == _derived_cells(w, res.table.costs, algorithm), dist
 
 
-def test_pruned_table_is_an_eighth_of_the_full_one():
-    # uniform weights, n = 400: the full table below diagonal n holds 78,385
-    # states; the bounds keep 9,722 of them
-    w = normalize_weights(bench.generate_weights(400, "uniform", 1))
-    res = solve_one_ended(w)
-    assert len(res.table.costs) == 9_722 < 78_385 // 8
+def test_pruned_table_is_a_fortieth_of_the_full_one():
+    # n = 400: the full table below diagonal n holds 78,385 states; the bounds
+    # keep 1,677 of them on uniform weights and 7,487 on Zipf weights
+    kept = {dist: len(solve_one_ended(normalize_weights(bench.generate_weights(400, dist, 1)))
+                      .table.costs) for dist in ("uniform", "zipf")}
+    assert kept == {"uniform": 1_677, "zipf": 7_487}
+    assert kept["uniform"] < 78_385 // 40 and kept["zipf"] < 78_385 // 10
 
 
 @pytest.mark.parametrize("algorithm", ["naive", "batched"])
