@@ -71,6 +71,18 @@ diagonal order; every predecessor lies on a smaller diagonal, so a diagonal
 reads only finished entries.  Each state of level ``s - 1`` seeds it as one
 more candidate of its own signature.
 
+The tail keeps its keys diagonal-major, in the order it fills them.
+``rows[d][b]`` holds the key of ``(d - b, b)`` for every ``d <= n``, the
+``UNREACHABLE`` object marking a hole; the ``(n + 1)(n + 2) / 2`` slots are
+allocated up front.  A predecessor ``(d - r * b', b')`` is read as
+``rows[d - (r - 1) * b'][b']``, and a diagonal's run of stored states is
+written as one slice.  Past n only the finished ``(d, 0)`` are valid, up to
+``n + r - 1`` and, for a finished seed of level ``s - 1``, beyond: they go in
+a dict by d, since rows would run to an arity past n.  ``tables[s].costs``
+is ``_TailCosts``, a read-only ``(m, b)`` mapping over both that iterates
+over the diagonals in ascending d, each in ascending m, with the finished
+states past n last.
+
 The tail is pruned by a running bound, as the one-ended fill is.  A state
 ``(m, b)`` needs one more expansion, so its cost plus ``c * W_m`` bounds every
 finish through it from below (for a finished ``(m, 0)``, ``W_m = 0``).  The
@@ -110,6 +122,7 @@ leaf sequence simply stops counting at n.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -138,10 +151,55 @@ class LevelTable:
     level-free table covers ``level`` and every deeper level: the gmr tail
     from level s holds the keys of the states its running bound kept (see
     ``DPResult``), and the one-ended table, at level 0, the cost of every
-    state it stores."""
+    state it stores.  ``costs`` maps ``(m, b)`` to its value: a dict, or
+    for the gmr tail ``_TailCosts``, a read-only view over its rows."""
 
     level: int
-    costs: dict[Sig, int]
+    costs: Mapping[Sig, int]
+
+
+class _TailCosts(Mapping):
+    """Read-only ``(m, b) -> key`` view of the level-free tail's storage:
+    ``rows[d][b]`` holds the key of ``(d - b, b)`` for ``d <= n``, the
+    ``UNREACHABLE`` object marking a hole, and ``far`` the finished
+    ``(d, 0)`` past n by d.  It iterates over the diagonals in ascending d,
+    each in ascending m, and the finished states past n last."""
+
+    __slots__ = ("rows", "far")
+
+    def __init__(self, rows: list[list], far: dict[int, int]):
+        self.rows = rows
+        self.far = far
+
+    def get(self, sig: Sig, default=None):
+        m, b = sig
+        d = m + b
+        if m < 0 or b < 0:
+            return default
+        if d < len(self.rows):
+            v = self.rows[d][b]
+            return default if v is UNREACHABLE else v
+        return default if b else self.far.get(d, default)
+
+    def __getitem__(self, sig: Sig) -> int:
+        v = self.get(sig)
+        if v is None:
+            raise KeyError(sig)
+        return v
+
+    def __iter__(self):
+        for d, row in enumerate(self.rows):
+            for b in range(d, -1, -1):
+                if row[b] is not UNREACHABLE:
+                    yield d - b, b
+        for d in sorted(self.far):
+            yield d, 0
+
+    def __len__(self) -> int:
+        return sum(len(row) - row.count(UNREACHABLE) for row in self.rows) + len(self.far)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
@@ -160,7 +218,8 @@ class DPResult:
     are keys ``cost * (2n + 2) + level``, the least per signature over levels
     ``s - 1`` and deeper, of the signatures whose bound stayed within the
     running best finish; a signature it drops cannot finish at or below the
-    answer's cost (see the module docstring).  Without a tail, a cut-off
+    answer's cost (see the module docstring); its ``costs`` is a read-only
+    ``(m, b)`` mapping over the tail's rows.  Without a tail, a cut-off
     table holds only the states that can still finish: the level before the
     spec's last only those that some last-level arity finishes into a valid
     signature, the last level only finished ones (see ``solve_choice``).
@@ -294,18 +353,21 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
     """Fill the level-free table of levels s and deeper from level
     ``s - 1``'s table ``prev``, pruned by the running bound of the module
     docstring.  Returns ``(table, zeros, cells)`` as ``_fill_level`` does,
-    with keys ``cost * K + level`` in place of costs.
+    with keys ``cost * K + level`` in place of costs and ``table`` a
+    ``_TailCosts`` view of the rows.
 
     Each diagonal reads its row up to the largest stored predecessor and
     builds its window minima ``suf``, naive or batched; one bisection, one
-    store loop in descending b and one finished-state test serve both."""
+    slice store of the run ``b = 1 .. lo`` and one finished-state test serve
+    both."""
     K = 2 * n + 2
     INF = UNREACHABLE
+    r1 = r - 1
+    rows = [[INF] * (d + 1) for d in range(n + 1)]  # rows[d][b]: the key of (d - b, b)
+    far: dict[int, int] = {}  # d -> the key of a finished (d, 0) past n
     seeds: dict[int, list] = {}
     for (m, b), v in prev.items():
         seeds.setdefault(m + b, []).append((m, b, v * K + s - 1))
-    table: dict[Sig, int] = {}
-    get = table.get
     zeros: list[tuple[int, int]] = []
     cells = 0
     batched = mode == "batched"
@@ -317,25 +379,30 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
     def merge(pairs):
         # a seed is one more candidate of its state, under the diagonal's UB
         for m, b, v in pairs:
-            if v + (cw[m] if b else 0) < limit and v < get((m, b), INF):
-                table[(m, b)] = v
+            if v + (cw[m] if b else 0) < limit:
+                d = m + b
+                if d > n:
+                    if v < far.get(d, INF):
+                        far[d] = v
+                elif v < rows[d][b]:
+                    rows[d][b] = v
 
     for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)):
-        phi = d // r
-        while phi and (d - r * phi, phi) not in table:
+        phi = d // r  # (d - r * b', b') is rows[d - (r - 1) * b'][b']
+        while phi and rows[d - r1 * phi][phi] is INF:
             phi -= 1
         if phi:
-            preds = zip(range(d - r * phi, d, r), range(phi, 0, -1))  # b' = phi .. 1
+            preds = zip(range(d - r1 * phi, d, r1), range(phi, 0, -1), range(d - r * phi, d, r))
             # suf[phi - j]: the least candidate of the b' >= j
             if batched:  # one running minimum down the row
                 suf, v = [], INF
-                for mp, bp in preds:
-                    x = get((mp, bp), INF) + grow[mp]
+                for dp, bp, mp in preds:
+                    x = rows[dp][bp] + grow[mp]
                     if x < v:
                         v = x
                     suf.append(v)
             else:  # each distinct window on its own; past n only (d, 0)'s, the whole row
-                row = [get((mp, bp), INF) + grow[mp] for mp, bp in preds]
+                row = [rows[dp][bp] + grow[mp] for dp, bp, mp in preds]
                 suf = [min(row[:k]) for k in range(1, phi + 1)] if d <= n else [min(row)]
             cells += phi if batched or d > n else phi * (phi + 1) // 2
             lo, up = 0, r * phi if d <= n else 0  # the bound never falls as b grows
@@ -345,12 +412,15 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
                     lo = mid
                 else:
                     up = mid - 1
-            for b in range(lo, 0, -1):
-                table[(d - b, b)] = suf[phi - (b + r - 1) // r]
+            if lo:
+                rows[d][1:lo + 1] = [suf[phi - (b + r1) // r] for b in range(1, lo + 1)]
             v = suf[-1]
             finished = d >= finish_from and v < limit  # a finished state's bound is its cost
             if finished:
-                table[(d, 0)] = v
+                if d > n:
+                    far[d] = v
+                else:
+                    rows[d][0] = v
                 zeros.append((d, v))
             if batched:  # one cell per state stored from the row
                 cells += lo + finished
@@ -358,15 +428,15 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
         if pairs:
             merge(pairs)
         # UB: the least one-level finish of the diagonal's states, those with
-        # max(n, r) <= m + r * b <= n + r - 1
-        for b in range(max(0, (finish_from - d + r - 2) // (r - 1)),
-                       min(d, (n + r - 1 - d) // (r - 1)) + 1):
-            v = get((d - b, b))
-            if v is not None:
+        # max(n, r) <= m + r * b <= n + r - 1; past n that is (d, 0) alone
+        row = rows[d] if d <= n else [far.get(d, INF)]
+        for b in range(max(0, (finish_from - d + r - 2) // r1), min(d, (n + r - 1 - d) // r1) + 1):
+            v = row[b]
+            if v is not INF:
                 limit = min(limit, ((v + (cw[d - b] if b else 0)) // K + 1) * K)
     for pairs in seeds.values():  # finished seeds on diagonals the loop skips
         merge(pairs)
-    return table, zeros, cells
+    return _TailCosts(rows, far), zeros, cells
 
 
 def _tail_start(spec, n: int) -> int | None:
@@ -504,7 +574,7 @@ def solve_batched(w: WeightSeq, spec: LevelSpec, *, keep_tables: bool = True,
     return solve_choice(w, spec, algorithm="batched", keep_tables=keep_tables, cutoff=cutoff)
 
 
-def _attaining_step(prev: dict, sig: Sig, options, w: WeightSeq, cost: int):
+def _attaining_step(prev: Mapping, sig: Sig, options, w: WeightSeq, cost: int):
     """``(option index, predecessor, its cost)`` of the first candidate of
     ``sig`` whose cost plus ``c * W_m'`` is ``cost``; None if none is."""
     m, b = sig

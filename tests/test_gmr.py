@@ -27,6 +27,7 @@ from prefixcodes import (
     InvalidLeafSequence,
     LeafSequence,
     LevelSpec,
+    LevelTable,
     MixedRadixSpec,
     NoFeasibleTree,
     OracleBudget,
@@ -191,10 +192,12 @@ class TestBacktrack:
             res = solve_batched(w, BINARY(3), cutoff=cutoff)
             answer = (res.level, res.leaves_full, res.cost)
             # on the chain (0,1) -> (1,1) -> (3,0); a tail key counts cost in
-            # units of K = 2n + 2
-            res.tables[1].costs[(1, 1)] += 2 * 3 + 2 if cutoff else 1
+            # units of K = 2n + 2.  The tail's table is read-only: bump a copy.
+            costs = res.tables[1].costs
+            bumped = costs[(1, 1)] + (2 * 3 + 2 if cutoff else 1)
+            tables = (res.tables[0], LevelTable(1, {**costs, (1, 1): bumped}), *res.tables[2:])
             with pytest.raises(InternalInconsistency):
-                backtrack(res.tables, answer, BINARY(3), w, tail=cutoff)
+                backtrack(tables, answer, BINARY(3), w, tail=cutoff)
 
 
 class TestPrune:
@@ -993,3 +996,84 @@ class TestLevelFreeTail:
                     assert cut.codebook == full.codebook
                     reached += cut.dp.levels_filled == 3
         assert reached >= 8
+
+
+#: weights and spec whose level-2 finished seed (12, 0) lies past n + r - 1 = 11,
+#: on a diagonal the tail loop never visits
+SEED_PAST_THE_LOOP = ([15, 14, 14, 13, 13, 7, 6, 5, 4, 3], [(4, 1), (5, 1)] + [(2, 1)] * 11)
+
+
+class TestTailView:
+    """``tables[s].costs`` of a tail solve: a read-only ``(m, b)`` mapping
+    over the tail's rows and its finished states past n."""
+
+    def _tails(self, weights, levels):
+        w, spec = normalize_weights(weights), LevelSpec(levels)
+        results = [solve_choice(w, spec, algorithm=a) for a in ("naive", "batched")]
+        assert all(res.levels_filled == tail_start(spec, w.n) for res in results)
+        return w, spec, [res.tables[-1].costs for res in results]
+
+    def test_seed_past_the_loop_is_kept_and_is_the_answer(self):
+        w, spec, views = self._tails(*SEED_PAST_THE_LOOP)
+        res = solve_batched(w, spec)
+        assert (res.cost, res.level, res.leaves_full) == (159, 2, 12)
+        for view in views:
+            assert view[(12, 0)] == view.get((12, 0)) == 159 * 22 + 2
+            assert list(view)[-1] == (12, 0)
+        assert list(views[0].items()) == list(views[1].items())
+
+    def test_get_returns_the_default_off_the_rows(self):
+        w, spec, views = self._tails(*SEED_PAST_THE_LOOP)
+        n = w.n
+        for view in views:
+            for sig in [(-1, 3), (-3, 1), (3, -1), (n, 1), (n - 1, 3), (2**80, 0), (n + 2**70, 0)]:
+                assert view.get(sig) is None and view.get(sig, "x") == "x", sig
+                assert sig not in view
+                with pytest.raises(KeyError):
+                    view[sig]
+            assert (7, 1) in view and view.get((7, 1)) == view[(7, 1)]
+
+    def test_read_only(self):
+        _, _, views = self._tails(*SEED_PAST_THE_LOOP)
+        with pytest.raises(TypeError):
+            views[1][(7, 1)] = 0
+
+    def test_iteration_order_and_len(self):
+        reached = 0
+        for w, spec in _tail_instances(seed=31, per_draw=80):
+            res = solve_batched(w, spec)
+            s = cut_tail_start(res, spec, w.n)
+            if s is None:
+                continue
+            view = res.tables[s].costs
+            keys = list(view)
+            assert len(view) == len(keys) == len(set(keys))
+            # ascending diagonals, ascending m within one; past n only (d, 0), last
+            assert keys == sorted(keys, key=lambda sig: (sig[0] + sig[1], sig[0]))
+            assert all(b == 0 for m, b in keys if m + b > w.n)
+            assert list(view.values()) == [view[sig] for sig in keys]
+            reached += 1
+        assert reached >= 100
+
+    @pytest.mark.parametrize("head", [[], [(2, 1)], [(3, 1), (2, 1)]])
+    def test_huge_arity_tail_keeps_one_finished_state_far_past_n(self, head):
+        # a 2**70-ary head would be no test of this: every state of its level
+        # is finished, so the level loop stops before the tail
+        n, r = 40, 2**70
+        w = normalize_weights(random_weights(random.Random(40), n, 1))
+        spec = LevelSpec(head + [(r, 1)] * (n - len(head)))
+        s = len(head) + 1
+        full = solve_batched(w, spec, cutoff=False)
+        views = []
+        for algorithm in ("naive", "batched"):
+            cut = solve_choice(w, spec, algorithm=algorithm)
+            assert cut.levels_filled == s
+            assert (cut.cost, cut.level, cut.leaves_full) == (
+                full.cost, full.level, full.leaves_full)
+            assert (cut.expansions, cut.leaf_sequence) == (full.expansions, full.leaf_sequence)
+            view = cut.tables[s].costs
+            assert_pruned_tail(view, full.tables, s, spec, w, cut.cost)
+            past = [(m, b) for m, b in view if m + b > n]
+            assert len(past) == 1 and past[0][1] == 0 and r <= past[0][0] < r + n
+            views.append(list(view.items()))
+        assert views[0] == views[1]

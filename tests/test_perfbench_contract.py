@@ -55,3 +55,16 @@ def test_traced_solve_drains(name):
         workloads.timed_solve(_first_instances(name)[0])
     tracer.drain()
     assert tracer.counts[TRACED_COUNTER[name]] > 0
+
+
+def test_traced_with_code_solve_reads_the_whole_tables():
+    # the first gmr-deep instance is cost-only and keeps no table; its
+    # with-code twin ends in the level-free tail, whose table is a view
+    inst = next(i for i in _first_instances("gmr-deep") if i.shape.with_code)
+    tracer = layers.Tracer()
+    with tracer.installed():
+        _, result, _ = workloads.timed_solve(inst)
+    tracer.drain()
+    tables = result.dp.tables
+    assert tracer.counts["gmr.table_solves"] == 1
+    assert tracer.counts["gmr.states_stored"] == sum(len(t.costs) for t in tables) > 0
