@@ -79,7 +79,7 @@ allocated up front.  A predecessor ``(d - r * b', b')`` is read as
 written as one slice.  Past n only the finished ``(d, 0)`` are valid, up to
 ``n + r - 1`` and, for a finished seed of level ``s - 1``, beyond: they go in
 a dict by d, since rows would run to an arity past n.  ``tables[s].costs``
-is ``_TailCosts``, a read-only ``(m, b)`` mapping over both that iterates
+is ``RowCosts``, a read-only ``(m, b)`` mapping over both that iterates
 over the diagonals in ascending d, each in ascending m, with the finished
 states past n last.
 
@@ -152,18 +152,19 @@ class LevelTable:
     from level s holds the keys of the states its running bound kept (see
     ``DPResult``), and the one-ended table, at level 0, the cost of every
     state it stores.  ``costs`` maps ``(m, b)`` to its value: a dict, or
-    for the gmr tail ``_TailCosts``, a read-only view over its rows."""
+    for those two ``RowCosts``, a read-only view over their rows."""
 
     level: int
     costs: Mapping[Sig, int]
 
 
-class _TailCosts(Mapping):
-    """Read-only ``(m, b) -> key`` view of the level-free tail's storage:
-    ``rows[d][b]`` holds the key of ``(d - b, b)`` for ``d <= n``, the
-    ``UNREACHABLE`` object marking a hole, and ``far`` the finished
-    ``(d, 0)`` past n by d.  It iterates over the diagonals in ascending d,
-    each in ascending m, and the finished states past n last."""
+class RowCosts(Mapping):
+    """Read-only ``(m, b) -> value`` view of a diagonal-major table:
+    ``rows[d][b]`` holds the value of ``(d - b, b)``, the ``UNREACHABLE``
+    object marking a hole, and a row may stop short of ``b = d``, or be
+    empty; ``far`` holds the finished ``(d, 0)`` past the rows by d.  It iterates over the diagonals in
+    ascending d, each in ascending m, and the states in ``far`` last.
+    The gmr tail and the one-ended fill return their tables as one."""
 
     __slots__ = ("rows", "far")
 
@@ -177,7 +178,8 @@ class _TailCosts(Mapping):
         if m < 0 or b < 0:
             return default
         if d < len(self.rows):
-            v = self.rows[d][b]
+            row = self.rows[d]
+            v = row[b] if b < len(row) else UNREACHABLE
             return default if v is UNREACHABLE else v
         return default if b else self.far.get(d, default)
 
@@ -189,7 +191,7 @@ class _TailCosts(Mapping):
 
     def __iter__(self):
         for d, row in enumerate(self.rows):
-            for b in range(d, -1, -1):
+            for b in range(len(row) - 1, -1, -1):
                 if row[b] is not UNREACHABLE:
                     yield d - b, b
         for d in sorted(self.far):
@@ -354,7 +356,7 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
     ``s - 1``'s table ``prev``, pruned by the running bound of the module
     docstring.  Returns ``(table, zeros, cells)`` as ``_fill_level`` does,
     with keys ``cost * K + level`` in place of costs and ``table`` a
-    ``_TailCosts`` view of the rows.
+    ``RowCosts`` view of the rows.
 
     Each diagonal reads its row up to the largest stored predecessor and
     builds its window minima ``suf``, naive or batched; one bisection, one
@@ -436,7 +438,7 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
                 limit = min(limit, ((v + (cw[d - b] if b else 0)) // K + 1) * K)
     for pairs in seeds.values():  # finished seeds on diagonals the loop skips
         merge(pairs)
-    return _TailCosts(rows, far), zeros, cells
+    return RowCosts(rows, far), zeros, cells
 
 
 def _tail_start(spec, n: int) -> int | None:

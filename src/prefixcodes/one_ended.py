@@ -36,9 +36,11 @@ summing the series only while it stays within UB.  UB starts at
 ``_incumbent``, the cost of a one-ended code read off a binary Huffman tree,
 and each stored state lowers it to its steady finish ``c + W_m + W_{m+b} +
 W_{m+2b} + ...`` (indices below n), the real code ``(m, b) -> (m + b, b) ->
-...`` that weights all b 1-children per level and the rest at the end.  A
-dropped state's descendants would all be dropped, so every stored state
-keeps the cost and the tied predecessors it has in the full table, and
+...`` that weights all b 1-children per level and the rest at the end.
+It holds every term of the bound and ``W_{m+3b}`` too, so it is summed
+only when the bound plus that term is below UB.  A dropped state's
+descendants would all be dropped, so every stored state keeps the cost and
+the tied predecessors it has in the full table, and
 every state of an optimal chain is stored: its bound is at most the
 optimum, which is at most UB.  The answer scan is the least two-level
 finish of the states with ``m + 2b >= n`` (the seed's when ``n <= 2``),
@@ -48,41 +50,54 @@ every reachable state below diagonal n, about n**2 / 2 of them: the paper's
 full fill, as the complexity harness measures it.
 
 Both fills process states in diagonals ``d = m + b``.  Within one diagonal
-the candidate value gamma(b') depends only on the predecessor's bad count, so
-``_fill`` builds the diagonal's candidate row once, and a state's
-predecessors form the window ceil(b/2) <= b' <= min(b, floor(d/2))
-of that row.  Each state ``(m', b')`` feeds only the diagonal ``m' + 2b'``,
-so when it is stored it pushes gamma(b') into that diagonal's row, if the
-diagonal is below n.  The row spans ``[plo, phi]``, from the least to the
-greatest stored predecessor; b' between them that no stored state pushed
-are holes.  The fill sweeps only the b whose window meets the row,
-``plo <= b <= 2 phi``.  From ``b = phi`` on the window's upper end stays at
-phi, so neither gamma's window minimum nor W_m can fall, while ``W_{d+b}``
-can: the first state there whose two-level part ``c + W_m + W_d`` exceeds UB
-ends the sweep.  The naive fill takes each window's minimum directly, O(n)
-per state.  The batched fill uses that both ends of the window only move up
-as b grows: a sliding-window minimum (a monotone deque) answers every state
-of the diagonal in amortized O(1).
+the candidate value gamma(b') depends only on the predecessor's bad count,
+and a state's predecessors form the window ceil(b/2) <= b' <= min(b,
+floor(d/2)) of the diagonal's candidate row.  Each state ``(m', b')`` feeds
+only the diagonal ``m' + 2b'``, so when it is stored it pushes gamma(b')
+into that diagonal's row, if the diagonal is below n.  A row is a list
+indexed by b', made on its first push; its pushes come from ascending
+diagonals, so in descending b', and the first sets phi, the greatest
+stored predecessor, and each sets plo, the least.  b' between them that no
+stored state pushed are holes.  The fill sweeps only the b whose window
+meets the row, ``plo <= b <= 2 phi``.  From ``b = phi`` on the window's
+upper end stays at phi, so neither gamma's window minimum nor W_m can fall,
+while UB only falls: the first state there whose two-level part
+``c + W_m + W_d`` exceeds UB ends the sweep.  Past a state there with
+``d + b < n`` that fails only its series, ``c + W_m + W_d`` still cannot
+fall, while the series' tail ``T(b) = W_{d+b} + W_{d+3b} + W_{d+7b} + ...``
+(indices below n) never rises as b grows.  So every state before the first
+b whose tail fits in what UB leaves fails too: the sweep bisects
+``(b, min(2 phi, d, n - d - 1)]`` for that b and goes on there, or at the
+first finishing b, ``n - d``, without sweeping the states between.  With
+``cutoff=False`` nothing fails, so nothing is jumped over.  The naive fill
+takes each window's minimum directly, O(n) per state.  The batched fill
+uses that both ends of the window only move up as b grows: a sliding-window
+minimum (a monotone deque) answers every state of the diagonal in amortized
+O(1).
 ``cells_updated`` counts one cell per row entry from plo to phi, holes
 included, and per state swept in the batched fill, and one per entry of
-``[plo, phi]`` in each swept state's window in the naive one; the answer
-scan adds none.
+``[plo, phi]`` in each swept state's window in the naive one; a state the
+sweep jumps over and the answer scan add none.
 
-Both fills store costs only.  The chain walk in ``solve_one_ended`` recovers
-each step from the finished table: among ``_oe_predecessors`` of a state, the
-first (smallest b') whose cost plus W_m' equals the state's cost wins ties.
+Both fills store costs only, diagonal-major: ``rows[d][b]`` is the cost of
+``(d - b, b)``, a diagonal's list ending at its last stored b (empty if it
+stores none) and the ``UNREACHABLE`` object marking a hole.  The table is
+``gmr.RowCosts``, the gmr tail's read-only ``(m, b)`` view, iterated by
+ascending d and, within a diagonal, ascending m.  The chain walk in
+``solve_one_ended`` recovers each step from it: among ``_oe_predecessors``
+of a state, the first (smallest b') whose cost plus W_m' equals the state's
+cost wins ties.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .core import (UNREACHABLE, CodeBook, LeafSequence, WeightSeq, check_algorithm,
                    check_prefix_free)
 from .errors import InternalInconsistency
-from .gmr import DPResult, LevelTable
+from .gmr import DPResult, LevelTable, RowCosts
 
 Sig = tuple[int, int]
 
@@ -120,48 +135,64 @@ def _incumbent(w: WeightSeq) -> int | None:
     Where two leaves are siblings the lighter takes the 0-edge and a
     trailing 1, one level deeper; every other leaf keeps its 1-edge, and a
     subtree beside a leaf takes the 0-edge.  Every word ends in 1 and the
-    words stay prefix-free.
+    words stay prefix-free.  The weights arrive sorted, so two queues merge
+    them in O(n): the leaves ascending and the sums in the order they form,
+    which is ascending too.
     """
-    if w.n <= 2:
+    n = w.n
+    if n <= 2:
         return None
-    heap = [(x, 0) for x in reversed(w.weights)]  # ascending, so a heap; 0 marks a leaf
-    cost = 0
-    while len(heap) > 1:
-        x, internal_x = heappop(heap)
-        y, internal_y = heappop(heap)
-        cost += x + y if internal_x or internal_y else 2 * x + y
-        heappush(heap, (x + y, 1))
+    leaves = w.weights[::-1]
+    sums: list[int] = []
+    i = j = cost = 0
+    for _ in range(n - 1):
+        pair = []
+        for _ in range(2):  # a leaf wins a tie with an equal sum
+            if i < n and (j == len(sums) or leaves[i] <= sums[j]):
+                pair.append((leaves[i], False))
+                i += 1
+            else:
+                pair.append((sums[j], True))
+                j += 1
+        (x, merged_x), (y, merged_y) = pair
+        cost += x + y if merged_x or merged_y else 2 * x + y
+        sums.append(x + y)
     return cost
 
 
 def _fill(w: WeightSeq, mode: str, cutoff: bool):
-    """The pruned table, the least tie key ``(finish, 3b + m - n, b, m)`` of
-    its two-level finishes and the cells spent (see the module docstring).
-    Without ``cutoff`` UB stays infinite, so no state is dropped."""
+    """The pruned table as a ``RowCosts`` view, the least tie key ``(finish,
+    3b + m - n, b, m)`` of its two-level finishes and the cells spent (see
+    the module docstring).  Without ``cutoff`` UB stays infinite, so no
+    state is dropped."""
     n = w.n
-    costs: dict[Sig, int] = {(0, 1): 0}
+    INF = UNREACHABLE
     suffix = w.suffix
-    best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else (UNREACHABLE,)
+    best = (suffix[0] + suffix[1], 3 - n, 1, 0) if n <= 2 else (INF,)
     # the incumbent is None only for n <= 2, where no diagonal is filled
-    ub = _incumbent(w) if cutoff else UNREACHABLE
-    # rows[d][b']: gamma(b') of each stored predecessor (d - 2b', b'), pushed
-    # when it is stored; the seed's feeds diagonal 2
-    rows: defaultdict[int, dict[int, int]] = defaultdict(dict, {2: {1: suffix[0]}})
+    ub = _incumbent(w) if cutoff else INF
+    rows: list[list] = [[] for _ in range(max(n, 2))]  # rows[d][b]: the cost of (d - b, b)
+    rows[1] += [INF, 0]  # the seed
+    # cands[e][b']: gamma(b') of the stored predecessor (e - 2b', b'), pushed
+    # when it is stored, in descending b'; plos[e] is the last b' pushed
+    cands: list[list | None] = [None] * max(n, 3)
+    cands[2] = [INF, suffix[0]]  # the seed's
+    plos = [1] * len(cands)
     batched = mode == "batched"
     cells = 0
     for d in range(2, n):
-        row = rows.pop(d, None)
-        if row is None:
+        cand = cands[d]
+        if cand is None:
             continue
-        plo, phi = min(row), max(row)
-        cand = [UNREACHABLE] * (phi + 1)  # no window reads below plo
-        for bp, v in row.items():
-            cand[bp] = v
+        cands[d] = None
+        plo, phi = plos[d], len(cand) - 1
+        row = rows[d]
         limit = ub - suffix[d]  # store iff gamma + W_m (+ the series if d + b < n) <= limit
         if batched:
             cells += phi - plo + 1
             window: deque[int] = deque()  # b' ascending, gamma non-decreasing
-        for b in range(plo, min(2 * phi, d) + 1):
+        b, end = plo, min(2 * phi, d)
+        while b <= end:
             m = d - b
             if batched:
                 # the window's upper end is b until it reaches phi
@@ -185,6 +216,7 @@ def _fill(w: WeightSeq, mode: str, cutoff: bool):
             if g > limit:
                 if b >= phi:
                     break  # from b = phi on, neither v nor W_m decreases
+                b += 1
                 continue
             if d + b < n:
                 # the rest of the capacity series, W_{m+2b} + W_{m+4b} + ...
@@ -193,19 +225,50 @@ def _fill(w: WeightSeq, mode: str, cutoff: bool):
                     s += suffix[m + step]
                     step += step
                 if s > limit:
+                    if b < phi:
+                        b += 1
+                        continue
+                    # g never falls and limit holds while the series' tail
+                    # T(b') = W_{d+b'} + W_{d+3b'} + ... never rises: go on at
+                    # the first b' whose tail fits, else at the first
+                    # finishing b, n - d, or past end
+                    room, lo, hi = limit - g, b + 1, min(end, n - d - 1) + 1
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        t, j, step = 0, d + mid, 2 * mid
+                        while t <= room and j < n:
+                            t += suffix[j]
+                            j += step
+                            step += step
+                        if t <= room:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    b = lo
                     continue
-                rows[d + b][b] = g
-                f = g + sum(suffix[d:n:b]) if cutoff else UNREACHABLE  # the steady finish
+                cand_e = cands[d + b]
+                if cand_e is None:
+                    cands[d + b] = cand_e = [INF] * (b + 1)
+                cand_e[b] = g
+                plos[d + b] = b
+                # the steady finish, at least s + W_d + W_{d+2b} if d + 2b < n,
+                # so summed only when it may fall below UB
+                f = INF
+                if cutoff and s + (suffix[d + 2 * b] if d + 2 * b < n else 0) < limit:
+                    f = g + sum(suffix[d:n:b])
             else:
                 f = g + suffix[d]
                 best = min(best, (f, 3 * b + m - n, b, m))
-            costs[(m, b)] = v
+            if len(row) < b:
+                row += [INF] * (b - len(row))
+            row.append(v)
             if cutoff and f < ub:
                 ub = f
                 limit = ub - suffix[d]
-    if best[0] == UNREACHABLE:
+            b += 1
+    if best[0] == INF:
         raise InternalInconsistency("the pruned fill stored no finishing state")
-    return costs, best, cells
+    return RowCosts(rows, {}), best, cells
 
 
 def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
@@ -229,7 +292,7 @@ def _codewords_from_expansions(expansions, w: WeightSeq) -> CodeBook:
         if len(nxt) != expansions[step][1]:
             raise InternalInconsistency("bad-node count diverged from the signature chain")
         bad = nxt
-    cost = sum(len(word) * w.weight(t + 1) for t, word in enumerate(words))
+    cost = sum(len(word) * x for word, x in zip(words, w.weights))
     return CodeBook(words=tuple(words), lengths=tuple(len(word) for word in words), cost=cost)
 
 

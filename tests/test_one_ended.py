@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -240,7 +241,82 @@ class TestFullFill:
                 assert full.cells_updated >= cut.cells_updated, (name, n)
 
 
+class TestTableView:
+    """``table.costs`` of a solve with code: a read-only ``(m, b)`` view
+    over the fill's diagonal rows, ``gmr.RowCosts``.  ``TestFullFill``
+    holds the ``cutoff=False`` view against ``_full_table``."""
+
+    def _views(self, weights):
+        w = normalize_weights(weights)
+        return w, [solve_one_ended(w, algorithm=a).table.costs for a in ("naive", "batched")]
+
+    def test_get_returns_the_default_off_the_rows(self):
+        w, views = self._views(bench.generate_weights(60, "zipf", 1))
+        n = w.n
+        for view in views:
+            keys = list(view)
+            last_b = {}  # d -> the largest stored b, where its row ends
+            for m, b in keys:
+                last_b[m + b] = max(b, last_b.get(m + b, 0))
+            past_row = [(d - top - 1, top + 1) for d, top in last_b.items() if d > top]
+            no_row = [(d - 1, 1) for d in range(2, n) if d not in last_b]
+            assert past_row and no_row
+            for sig in [(-1, 3), (-3, 1), (3, -1), (0, 0), (5, 0), (n, 1), (n - 1, 3),
+                        (0, n + 5), (2**80, 0), (2**80, 1), *past_row, *no_row]:
+                assert sig not in keys
+                assert view.get(sig) is None and view.get(sig, "x") == "x", sig
+                assert sig not in view
+                with pytest.raises(KeyError):
+                    view[sig]
+            for sig in keys:
+                assert sig in view and view.get(sig) == view[sig]
+            assert view[(0, 1)] == 0
+
+    def test_read_only(self):
+        _, views = self._views([5, 4, 3, 2, 1])
+        with pytest.raises(TypeError):
+            views[1][(0, 1)] = 1
+        with pytest.raises(TypeError):
+            del views[1][(0, 1)]
+
+    def test_len_order_and_equal_modes(self):
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(97)
+            for _ in range(8):
+                w, views = self._views(draw(rng, rng.randint(1, 120)))
+                for view in views:
+                    keys = list(view)
+                    assert len(view) == len(keys) == len(set(keys)), name
+                    # ascending diagonals, ascending m within one
+                    assert keys == sorted(keys, key=lambda sig: (sum(sig), sig[0])), name
+                    assert list(view.values()) == [view[sig] for sig in keys], name
+                assert list(views[0].items()) == list(views[1].items()), name
+
+
+def _heap_incumbent(w):
+    """``_incumbent`` by a heap of ``(weight, merged)`` pairs: a leaf, 0,
+    comes out before a sum of the same weight."""
+    heap = [(x, 0) for x in w.weights]
+    heapq.heapify(heap)
+    cost = 0
+    while len(heap) > 1:
+        x, merged_x = heapq.heappop(heap)
+        y, merged_y = heapq.heappop(heap)
+        cost += x + y if merged_x or merged_y else 2 * x + y
+        heapq.heappush(heap, (x + y, 1))
+    return cost
+
+
 class TestBounds:
+    def test_incumbent_merges_as_a_heap_does(self):
+        # the two-queue merge pops what the heap pops, ties included, so it
+        # keeps the heap's cost; all-equal and 0..1 weights tie sums with leaves
+        for name, draw in WEIGHT_DRAWS.items():
+            rng = random.Random(89)
+            for _ in range(60):
+                w = normalize_weights(draw(rng, rng.randint(3, 200)))
+                assert _incumbent(w) == _heap_incumbent(w), (name, w.n)
+
     def test_incumbent_is_at_least_the_optimum(self):
         budget = OracleBudget(max_n=12, max_depth=14)
         for name, draw in WEIGHT_DRAWS.items():
@@ -392,25 +468,74 @@ class TestPrunedFill:
                     assert (list(res.table.costs) == [(0, 1)]) == (n <= 2), (name, algorithm)
 
 
+def _tail(w, d, b):
+    """The capacity series of ``(d - b, b)`` past its first two terms,
+    ``W_{d+b} + W_{d+3b} + W_{d+7b} + ...`` over the indices below n."""
+    total, j, step = 0, d + b, 2 * b
+    while j < w.n:
+        total += w.suffix[j]
+        j += step
+        step += step
+    return total
+
+
+def _window_min(w, costs, d, b, phi):
+    """c of ``(d - b, b)``: the least ``c' + W_m'`` over the stored
+    predecessors ``(d - 2b', b')`` of its window, b' up to phi."""
+    return min([costs[(d - 2 * bp, bp)] + w.suffix[d - 2 * bp]
+                for bp in range((b + 1) // 2, min(b, phi) + 1)
+                if (d - 2 * bp, bp) in costs], default=UNREACHABLE)
+
+
+def _unskipped_table(w):
+    """The table of the store rule swept state by state, with no skip:
+    diagonal d sweeps ``b = plo .. min(2 phi, d)`` over its stored
+    predecessors' span, stores a state whose bound (``_bound``) is at most
+    UB, and ends at its first ``b >= phi`` whose two-level part ``c + W_m +
+    W_d`` exceeds UB.  UB starts at ``_incumbent`` and falls to each stored
+    state's steady finish (its two-level finish once ``m + 2b >= n``)."""
+    n, suffix = w.n, w.suffix
+    costs = {(0, 1): 0}
+    ub = _incumbent(w)
+    for d in range(2, n):
+        stored = [bp for bp in range(1, d // 2 + 1) if (d - 2 * bp, bp) in costs]
+        if not stored:
+            continue
+        plo, phi = stored[0], stored[-1]
+        for b in range(plo, min(2 * phi, d) + 1):
+            m = d - b
+            c = _window_min(w, costs, d, b, phi)
+            if c + suffix[m] + suffix[d] > ub:
+                if b >= phi:
+                    break
+                continue
+            if _bound((m, b), c, w) <= ub:
+                costs[(m, b)] = c
+                ub = min(ub, c + sum(suffix[m:n:b]))
+    return costs
+
+
 def _derived_cells(w, costs, algorithm: str) -> int:
     """``cells_updated`` of a solve from its stored table, by the module
     docstring's rule: diagonal d's row spans ``[plo, phi]``, its least and
     greatest stored predecessor ``(d - 2b', b')``, and its sweep runs from
-    ``b = plo`` up to its first ``b >= phi`` whose two-level part
-    ``c + W_m + W_d`` exceeds UB, or to ``min(2 phi, d)``.  There c is the
-    least ``c' + W_m'`` over the window's stored predecessors, and UB is
-    replayed in the table's insertion order: the least of ``_incumbent`` and
-    the steady finishes ``c + W_m + W_{m+b} + ...`` (a two-level finish once
-    ``m + 2b >= n``) of the states stored before ``(d - b, b)``, those on
-    smaller diagonals or on d with a smaller b.  A batched diagonal spends
-    one cell per row entry and per swept state, a naive state one per entry
-    of its window within the row."""
+    ``b = plo`` to ``min(2 phi, d)``.  From ``b = phi`` on it ends at the
+    first state whose two-level part ``c + W_m + W_d`` exceeds UB, and a
+    state with ``d + b < n`` that it leaves out sends it on to the first b'
+    whose series tail (``_tail``) fits in ``UB - c - W_m - W_d``, or to the
+    first finishing b, ``n - d``.  There c is the least ``c' + W_m'`` over
+    the window's stored predecessors, and UB is replayed in the sweep's
+    ``(d, b)`` order: the least of ``_incumbent`` and the steady finishes
+    ``c + W_m + W_{m+b} + ...`` (a two-level finish once ``m + 2b >= n``) of
+    the states stored before ``(d - b, b)``, those on smaller diagonals or
+    on d with a smaller b.  A batched diagonal spends one cell per row entry
+    and per swept state, a naive state one per entry of its window within
+    the row; a state the sweep jumps over spends none."""
     n, suffix = w.n, w.suffix
-    order = [(m + b, b) for m, b in costs][1:]  # the seed comes first
-    assert order == sorted(order)  # insertion order is the sweep's (d, b) order
     finishes = {}  # d -> (b, steady finish) of its stored states
-    for (m, b), v in list(costs.items())[1:]:
-        finishes.setdefault(m + b, []).append((b, v + sum(suffix[m:n:b])))
+    for (m, b), v in costs.items():
+        if (m, b) != (0, 1):
+            finishes.setdefault(m + b, []).append((b, v + sum(suffix[m:n:b])))
     ub = _incumbent(w)
     cells = 0
     for d in range(2, n):
@@ -418,19 +543,27 @@ def _derived_cells(w, costs, algorithm: str) -> int:
         if stored:
             plo, phi = stored[0], stored[-1]
             end = min(2 * phi, d)
-            for b in range(phi, end + 1):
-                c = min([costs[(d - 2 * bp, bp)] + suffix[d - 2 * bp]
-                         for bp in range((b + 1) // 2, min(b, phi) + 1)
-                         if (d - 2 * bp, bp) in costs], default=UNREACHABLE)
-                below = [f for bf, f in finishes.get(d, ()) if bf < b]
-                if c + suffix[d - b] + suffix[d] > min([ub] + below):
-                    end = b
+            swept, b = [], plo
+            while b <= end:
+                swept.append(b)
+                if b < phi:
+                    b += 1
+                    continue
+                m = d - b
+                c = _window_min(w, costs, d, b, phi)
+                room = min([ub] + [f for bf, f in finishes.get(d, ()) if bf < b]) - (
+                    c + suffix[m] + suffix[d])
+                if room < 0:
                     break
+                if d + b < n and (m, b) not in costs:
+                    b = next((bp for bp in range(b + 1, min(end, n - d - 1) + 1)
+                              if _tail(w, d, bp) <= room), n - d)
+                else:
+                    b += 1
             if algorithm == "batched":
-                cells += phi - plo + 1 + end - plo + 1
+                cells += phi - plo + 1 + len(swept)
             else:
-                cells += sum(min(b, phi) - max((b + 1) // 2, plo) + 1
-                             for b in range(plo, end + 1))
+                cells += sum(min(b, phi) - max((b + 1) // 2, plo) + 1 for b in swept)
         ub = min([ub] + [f for _, f in finishes.get(d, ())])
     return cells
 
@@ -438,16 +571,19 @@ def _derived_cells(w, costs, algorithm: str) -> int:
 @pytest.mark.parametrize("algorithm", ["naive", "batched"])
 def test_cells_follow_the_cell_definition(algorithm):
     # a row spans its least to its greatest stored predecessor, the holes
-    # between them included
+    # between them included; the table is the unskipped rule's, so the
+    # jumps leave out only states that rule does not store
     for name, draw in WEIGHT_DRAWS.items():
         rng = random.Random(67)
         for _ in range(12):
             w = normalize_weights(draw(rng, rng.randint(1, 80)))
             res = solve_one_ended(w, algorithm=algorithm)
+            assert res.table.costs == _unskipped_table(w), name
             assert res.cells_updated == _derived_cells(w, res.table.costs, algorithm), name
     for dist in ("uniform", "geometric"):
         w = normalize_weights(bench.generate_weights(300, dist, 1))
         res = solve_one_ended(w, algorithm=algorithm)
+        assert res.table.costs == _unskipped_table(w), dist
         assert res.cells_updated == _derived_cells(w, res.table.costs, algorithm), dist
 
 

@@ -68,3 +68,13 @@ def test_traced_with_code_solve_reads_the_whole_tables():
     tables = result.dp.tables
     assert tracer.counts["gmr.table_solves"] == 1
     assert tracer.counts["gmr.states_stored"] == sum(len(t.costs) for t in tables) > 0
+
+
+def test_traced_one_ended_solve_reads_the_whole_table():
+    # the one-ended table is a view over the fill's diagonal rows
+    inst = next(i for i in _first_instances("one-ended") if i.shape.with_code)
+    tracer = layers.Tracer()
+    with tracer.installed():
+        _, result, _ = workloads.timed_solve(inst)
+    tracer.drain()
+    assert tracer.counts["one_ended.states_stored"] == len(result.table.costs) > 0
