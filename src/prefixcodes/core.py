@@ -98,12 +98,6 @@ class WeightSeq:
                 raise InvalidInput("order must be a permutation of 0..n-1")
         self.order = order
 
-    def weight(self, i: int) -> int:
-        """Weight at 1-indexed position ``i``; zero past the real entries."""
-        if i < 1:
-            raise InvalidInput("weight positions are 1-indexed")
-        return self.weights[i - 1] if i <= self.n else 0
-
     def tail_weight(self, m: int) -> int:
         """Total weight of positions strictly greater than ``m``."""
         if m < 0:
@@ -128,16 +122,26 @@ def normalize_weights(raw: Sequence[int]) -> WeightSeq:
 
 
 class LevelSpec:
-    """Per-level tree parameters: arity and edge length for levels 1, 2, ...
+    """Per-level tree parameters: arity and edge length for levels 1 ..
+    ``num_levels``.
 
-    ``depth(i)`` is the cumulative edge length from the root down to level
-    ``i`` -- the weighted depth of every node on that level.
+    ``levels`` stores the pairs up to the first level of the trailing run;
+    its last pair repeats through ``num_levels``, as the last of
+    ``MixedRadixSpec.arities`` does, and ``arity``, ``depth`` and
+    ``options`` answer past it by arithmetic.  The constructor compresses
+    the trailing run of the pairs it is given; ``count`` (default: one level
+    per pair) sets ``num_levels``.  ``depth(i)`` is the cumulative edge
+    length from the root down to level ``i`` -- the weighted depth of every
+    node on that level.
     """
 
-    __slots__ = ("levels", "_depths")
+    __slots__ = ("levels", "num_levels", "_depths")
 
-    def __init__(self, levels: Iterable[tuple[int, int]]):
-        lv = tuple((r, c) for r, c in levels)
+    def __init__(self, levels: Iterable[tuple[int, int]], count: int | None = None):
+        try:
+            lv = [(r, c) for r, c in levels]
+        except (TypeError, ValueError):
+            raise InvalidInput("a level spec is a list of (arity, edge length) pairs") from None
         if not lv:
             raise InvalidInput("level spec must cover at least one level")
         for r, c in lv:
@@ -145,34 +149,34 @@ class LevelSpec:
                 raise InvalidInput(f"every level arity must be >= 2, got {r}")
             if check_int(c, "edge lengths") < 1:
                 raise InvalidInput(f"every edge length must be >= 1, got {c}")
-        depths = [0]
-        for _, c in lv:
-            depths.append(depths[-1] + c)
-        self.levels = lv
-        self._depths = tuple(depths)
+        count = len(lv) if count is None else check_int(count, "level counts")
+        if count < len(lv):
+            raise InvalidInput(f"level count {count} is below the {len(lv)} levels given")
+        while len(lv) > 1 and lv[-2] == lv[-1]:
+            lv.pop()
+        self.levels = tuple(lv)
+        self.num_levels = count
+        self._depths = tuple(accumulate([c for _, c in lv], initial=0))
 
     @classmethod
     def constant(cls, arity: int, edge_length: int = 1, count: int = 1) -> "LevelSpec":
         """A spec repeating one (arity, edge length) pair for ``count`` levels."""
-        return cls([(arity, edge_length)] * count)
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
+        return cls([(arity, edge_length)], count)
 
     def arity(self, i: int) -> int:
-        return self.levels[i - 1][0]
+        return self.levels[min(i, len(self.levels)) - 1][0]
 
     def depth(self, i: int) -> int:
-        return self._depths[i]
+        s = len(self.levels)
+        return self._depths[i] if i <= s else self._depths[s] + (i - s) * self.levels[-1][1]
 
     def options(self, i: int) -> tuple[tuple[int, int], ...]:
         """Level ``i`` as a one-option level, the shape of
         :meth:`ChoiceLevelSpec.options`."""
-        return (self.levels[i - 1],)
+        return (self.levels[min(i, len(self.levels)) - 1],)
 
     def __repr__(self):
-        return f"LevelSpec({list(self.levels)!r})"
+        return f"LevelSpec({list(self.levels)!r}, count={self.num_levels})"
 
 
 class ChoiceLevelSpec:

@@ -61,15 +61,16 @@ ties go to the shallower level, so no deeper level could change the answer or
 its backtrace.  ``cutoff=False`` fills every level of the spec, and every
 diagonal of each level, as the complexity harness measures.
 
-A plain spec of at least n levels whose levels from s on share one arity r
-and edge length c -- Huffman from level 1, mixed-radix (4, 2, 3) from level
-3 -- fills levels ``1 .. s - 1`` one table each and all deeper levels in one
-level-free table, as Golin & Rote's signature DP does: there a state's
-future does not depend on its level, so the table keeps each signature's
-least key ``cost * K + level`` (``K = 2n + 2``).  ``_fill_tail`` fills it in
-diagonal order; every predecessor lies on a smaller diagonal, so a diagonal
-reads only finished entries.  Each state of level ``s - 1`` seeds it as one
-more candidate of its own signature.
+A plain spec stores its levels up to s, the first level of its trailing
+run, whose arity r and edge length c repeat through its level count (see
+``LevelSpec``).  One of at least n levels -- Huffman from level 1,
+mixed-radix (4, 2, 3) from level 3 -- fills levels ``1 .. s - 1`` one table
+each and all deeper levels in one level-free table, as Golin & Rote's
+signature DP does: there a state's future does not depend on its level, so
+the table keeps each signature's least key ``cost * K + level`` (``K = 2n +
+2``).  ``_fill_tail`` fills it in diagonal order; every predecessor lies on
+a smaller diagonal, so a diagonal reads only finished entries.  Each state
+of level ``s - 1`` seeds it as one more candidate of its own signature.
 
 The tail keeps its keys diagonal-major, in the order it fills them.
 ``rows[d][b]`` holds the key of ``(d - b, b)`` for every ``d <= n``, the
@@ -446,14 +447,11 @@ def _tail_start(spec, n: int) -> int | None:
     ``solve_choice`` fills in one level-free table, or None.  That takes a
     plain spec of at least n levels: d = m + b grows by at least 1 per
     level, so no tree is deeper than n levels and the spec never ends a tail
-    chain early."""
+    chain early.  s is the number of pairs the ``LevelSpec`` stores, the
+    last of which repeats through its count."""
     if isinstance(spec, ChoiceLevelSpec) or spec.num_levels < n:
         return None
-    levels = spec.levels
-    s = len(levels)
-    while s > 1 and levels[s - 2] == levels[-1]:
-        s -= 1
-    return s
+    return len(spec.levels)
 
 
 def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
@@ -681,7 +679,7 @@ def leafseq_to_codewords(seq: LeafSequence, spec: LevelSpec, w: WeightSeq) -> Co
     if deepest > 0 and spec.num_levels < deepest:
         raise InvalidLeafSequence("level spec does not cover the sequence")
     counts = dict(seq.items())
-    radices = [r for r, _ in spec.levels[:deepest]]
+    radices = [spec.arity(i) for i in range(1, deepest + 1)]
     words: list[tuple[int, ...]] = []
     word: list[int] = []  # digits of the first free slot on the current level
     free, cost = 1, 0  # free slots on the current level, cost of the words so far

@@ -42,9 +42,6 @@ class MixedRadixSpec:
             if not isinstance(t, int) or t < 2:
                 raise InvalidInput(f"arities must be integers >= 2, got {t!r}")
 
-    def arity_for_level(self, i: int) -> int:
-        return self.arities[min(i - 1, len(self.arities) - 1)]
-
 
 @dataclass(frozen=True)
 class ReservedSpec:
@@ -93,8 +90,9 @@ class ProblemResult:
 class Params:
     """Parameters shared by all problems; each problem reads only its own.
 
-    ``levels`` is gmr's explicit level spec; without it gmr uses arity
-    ``radix`` with unit edges on all n levels.
+    ``levels`` is gmr's explicit level spec; without it gmr, like huffman,
+    uses ``LevelSpec.constant(radix, 1, n)``: arity ``radix`` and unit edges
+    on all n levels, stored as one pair.
     """
 
     radix: int = 2
@@ -177,15 +175,9 @@ def _required(value, what: str, problem: str):
     return value
 
 
-def _huffman_levels(p: Params, n: int) -> LevelSpec:
-    if p.radix < 2:
-        raise InvalidInput("alphabet size must be >= 2")
-    return LevelSpec.constant(p.radix, 1, n)
-
-
 def _mixed_levels(p: Params, n: int) -> LevelSpec:
     mrspec = MixedRadixSpec(tuple(_required(p.arities, "arities", "mixed-radix")))
-    return LevelSpec([(mrspec.arity_for_level(i), 1) for i in range(1, n + 1)])
+    return LevelSpec([(r, 1) for r in mrspec.arities[:n]], n)
 
 
 def _meta_arity(r: int, gap: int) -> int:
@@ -270,7 +262,7 @@ PROBLEMS: dict[str, Problem] = {
         oracle=_enumerate_levels,
     ),
     "huffman": Problem(
-        levels=_huffman_levels,
+        levels=lambda p, n: LevelSpec.constant(p.radix, 1, n),
         emit=_emit_levels,
         oracle=lambda w, spec, _max_n: oracle.huffman_greedy(w, spec.arity(1)),
     ),

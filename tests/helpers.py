@@ -41,7 +41,7 @@ def slot_digits(index: int, radices) -> tuple[int, ...]:
 
 def telescoped_cost(expansions, w, spec: LevelSpec) -> int:
     """A backtrace's cost as the telescoped sum of c_i * W_{m_{i-1}}."""
-    return sum(spec.levels[i - 1][1] * w.tail_weight(expansions[i - 1][0])
+    return sum((spec.depth(i) - spec.depth(i - 1)) * w.tail_weight(expansions[i - 1][0])
                for i in range(1, len(expansions)))
 
 
@@ -95,12 +95,13 @@ def assert_same_solution(res_a, res_b):
 def tail_start(spec, n: int):
     """The first level of the constant suffix that a cut-off solve fills in
     one level-free table, or None: only plain specs of at least n levels get
-    one."""
+    one.  Walks the levels back from the last while they offer its option."""
     if not isinstance(spec, LevelSpec) or spec.num_levels < n:
         return None
-    last = spec.levels[-1]
-    return min(i for i in range(1, spec.num_levels + 1)
-               if all(lv == last for lv in spec.levels[i - 1:]))
+    s = spec.num_levels
+    while s > 1 and spec.options(s - 1) == spec.options(s):
+        s -= 1
+    return s
 
 
 def cut_tail_start(res, spec, n: int):
@@ -130,7 +131,7 @@ def assert_pruned_tail(tail: dict, full_tables, s: int, spec, w, cost: int):
     dropped signature's bound -- its decoded cost plus ``c * W_m``, which is
     its cost when ``b = 0`` -- is above the answer's cost ``cost``."""
     keys = tail_keys(full_tables, s, w.n)
-    c = spec.levels[-1][1]
+    c = spec.options(spec.num_levels)[0][1]
     for sig, v in tail.items():
         assert keys[sig] == v
     for m, b in keys.keys() - tail.keys():

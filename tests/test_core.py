@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from helpers import InsufficientLeaves, cost_of_leaf_sequence, kraft_slack
 from hypothesis import given, settings
@@ -66,8 +68,6 @@ class TestNormalizeWeights:
 
     def test_padding_reads_as_zero(self):
         w = normalize_weights([4, 2])
-        assert w.weight(1) == 4
-        assert w.weight(99) == 0
         assert w.tail_weight(99) == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=30))
@@ -184,8 +184,44 @@ class TestLevelSpec:
         with pytest.raises(InvalidInput, match="exact integers"):
             LevelSpec(levels)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LevelSpec.constant(2, 1, 2.5),
+        lambda: LevelSpec.constant(2, 1, True),
+        lambda: LevelSpec.constant(2, 1, 0),
+        lambda: LevelSpec([(2, 1), (3, 1)], 1),
+        lambda: LevelSpec([3]),
+        lambda: LevelSpec([(2, 1, 1)]),
+        lambda: LevelSpec(5),
+    ])
+    def test_rejects_malformed_pairs_and_counts(self, make):
+        # constant(2, 1, 2.5) and LevelSpec([3]) once raised TypeError, from
+        # [pair] * 2.5 and from unpacking 3 as a pair
+        with pytest.raises(InvalidInput):
+            make()
+
     def test_keeps_integer_pairs_as_tuples(self):
-        assert LevelSpec([[3, 1], [2, 2]]).levels == ((3, 1), (2, 2))
+        spec = LevelSpec([[3, 1], [2, 2]])
+        assert spec.num_levels == 2
+        assert (spec.options(1), spec.options(2)) == (((3, 1),), ((2, 2),))
+
+    def test_compact_spec_matches_the_expanded_list(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            head = [(rng.randint(2, 3), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+            run = (rng.randint(2, 3), rng.randint(1, 2))
+            listed = head + [run] * rng.randint(1, 40)
+            expanded, compact = LevelSpec(listed), LevelSpec(head + [run], len(listed))
+            assert expanded.num_levels == compact.num_levels == len(listed)
+            for i, (r, c) in enumerate(listed, start=1):
+                depth = sum(c for _, c in listed[:i])
+                for spec in (expanded, compact):
+                    assert (spec.arity(i), spec.depth(i), spec.options(i)) == (r, depth, ((r, c),))
+
+    def test_constant_spec_stores_one_pair(self):
+        spec = LevelSpec.constant(2, 1, 10**9)
+        assert spec.depth(10**9) == 10**9
+        assert repr(spec) == "LevelSpec([(2, 1)], count=1000000000)"
+        assert repr(LevelSpec([(3, 1), (2, 1), (2, 1)])) == "LevelSpec([(3, 1), (2, 1)], count=3)"
 
 
 class TestLeafSequence:

@@ -387,7 +387,7 @@ class TestInvariants:
                 sigs += [(m, 0) for m in range(max(n, r), n + r)]
                 assert set(cur) <= set(sigs)
                 for sig in sigs:
-                    cands = [prev[p] + spec.levels[i - 1][1] * w.tail_weight(p[0])
+                    cands = [prev[p] + spec.options(i)[0][1] * w.tail_weight(p[0])
                              for p in predecessors(i, sig, spec, n) if p in prev]
                     assert cur.get(sig) == (min(cands) if cands else None)
 
@@ -672,7 +672,7 @@ def _derived_cells(w, spec, res, algorithm: str, cutoff: bool) -> int:
     cells = 0
     for i in range(1, res.levels_filled + 1):
         if i == s:
-            cells += _tail_cells(res.tables[s].costs, w, *spec.levels[-1], algorithm)
+            cells += _tail_cells(res.tables[s].costs, w, *spec.options(s)[0], algorithm)
         else:
             cells += sum(_fill_cells(res.tables[i - 1].costs, n, r, keeps[i], algorithm,
                                      dense=not cutoff) for r, _ in spec.options(i))

@@ -52,7 +52,10 @@ class TestMixedRadix:
             res = solve_mixed_radix(w, spec)
             for word in res.codebook.words:
                 for pos, sym in enumerate(word, start=1):
-                    assert 0 <= sym < spec.arity_for_level(pos)
+                    assert 0 <= sym < arities[min(pos, len(arities)) - 1]
+            levels = problems.PROBLEMS["mixed-radix"].levels(Params(arities=arities), n)
+            assert [levels.arity(i) for i in range(1, levels.num_levels + 1)] == [
+                arities[min(pos, len(arities)) - 1] for pos in range(1, n + 1)]
 
     def test_constant_arity_equals_adapter(self):
         rng = random.Random(103)
@@ -214,10 +217,12 @@ def test_unknown_algorithm_rejected(solve, spec):
     lambda: GLengthsSpec(2.5, 2),
     lambda: GLengthsSpec(2, 2.5),
     lambda: GLengthsSpec(2, True),
+    lambda: solve_huffman_reference_adapter(normalize_weights([3, 2, 1]), "2"),
 ])
 def test_specs_reject_non_integers_and_bools(make):
     # ReservedSpec(2.5, (1,)) once failed with an AttributeError while
-    # building its meta arities; GLengthsSpec(2.5, 2) gave float arities
+    # building its meta arities; GLengthsSpec(2.5, 2) gave float arities;
+    # a huffman radix "2" once raised TypeError comparing it with 2
     with pytest.raises(InvalidInput):
         make()
 
