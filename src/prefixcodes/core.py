@@ -121,6 +121,10 @@ def normalize_weights(raw: Sequence[int]) -> WeightSeq:
     return WeightSeq([items[i] for i in order], order)
 
 
+def _outside(i: int, lo: int, count: int) -> InvalidInput:
+    return InvalidInput(f"level {i} is outside {lo} .. {count}")
+
+
 class LevelSpec:
     """Per-level tree parameters: arity and edge length for levels 1 ..
     ``num_levels``.
@@ -132,7 +136,8 @@ class LevelSpec:
     the trailing run of the pairs it is given; ``count`` (default: one level
     per pair) sets ``num_levels``.  ``depth(i)`` is the cumulative edge
     length from the root down to level ``i`` -- the weighted depth of every
-    node on that level.
+    node on that level.  ``arity`` and ``options`` raise InvalidInput for a
+    level outside ``1 .. num_levels``, ``depth`` outside ``0 .. num_levels``.
     """
 
     __slots__ = ("levels", "num_levels", "_depths")
@@ -164,15 +169,21 @@ class LevelSpec:
         return cls([(arity, edge_length)], count)
 
     def arity(self, i: int) -> int:
+        if not 1 <= i <= self.num_levels:
+            raise _outside(i, 1, self.num_levels)
         return self.levels[min(i, len(self.levels)) - 1][0]
 
     def depth(self, i: int) -> int:
+        if not 0 <= i <= self.num_levels:
+            raise _outside(i, 0, self.num_levels)
         s = len(self.levels)
         return self._depths[i] if i <= s else self._depths[s] + (i - s) * self.levels[-1][1]
 
     def options(self, i: int) -> tuple[tuple[int, int], ...]:
         """Level ``i`` as a one-option level, the shape of
         :meth:`ChoiceLevelSpec.options`."""
+        if not 1 <= i <= self.num_levels:
+            raise _outside(i, 1, self.num_levels)
         return (self.levels[min(i, len(self.levels)) - 1],)
 
     def __repr__(self):
@@ -205,6 +216,8 @@ class ChoiceLevelSpec:
         return len(self.levels)
 
     def options(self, i: int) -> tuple[tuple[int, int], ...]:
+        if not 1 <= i <= len(self.levels):
+            raise _outside(i, 1, len(self.levels))
         return self.levels[i - 1]
 
     def __repr__(self):

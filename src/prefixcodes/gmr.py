@@ -30,8 +30,10 @@ level-free tail below counts its own way.
 
 A fill visits only the diagonals that received a push, as Golin & Rote's
 signature DP and Larmore & Hirschberg's package-merge work only on reachable
-states; the spec's last level pushes only into the finished diagonals it
-stores.  ``cutoff=False`` selects the paper's full, dense fill, which visits
+states.  The spec's last level stores only finished states, on diagonals
+``max(n, r) .. n + r - 1``: each m' reaches that span at one ``b'`` at
+most, so it looks up one state per m' instead of reading every previous
+state.  ``cutoff=False`` selects the paper's full, dense fill, which visits
 every diagonal; it stores the same tables and counts more cells.
 
 A cut-off solve with no level-free tail keeps on level i only the states
@@ -125,7 +127,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 from .core import (
     UNREACHABLE,
@@ -272,34 +274,40 @@ class _FinishWindows(dict):
 
 
 def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
-                dense: bool, cap: int | None = None, windows: _FinishWindows | None = None):
+                dense: bool, cap: int | None = None, windows: _FinishWindows | None = None,
+                heads: list[int] | None = None):
     """Fill one option of a level from the previous level into ``costs``,
     the level's one table, storing a state only where it lowers the entry an
     earlier option left.  Returns ``(zeros, cells)``, ``zeros`` the
     ``(m, cost)`` of the finished states ``(m, 0)`` it stored, in ascending
     m, and ``cells`` the row spans (see the module docstring).
 
-    One pass over ``prev`` pushes each state's candidate ``cost + c * W_m'``
-    into its one diagonal ``m' + r * b'`` at ``b'``: below ``n + r``, where
-    the level's signatures end, and with ``cap == 0`` only into the finished
-    diagonals, ``max(n, r)`` on, the only ones that level lists a state on.
-    A row keeps its pushed ``b'`` ascending in ``bs``, their candidates in
-    ``vs``.  The diagonals are visited in ascending ``d``, each with a bound
-    ``B``: the sparse map holds those with a row, ``B = bs[-1]``; ``dense``
-    every diagonal ``1 .. n`` and every finished one, ``B = d // r``, as the
-    paper's full fill visits them.  Both store the same entries, in order.
+    With ``cap == 0`` (the spec's last level) only the finished ``(d, 0)``
+    with ``max(n, r) <= d <= n + r - 1`` are listed, a span of at most r
+    diagonals, so each m' reaches it at one ``b'`` only.  One ``prev.get``
+    per m' of ``heads`` (the m' of ``prev``, ascending, shared by the level's
+    options) finds the pushes; each diagonal keeps its least candidate and
+    its largest ``b'``, B, spends ``B + 1`` cells and stores ``(d, 0)``.
+
+    Otherwise one pass over ``prev`` pushes each state's candidate ``cost +
+    c * W_m'`` into its one diagonal ``m' + r * b'`` at ``b'``, below ``n +
+    r``, where the level's signatures end.  A row keeps its pushed ``b'``
+    ascending in ``bs``, their candidates in ``vs``.  The diagonals are
+    visited in ascending ``d``, each with a bound ``B``: the sparse map holds
+    those with a row, ``B = bs[-1]``; ``dense`` every diagonal ``1 .. n`` and
+    every finished one, ``B = d // r``, as the paper's full fill visits
+    them.  Both store the same entries, in order.
 
     Storage rule: a diagonal ``d <= n`` lists, in descending order, the b
     from ``r * B`` down to 1; with a ``cap`` (see ``solve_choice``) only down
     to ``ceil((n - d) / (cap - 1))``, with ``windows`` in place of a cap (the
     level before the spec's last; see ``_FinishWindows``) only the b its
-    window keeps, and with ``cap == 0`` (the spec's last level) none.  From
-    ``d = max(n, r)`` on, where ``(d, 0)`` is a valid finished state, it
-    lists ``b = 0`` too, past n alone.  A listed state whose window holds no
-    pushed candidate stays absent, and both modes store a diagonal's states
-    in ascending m.  The naive mode takes each listed state's minimum over
-    its window's ``vs``; the batched mode folds one running minimum down
-    ``bs``, reading each pushed candidate once.
+    window keeps.  From ``d = max(n, r)`` on, where ``(d, 0)`` is a valid
+    finished state, it lists ``b = 0`` too, past n alone.  A listed state
+    whose window holds no pushed candidate stays absent, and both modes store
+    a diagonal's states in ascending m.  The naive mode takes each listed
+    state's minimum over its window's ``vs``; the batched mode folds one
+    running minimum down ``bs``, reading each pushed candidate once.
     """
     get = costs.get
     zeros: list[tuple[int, int]] = []
@@ -307,11 +315,35 @@ def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, 
     INF = UNREACHABLE
     batched = mode == "batched"
     finish_from = max(n, r)
-    first = finish_from if cap == 0 else 0  # the last level lists only finished states
+    if cap == 0:
+        get_prev = prev.get
+        last: dict[int, list] = {}  # d -> [least candidate, largest b']
+        for m in sorted({m for m, _ in prev}) if heads is None else heads:
+            if m < finish_from:  # the one b' >= 1 with max(n, r) <= m' + r * b' < max(n, r) + r
+                b = (finish_from - m + r - 1) // r
+            elif m < n + r:  # a finished (m', 0) pushes itself
+                b = 0
+            else:
+                break
+            v = get_prev((m, b))
+            if v is None:
+                continue
+            if b:
+                v += c * suffix[m]
+            e = last.setdefault(m + r * b, [v, b])  # ascending m': the first b' is the largest
+            if v < e[0]:
+                e[0] = v
+        for d in sorted(last):
+            v, B = last[d]
+            cells += B + 1
+            if v < get((d, 0), INF):
+                costs[d, 0] = v
+                zeros.append((d, v))
+        return zeros, cells
     rows: dict[int, dict[int, int]] = {}
     for (m, b), v in prev.items():
         d = m + r * b
-        if first <= d < n + r:
+        if d < n + r:
             rows.setdefault(d, {})[b] = v + c * suffix[m] if b else v
     for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)) if dense else sorted(rows):
         row = rows.get(d, {})
@@ -319,7 +351,7 @@ def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, 
         B = d // r if dense else bs[-1]
         # the listed b, descending; b = 0 only where (d, 0) is a valid finished state
         finished = d >= finish_from
-        if d > n or cap == 0:
+        if d > n:
             listed = (0,) if finished else ()
         elif windows is None:
             low = 0 if finished else (n - d + cap - 2) // (cap - 1) if cap and d < n else 1
@@ -519,9 +551,11 @@ def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
     levels_filled = 0
     for i in range(1, last + 1 if tail is None else tail):
         costs: dict[Sig, int] = {}
+        heads = sorted({m for m, _ in prev}) if caps.get(i) == 0 else None
         for r, c in spec.options(i):
             zeros, k = _fill_level(prev, costs, n, r, c, w.suffix, algorithm, dense=not cutoff,
-                                   cap=caps.get(i), windows=windows if i == last - 1 else None)
+                                   cap=caps.get(i), windows=windows if i == last - 1 else None,
+                                   heads=heads)
             cells += k
             # a finished state an option does not store is no better than
             # one already in ``best``
@@ -666,10 +700,14 @@ def leafseq_to_codewords(seq: LeafSequence, spec: LevelSpec, w: WeightSeq) -> Co
     leaves keeps the remainder contiguous, so no slot set is ever
     materialized.  One walk keeps the digits of the level's first free slot:
     a new level appends a 0 digit (the first child of the first internal
-    node), and each leaf emits its word and steps to the next slot with a
-    mixed-radix carry.  The same walk sums the cost, ``depth(i)`` times the
-    weight of the leaves placed on level ``i``.  Words come out level by
-    level, lengths non-decreasing.
+    node).  Where the slot's last k digits are 0 and the level still places
+    at least the product P of their radices (the largest such k), the walk
+    emits that aligned block of P words at once, the slot's other digits
+    followed by each ``itertools.product`` tuple of the k radices, and
+    carries once at the digit before them; with no such k it emits one word
+    and carries at the last digit.  The same walk sums the cost,
+    ``depth(i)`` times the weight of the leaves placed on level ``i``.  Words
+    come out level by level, lengths non-decreasing.
     """
     if seq.total != w.n:
         raise InvalidLeafSequence(
@@ -691,9 +729,17 @@ def leafseq_to_codewords(seq: LeafSequence, spec: LevelSpec, w: WeightSeq) -> Co
             raise InvalidLeafSequence(f"level {i} has {free} slots, needs {count}")
         free -= count
         cost += spec.depth(i) * (w.suffix[len(words)] - w.suffix[len(words) + count])
-        for _ in range(count):
-            words.append(tuple(word))
-            for p in range(i - 1, -1, -1):
+        while count:
+            k, size = 0, 1  # the aligned block: the last k digits, size slots
+            while k < i and not word[i - 1 - k] and size * radices[i - 1 - k] <= count:
+                size *= radices[i - 1 - k]
+                k += 1
+            if k:
+                words += map(tuple(word[:i - k]).__add__, product(*map(range, radices[i - k:i])))
+            else:
+                words.append(tuple(word))
+            count -= size
+            for p in range(i - k - 1, -1, -1):
                 word[p] = (word[p] + 1) % radices[p]
                 if word[p]:
                     break

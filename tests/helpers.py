@@ -39,6 +39,27 @@ def slot_digits(index: int, radices) -> tuple[int, ...]:
     return tuple(word)
 
 
+def walk_codewords(seq, spec: LevelSpec, w):
+    """``(words, lengths, cost)`` of ``leafseq_to_codewords`` one word at a
+    time: each leaf takes the level's first free slot, whose digits step to
+    the next slot with a mixed-radix carry.  The reference for the block
+    emission."""
+    counts = dict(seq.items())
+    radices = [spec.arity(i) for i in range(1, seq.deepest + 1)]
+    words, word, cost = [], [], 0
+    for i in range(1, seq.deepest + 1):
+        word.append(0)
+        count = counts.get(i, 0)
+        cost += spec.depth(i) * (w.suffix[len(words)] - w.suffix[len(words) + count])
+        for _ in range(count):
+            words.append(tuple(word))
+            for p in range(i - 1, -1, -1):
+                word[p] = (word[p] + 1) % radices[p]
+                if word[p]:
+                    break
+    return tuple(words), tuple(map(len, words)), cost
+
+
 def telescoped_cost(expansions, w, spec: LevelSpec) -> int:
     """A backtrace's cost as the telescoped sum of c_i * W_{m_{i-1}}."""
     return sum((spec.depth(i) - spec.depth(i - 1)) * w.tail_weight(expansions[i - 1][0])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from prefixcodes import (
     MAX_WEIGHT,
+    ChoiceLevelSpec,
     InvalidInput,
     InvalidLeafSequence,
     LeafSequence,
@@ -198,6 +199,30 @@ class TestLevelSpec:
         # [pair] * 2.5 and from unpacking 3 as a pair
         with pytest.raises(InvalidInput):
             make()
+
+    @pytest.mark.parametrize("read", [
+        lambda spec: spec.arity(0),
+        lambda spec: spec.arity(5),
+        lambda spec: spec.arity(9),
+        lambda spec: spec.options(0),
+        lambda spec: spec.options(-1),
+        lambda spec: spec.options(5),
+        lambda spec: spec.depth(-1),
+        lambda spec: spec.depth(5),
+    ])
+    def test_reads_outside_the_levels_raise(self, read):
+        # arity(0) and arity(9) once returned 2, depth(-1) 2 and depth(9) 9
+        spec = LevelSpec([(3, 1), (2, 1)], 4)
+        assert (spec.arity(1), spec.arity(4), spec.depth(0), spec.depth(4)) == (3, 2, 0, 4)
+        with pytest.raises(InvalidInput, match="outside"):
+            read(spec)
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_choice_options_outside_the_levels_raise(self, i):
+        spec = ChoiceLevelSpec([[(2, 1)], [(2, 1), (4, 2)]])
+        assert spec.options(2) == ((2, 1), (4, 2))
+        with pytest.raises(InvalidInput, match="outside"):
+            spec.options(i)
 
     def test_keeps_integer_pairs_as_tuples(self):
         spec = LevelSpec([[3, 1], [2, 2]])

@@ -18,6 +18,7 @@ from helpers import (
     tail_start,
     telescoped_cost,
     valid_signature,
+    walk_codewords,
 )
 
 from prefixcodes import (
@@ -282,6 +283,38 @@ class TestCodewords:
             assert cb.lengths == tuple(map(len, expected))
             assert cb.cost == cost_of_leaf_sequence(seq, w, spec)
         assert full > 0
+
+    def test_block_emission_matches_the_word_walk_randomized(self):
+        # radices 2..7 and 2**70, levels with fewer leaves than their radix,
+        # counts over several aligned blocks, and levels whose first free
+        # slot lies inside a larger block
+        rng = random.Random(33)
+        seen = dict(below=0, several=0, mid=0, huge=0)
+        for _ in range(300):
+            levels = [(rng.choice((2, 3, 4, 5, 6, 7, 2, 2**70)), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 7))]
+            counts, free, lo = {}, 1, 0
+            for i, (r, _) in enumerate(levels, start=1):
+                free, lo = free * r, lo * r
+                small = min(r, 60)
+                count = rng.choice((0, rng.randint(1, small - 1), rng.randint(small, 3 * small + 5),
+                                    rng.randint(0, 400)))
+                counts[i] = count = min(count, free - (i < len(levels)))
+                if count:
+                    prev_r = levels[i - 2][0] if i > 1 else 1
+                    seen["below"] += count < r
+                    seen["several"] += count >= 3 * r
+                    seen["mid"] += count >= r and lo % (r * prev_r) != 0
+                    seen["huge"] += r == 2**70
+                free, lo = free - count, lo + count
+            seq = LeafSequence(counts)
+            if seq.total == 0:
+                continue
+            spec = LevelSpec(levels)
+            w = normalize_weights(random_weights(rng, seq.total))
+            cb = leafseq_to_codewords(seq, spec, w)
+            assert (cb.words, cb.lengths, cb.cost) == walk_codewords(seq, spec, w)
+        assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("counts, n, message", [
         ({1: 1, 2: 1}, 3, "sequence has 2 leaves but 3 codewords are needed"),
@@ -792,6 +825,26 @@ class TestReferenceFold:
                 compared += 1
                 stored += len(got)
         assert compared >= 1000 and stored >= 50_000
+
+    @pytest.mark.parametrize("algorithm", ["naive", "batched"])
+    @pytest.mark.parametrize("r, want, cells", [
+        (2, {(4, 0): 7, (5, 0): 7}, 3 + 3),
+        (7, {(8, 0): 3, (9, 0): 7, (10, 0): 8}, 1 + 2 + 2),
+    ])
+    def test_last_level_keeps_each_finished_minimum_and_spans_its_largest_push(
+            self, r, want, cells, algorithm):
+        # n = 4.  Arity 2 lists (4, 0) and (5, 0): (0, 2), (2, 1) and the
+        # finished (4, 0) all reach (4, 0), whose row spans b' = 0 .. 2 though
+        # (2, 1) wins.  Arity 7 is above n: it lists (7, 0) .. (10, 0), which
+        # (2, 1), (3, 1) and the finished (8, 0) reach and (4, 0) does not.
+        w = normalize_weights([5, 3, 2, 1])
+        prev = {(0, 2): 10, (2, 1): 4, (4, 0): 9, (1, 2): 1, (3, 1): 7, (5, 0): 20, (8, 0): 3}
+        got = {}
+        zeros, k = _fill_level(prev, got, 4, r, 1, w.suffix, algorithm, False, cap=0)
+        assert list(got.items()) == list(want.items())
+        assert (zeros, k) == ([(m, v) for (m, _), v in want.items()], cells)
+        costs, *rest = reference_fill_level(prev, 4, r, 1, w.suffix, algorithm, False, cap=0)
+        assert (costs, rest) == (got, [zeros, k])
 
     def test_finish_windows_match_the_range_formula(self):
         rng = random.Random(77)
