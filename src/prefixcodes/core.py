@@ -196,17 +196,19 @@ class ChoiceLevelSpec:
     __slots__ = ("levels",)
 
     def __init__(self, levels: Iterable[Iterable[tuple[int, int]]]):
-        out = []
-        for options in levels:
-            opts = tuple((r, c) for r, c in options)
+        try:
+            out = [tuple((r, c) for r, c in options) for options in levels]
+        except (TypeError, ValueError):
+            raise InvalidInput("a choice spec is a list of levels, each a list of "
+                               "(arity, edge length) options") from None
+        for opts in out:
             if not opts:
                 raise InvalidInput("every level needs at least one option")
-            if len(set(opts)) != len(opts):
-                raise InvalidInput("options within a level must be distinct")
             for r, c in opts:
                 if check_int(r, "option arities") < 2 or check_int(c, "edge lengths") < 1:
                     raise InvalidInput(f"bad option ({r}, {c})")
-            out.append(opts)
+            if len(set(opts)) != len(opts):
+                raise InvalidInput("options within a level must be distinct")
         if not out:
             raise InvalidInput("choice spec must cover at least one level")
         self.levels = tuple(out)

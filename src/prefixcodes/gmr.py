@@ -45,23 +45,21 @@ f of level L finishes it into a valid signature,
 ``max(n, f) <= m + f * b <= n + f - 1``: its finished child is
 ``(m + f * b, 0)``, the only kind of state the last level keeps.  This
 finish window holds one or two b per diagonal and arity, where the cap keeps
-every ``b >= 1`` once L's widest arity reaches n.  A state dropped by either
-rule reaches no finished state, so it lies on no chain to the answer, and no
-answer or backtrace moves.
+every ``b >= 1`` once L's widest arity reaches n; it is computed once per
+visited diagonal and shared by the level's options.  A state dropped by
+either rule reaches no finished state, so it lies on no chain to the answer,
+and no answer or backtrace moves.
 
 ``solve_choice`` is the one level loop, for a ``LevelSpec`` and a
 ``ChoiceLevelSpec`` alike; ``solve_naive`` and ``solve_batched`` are its
-fixed-algorithm names.  A ``ChoiceLevelSpec``'s levels each offer several
-(arity, edge length) options: every option is filled from the previous
-combined table, and the combined entry is the per-signature minimum.  The
-loop reads both spec types through ``spec.options(i)``; a ``LevelSpec``
-level is a one-option level.
-
-The level loop stops after the first level whose cheapest state costs at
-least the best finished tree seen so far.  Expansions never lower a cost and
-ties go to the shallower level, so no deeper level could change the answer or
-its backtrace.  ``cutoff=False`` fills every level of the spec, and every
-diagonal of each level, as the complexity harness measures.
+fixed-algorithm names.  It reads both spec types through
+``spec.options(i)``, a ``LevelSpec`` level being a one-option level:
+``_fill_level`` fills every option of a level from the previous level's
+table into the level's one table, whose entry is the per-signature minimum.
+The loop stops after the first level whose cheapest state costs at least
+the best finished tree seen so far; expansions never lower a cost and ties
+go to the shallower level, so no deeper level could change the answer or
+its backtrace.
 
 A plain spec stores its levels up to s, the first level of its trailing
 run, whose arity r and edge length c repeat through its level count (see
@@ -165,8 +163,9 @@ class RowCosts(Mapping):
     """Read-only ``(m, b) -> value`` view of a diagonal-major table:
     ``rows[d][b]`` holds the value of ``(d - b, b)``, the ``UNREACHABLE``
     object marking a hole, and a row may stop short of ``b = d``, or be
-    empty; ``far`` holds the finished ``(d, 0)`` past the rows by d.  It iterates over the diagonals in
-    ascending d, each in ascending m, and the states in ``far`` last.
+    empty; ``far`` holds the finished ``(d, 0)`` past the rows by d.  It
+    iterates over the diagonals in ascending d, each in ascending m, and the
+    states in ``far`` last.
     The gmr tail and the one-ended fill return their tables as one."""
 
     __slots__ = ("rows", "far")
@@ -227,7 +226,7 @@ class DPResult:
     ``(m, b)`` mapping over the tail's rows.  Without a tail, a cut-off
     table holds only the states that can still finish: the level before the
     spec's last only those that some last-level arity finishes into a valid
-    signature, the last level only finished ones (see ``solve_choice``).
+    signature, the last level only finished ones (see the module docstring).
     One-ended answers are the subclass ``one_ended.OneEndedResult``: their
     DP has no levels, so ``levels_filled``, ``tables`` and ``options`` stay
     None, and they keep ``expansions`` in cost-only solves too.
@@ -273,21 +272,23 @@ class _FinishWindows(dict):
         return window
 
 
-def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, mode: str,
-                dense: bool, cap: int | None = None, windows: _FinishWindows | None = None,
-                heads: list[int] | None = None):
-    """Fill one option of a level from the previous level into ``costs``,
-    the level's one table, storing a state only where it lowers the entry an
-    earlier option left.  Returns ``(zeros, cells)``, ``zeros`` the
-    ``(m, cost)`` of the finished states ``(m, 0)`` it stored, in ascending
-    m, and ``cells`` the row spans (see the module docstring).
+def _fill_level(prev: dict, i: int, n: int, options, suffix: tuple, mode: str, dense: bool,
+                cap: int | None = None, windows: _FinishWindows | None = None):
+    """Fill level i from the previous level's table ``prev``: every option
+    ``(r, c)`` in turn, into the one table it returns, each storing a state
+    only where it lowers the entry an earlier option left.  Returns
+    ``(table, zeros, cells)``: ``zeros`` the ``(cost, i, m)`` of each
+    finished ``(m, 0)`` stored, ``cells`` the row spans of all options (see
+    the module docstring); storing into the one table costs no cell of its
+    own.  ``cap`` and ``windows`` are the storage rules of the module
+    docstring.
 
-    With ``cap == 0`` (the spec's last level) only the finished ``(d, 0)``
-    with ``max(n, r) <= d <= n + r - 1`` are listed, a span of at most r
-    diagonals, so each m' reaches it at one ``b'`` only.  One ``prev.get``
-    per m' of ``heads`` (the m' of ``prev``, ascending, shared by the level's
-    options) finds the pushes; each diagonal keeps its least candidate and
-    its largest ``b'``, B, spends ``B + 1`` cells and stores ``(d, 0)``.
+    On the spec's last level (``cap == 0``) an option lists only the
+    finished ``(d, 0)`` with ``max(n, r) <= d <= n + r - 1``, at most r
+    diagonals, which each m' reaches at one ``b'`` only.  So one
+    ``prev.get`` per m', over the m' of ``prev`` sorted once per level,
+    finds the pushes; each diagonal keeps its least candidate and its
+    largest ``b'``, B, spends ``B + 1`` cells and stores ``(d, 0)``.
 
     Otherwise one pass over ``prev`` pushes each state's candidate ``cost +
     c * W_m'`` into its one diagonal ``m' + r * b'`` at ``b'``, below ``n +
@@ -298,98 +299,100 @@ def _fill_level(prev: dict, costs: dict, n: int, r: int, c: int, suffix: tuple, 
     every finished one, ``B = d // r``, as the paper's full fill visits
     them.  Both store the same entries, in order.
 
-    Storage rule: a diagonal ``d <= n`` lists, in descending order, the b
-    from ``r * B`` down to 1; with a ``cap`` (see ``solve_choice``) only down
-    to ``ceil((n - d) / (cap - 1))``, with ``windows`` in place of a cap (the
-    level before the spec's last; see ``_FinishWindows``) only the b its
-    window keeps.  From ``d = max(n, r)`` on, where ``(d, 0)`` is a valid
-    finished state, it lists ``b = 0`` too, past n alone.  A listed state
-    whose window holds no pushed candidate stays absent, and both modes store
-    a diagonal's states in ascending m.  The naive mode takes each listed
-    state's minimum over its window's ``vs``; the batched mode folds one
-    running minimum down ``bs``, reading each pushed candidate once.
+    A diagonal ``d <= n`` lists, in descending order, the b from ``r * B``
+    down to 1, or only those ``cap`` or ``windows`` keep.  From ``d = max(n,
+    r)`` on, where ``(d, 0)`` is a valid finished state, it lists ``b = 0``
+    too, past n alone.  A listed state whose window holds no pushed
+    candidate stays absent, and both modes store a diagonal's states in
+    ascending m.  The naive mode takes each listed state's minimum over its
+    window's ``vs``; the batched mode folds one running minimum down ``bs``,
+    reading each pushed candidate once.
     """
+    costs: dict[Sig, int] = {}
     get = costs.get
-    zeros: list[tuple[int, int]] = []
+    zeros: list[tuple[int, int, int]] = []
     cells = 0
     INF = UNREACHABLE
     batched = mode == "batched"
-    finish_from = max(n, r)
-    if cap == 0:
-        get_prev = prev.get
-        last: dict[int, list] = {}  # d -> [least candidate, largest b']
-        for m in sorted({m for m, _ in prev}) if heads is None else heads:
-            if m < finish_from:  # the one b' >= 1 with max(n, r) <= m' + r * b' < max(n, r) + r
-                b = (finish_from - m + r - 1) // r
-            elif m < n + r:  # a finished (m', 0) pushes itself
-                b = 0
-            else:
-                break
-            v = get_prev((m, b))
-            if v is None:
-                continue
-            if b:
-                v += c * suffix[m]
-            e = last.setdefault(m + r * b, [v, b])  # ascending m': the first b' is the largest
-            if v < e[0]:
-                e[0] = v
-        for d in sorted(last):
-            v, B = last[d]
-            cells += B + 1
-            if v < get((d, 0), INF):
-                costs[d, 0] = v
-                zeros.append((d, v))
-        return zeros, cells
-    rows: dict[int, dict[int, int]] = {}
-    for (m, b), v in prev.items():
-        d = m + r * b
-        if d < n + r:
-            rows.setdefault(d, {})[b] = v + c * suffix[m] if b else v
-    for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)) if dense else sorted(rows):
-        row = rows.get(d, {})
-        bs = sorted(row)
-        B = d // r if dense else bs[-1]
-        # the listed b, descending; b = 0 only where (d, 0) is a valid finished state
-        finished = d >= finish_from
-        if d > n:
-            listed = (0,) if finished else ()
-        elif windows is None:
-            low = 0 if finished else (n - d + cap - 2) // (cap - 1) if cap and d < n else 1
-            listed = range(r * B, low - 1, -1)
-        else:
-            listed = [b for b in windows[d] if b <= r * B] + ([0] if finished else [])
-        if not listed:
+    heads = sorted({m for m, _ in prev}) if cap == 0 else ()
+    get_prev = prev.get
+    for r, c in options:
+        finish_from = max(n, r)
+        if cap == 0:
+            last: dict[int, list] = {}  # d -> [least candidate, largest b']
+            for m in heads:
+                if m < finish_from:  # the one b' >= 1 with max(n, r) <= m' + r * b' < max(n, r) + r
+                    b = (finish_from - m + r - 1) // r
+                elif m < n + r:  # a finished (m', 0) pushes itself
+                    b = 0
+                else:
+                    break
+                v = get_prev((m, b))
+                if v is None:
+                    continue
+                if b:
+                    v += c * suffix[m]
+                e = last.setdefault(m + r * b, [v, b])  # ascending m': the first b' is the largest
+                if v < e[0]:
+                    e[0] = v
+            for d in sorted(last):
+                v, B = last[d]
+                cells += B + 1
+                if v < get((d, 0), INF):
+                    costs[d, 0] = v
+                    zeros.append((v, i, d))
             continue
-        vs = [row[b] for b in bs]
-        k, best = len(bs), INF
-        for b in listed:
-            lo = (b + r - 1) // r
-            if batched:
-                while k and bs[k - 1] >= lo:
-                    k -= 1
-                    if vs[k] < best:
-                        best = vs[k]
+        rows: dict[int, dict[int, int]] = {}
+        for (m, b), v in prev.items():
+            d = m + r * b
+            if d < n + r:
+                rows.setdefault(d, {})[b] = v + c * suffix[m] if b else v
+        for d in chain(range(1, n + 1), range(max(n + 1, r), n + r)) if dense else sorted(rows):
+            row = rows.get(d, {})
+            bs = sorted(row)
+            B = d // r if dense else bs[-1]
+            # the listed b, descending; b = 0 only where (d, 0) is a valid finished state
+            finished = d >= finish_from
+            if d > n:
+                listed = (0,) if finished else ()
+            elif windows is None:
+                low = 0 if finished else (n - d + cap - 2) // (cap - 1) if cap and d < n else 1
+                listed = range(r * B, low - 1, -1)
             else:
-                cells += B + 1 - lo
-                j = bisect_left(bs, lo)
-                best = min(vs[j:]) if j < len(vs) else INF
-            sig = (d - b, b)
-            if best < get(sig, INF):
-                costs[sig] = best
-                if not b:
-                    zeros.append((d, best))
-        if batched:
-            # the row span from B to the last window, plus one cell per state if two or more
-            cells += B + 1 - lo + (len(listed) if len(listed) > 1 else 0)
-    return zeros, cells
+                listed = [b for b in windows[d] if b <= r * B] + ([0] if finished else [])
+            if not listed:
+                continue
+            vs = [row[b] for b in bs]
+            k, best = len(bs), INF
+            for b in listed:
+                lo = (b + r - 1) // r
+                if batched:
+                    while k and bs[k - 1] >= lo:
+                        k -= 1
+                        if vs[k] < best:
+                            best = vs[k]
+                else:
+                    cells += B + 1 - lo
+                    j = bisect_left(bs, lo)
+                    best = min(vs[j:]) if j < len(vs) else INF
+                sig = (d - b, b)
+                if best < get(sig, INF):
+                    costs[sig] = best
+                    if not b:
+                        zeros.append((best, i, d))
+            if batched:
+                # the row span from B to the last window, plus one cell per state if two or more
+                cells += B + 1 - lo + (len(listed) if len(listed) > 1 else 0)
+    return costs, zeros, cells
 
 
 def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: str):
     """Fill the level-free table of levels s and deeper from level
     ``s - 1``'s table ``prev``, pruned by the running bound of the module
-    docstring.  Returns ``(table, zeros, cells)`` as ``_fill_level`` does,
-    with keys ``cost * K + level`` in place of costs and ``table`` a
-    ``RowCosts`` view of the rows.
+    docstring.  Returns ``(table, zeros, cells)`` as ``_fill_level`` does:
+    ``table`` a ``RowCosts`` view of the rows, whose values are keys ``cost
+    * K + level``, and ``zeros`` the ``(cost, level, m)`` of each finished
+    state stored from a row.
 
     Each diagonal reads its row up to the largest stored predecessor and
     builds its window minima ``suf``, naive or batched; one bisection, one
@@ -403,7 +406,7 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
     seeds: dict[int, list] = {}
     for (m, b), v in prev.items():
         seeds.setdefault(m + b, []).append((m, b, v * K + s - 1))
-    zeros: list[tuple[int, int]] = []
+    zeros: list[tuple[int, int, int]] = []
     cells = 0
     batched = mode == "batched"
     cw = [c * K * x for x in suffix]  # c * W_m in key units
@@ -456,7 +459,7 @@ def _fill_tail(prev: dict, s: int, n: int, r: int, c: int, suffix: tuple, mode: 
                     far[d] = v
                 else:
                     rows[d][0] = v
-                zeros.append((d, v))
+                zeros.append((*divmod(v, K), d))
             if batched:  # one cell per state stored from the row
                 cells += lo + finished
         pairs = seeds.pop(d, None)
@@ -489,45 +492,33 @@ def _tail_start(spec, n: int) -> int | None:
 def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
                  algorithm: str = "batched", keep_tables: bool = True,
                  cutoff: bool = True) -> DPResult:
-    """Minimum-cost tree over the levels of ``spec``, plain and choice alike:
-    the one level loop, filling each level by ``algorithm``.  For a choice
-    spec the result's ``options`` holds the chosen option index per level
-    of the backtrace.
+    """Minimum-cost tree over the levels of ``spec``, plain and choice alike,
+    each level filled by ``algorithm``.  For a choice spec the result's
+    ``options`` holds the chosen option index per level of the backtrace.
+
+    This is the one level loop.  Step i makes one fill call: ``_fill_tail``
+    on level s, where ``_tail_start`` finds a constant tail from s on, for
+    the level-free table of levels s and deeper (see the module docstring),
+    and ``_fill_level`` on every other level.  Each returns the step's
+    table, its finished states ``(cost, level, m)`` and its cells.  The step then adds the cells, keeps the least finished
+    state seen so far as ``best`` (tuple order is the tie-break: the
+    shallower level, then the fewer leaves), keeps the table and tests the
+    stop rule.
 
     With ``cutoff`` the loop stops after the first level whose cheapest
-    state costs at least the best finished ``(m, 0)`` seen so far, or that
-    is empty.  Every expansion adds ``c * W_m >= 0``, so no deeper state can
-    cost less than its level-``i`` ancestor, and ties between finished trees
-    go to the shallower level: no deeper level can change the answer or its
-    backtrace.  An empty level leaves every later level empty.  The stop
-    reads only table values, so naive and batched fills stop at the same
-    level.  Each level fills only the diagonals its previous level reaches
-    (see ``_fill_level``).
-
-    Without a tail, level i keeps only the states ``(m, b)`` with
-    ``m + b * cap_i >= n`` (see the module docstring): a tagged node becomes
-    at most ``cap_i`` leaves in the levels left.  On level ``L - 1`` of a
-    spec of L >= 2 levels the finish windows of level L's arities replace
-    the cap: a ``b >= 1`` state that none of them finishes has no valid
-    finished child, and no level follows L.  The windows are computed once
-    per visited diagonal and shared by that level's options.  Both rules
-    only drop states, so the loop stops at the same level or an earlier one.
+    state costs at least ``best``, or that is empty.  Every expansion adds
+    ``c * W_m >= 0``, so no deeper state can cost less than its level-``i``
+    ancestor, and ties go to the shallower level: no deeper level can change
+    the answer or its backtrace.  An empty level leaves every later level
+    empty.  The stop reads only table values, so naive and batched fills
+    stop at the same level.  The tail's step is the last, and is not tested.
+    A cut-off level also keeps only the states that can still finish, by
+    the cap and finish-window rules of the module docstring; both only drop
+    states, so the loop stops at the same level or an earlier one.
 
     ``cutoff=False`` selects the paper's full, dense fill, as the complexity
     harness measures: every level of the spec, every diagonal of each level,
     every state, and no level-free tail.
-
-    Where ``_tail_start`` finds a constant tail from level s on, the loop
-    fills levels ``1 .. s - 1`` only.  From level s on a state's future does
-    not depend on its level, so ``_fill_tail`` fills a single table in
-    diagonal order, keyed ``cost * K + level`` with ``K = 2n + 2``: one
-    integer minimum keeps the cheapest state and, among equal costs, the
-    shallowest.  It is seeded with level s - 1 at keys ``cost * K + s - 1``
-    and stores only the states whose bound stays within the running best
-    finish (see the module docstring).
-
-    A level counts the cells of each of its options' fills, plain and choice
-    levels alike; storing into the level's one table costs no cell of its own.
     """
     check_algorithm(algorithm)
     n = w.n
@@ -549,32 +540,22 @@ def solve_choice(w: WeightSeq, spec: LevelSpec | ChoiceLevelSpec, *,
     best = (UNREACHABLE,)  # (cost, level, n');  tuple order implements the tie-break
     cells = 0
     levels_filled = 0
-    for i in range(1, last + 1 if tail is None else tail):
-        costs: dict[Sig, int] = {}
-        heads = sorted({m for m, _ in prev}) if caps.get(i) == 0 else None
-        for r, c in spec.options(i):
-            zeros, k = _fill_level(prev, costs, n, r, c, w.suffix, algorithm, dense=not cutoff,
-                                   cap=caps.get(i), windows=windows if i == last - 1 else None,
-                                   heads=heads)
-            cells += k
-            # a finished state an option does not store is no better than
-            # one already in ``best``
-            best = min([best, *[(v, i, m) for m, v in zeros]])
-        if keep_tables:
-            tables.append(LevelTable(i, costs))
-        prev = costs
-        levels_filled = i
-        if cutoff and min(costs.values(), default=UNREACHABLE) >= best[0]:
-            break
-    else:
-        if tail is not None:
-            K = 2 * n + 2
+    for i in range(1, (last if tail is None else tail) + 1):
+        if i == tail:
             table, zeros, k = _fill_tail(prev, tail, n, *spec.levels[-1], w.suffix, algorithm)
-            cells += k
-            best = min([best, *[(*divmod(key, K), m) for m, key in zeros]])
-            if keep_tables:
-                tables.append(LevelTable(tail, table))
-            levels_filled = tail
+        else:
+            table, zeros, k = _fill_level(prev, i, n, spec.options(i), w.suffix, algorithm,
+                                          dense=not cutoff, cap=caps.get(i),
+                                          windows=windows if i == last - 1 else None)
+        cells += k
+        # a finished state a fill does not store is no better than one in ``best`` or ``zeros``
+        best = min([best, *zeros])
+        if keep_tables:
+            tables.append(LevelTable(i, table))
+        prev = table
+        levels_filled = i
+        if cutoff and i != tail and min(table.values(), default=UNREACHABLE) >= best[0]:
+            break
     if best[0] == UNREACHABLE:
         raise NoFeasibleTree(f"no full tree with >= {n} leaves within {spec.num_levels} levels")
     cost, level, nprime = best
@@ -635,7 +616,7 @@ def backtrack(tables, answer: tuple[int, int, int], spec, w: WeightSeq, *,
     stored cost is its predecessor.
 
     With ``tail`` the last table, ``tables[s]``, is the level-free tail of
-    levels s and deeper (see ``solve_choice``).  Its steps take the first
+    levels s and deeper (see the module docstring).  Its steps take the first
     predecessor whose key plus ``c * K * W_m'`` is ``sig``'s key less one,
     until the chain is back on level ``s - 1``.  Those are the same steps:
     every state on an optimal chain is at its tail key, or a cheaper or

@@ -2,9 +2,9 @@
 
 These are intentionally naive: exhaustive enumeration over small instances
 plus the classical greedy Huffman merge.  They share only the levels'
-(arity, edge length) options and the weight suffix sums of
-:mod:`prefixcodes.core` with the dynamic-programming solvers, never any DP
-code, so agreement between the two is a meaningful check.  The emitter sums
+(arity, edge length) options, the weight suffix sums and the integer check
+of :mod:`prefixcodes.core` with the dynamic-programming solvers, never any
+DP code, so agreement between the two is a meaningful check.  The emitter sums
 a code's cost in its own slot walk; the tests, not the emitter, check that
 cost apart from both, from the leaf depths, against
 ``cost_of_leaf_sequence`` in the tests' ``helpers`` module.
@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .core import ChoiceLevelSpec, LevelSpec, WeightSeq
+from .core import ChoiceLevelSpec, LevelSpec, WeightSeq, check_int
 from .errors import BudgetExceeded, InvalidInput, NoFeasibleTree
 
 
@@ -126,26 +126,28 @@ def enumerate_one_ended(w: WeightSeq, budget: OracleBudget | None = None) -> int
 def huffman_greedy(w: WeightSeq, r: int) -> int:
     """Classical r-ary greedy merge; returns the weighted external path length.
 
-    Zero-weight dummies pad the input so that ``(n - 1) % (r - 1) == 0``.  A
-    single weight is a deliberate special case: this package always spends one
-    edge on it (cost ``p_1``) rather than emitting an empty codeword.
+    The first merge takes the ``(n - 2) % (r - 1) + 2`` lightest weights and
+    every later one r, so the last merge leaves one tree.  These are the
+    merges of zero-weight dummies padding the input to ``(n - 1) % (r - 1)
+    == 0``, without storing the dummies, so time and memory do not grow with
+    r.  A single weight is a deliberate special case: this package always
+    spends one edge on it (cost ``p_1``) rather than emitting an empty
+    codeword.
     """
-    if r < 2:
+    if check_int(r, "alphabet sizes") < 2:
         raise InvalidInput("alphabet size must be >= 2")
     n = w.n
     if n == 1:
         return w.weights[0]
     heap = list(w.weights)
-    pad = (r - 1 - (n - 1) % (r - 1)) % (r - 1)
-    heap.extend([0] * pad)
     heapq.heapify(heap)
     cost = 0
+    take = (n - 2) % (r - 1) + 2
     while len(heap) > 1:
-        merged = 0
-        for _ in range(r):
-            merged += heapq.heappop(heap)
+        merged = sum(heapq.heappop(heap) for _ in range(take))
         cost += merged
         heapq.heappush(heap, merged)
+        take = r
     return cost
 
 

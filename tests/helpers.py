@@ -224,9 +224,9 @@ def reference_fill_level(prev: dict, n: int, r: int, c: int, suffix, mode: str, 
     pushes into its diagonal below ``n + r``, the last level's too, and each
     visited diagonal spreads its pushes into a candidate array ``b' = 0 ..
     B``, holes at UNREACHABLE, that both modes read entry by entry.
-    ``windows`` maps each ``d <= n`` to its finish window."""
+    ``windows`` maps each ``d <= n`` to its finish window.  Returns
+    ``(costs, cells)``."""
     costs = {}
-    zeros = []
     cells = 0
     INF = UNREACHABLE
     batched = mode == "batched"
@@ -268,11 +268,25 @@ def reference_fill_level(prev: dict, n: int, r: int, c: int, suffix, mode: str, 
                 best = min(cand[lo:])
             if best < INF:
                 costs[(d - b, b)] = best
-                if not b:
-                    zeros.append((d, best))
         if batched:
             cells += B + 1 - top + (len(listed) if len(listed) > 1 else 0)
-    return costs, zeros, cells
+    return costs, cells
+
+
+def padded_huffman(weights, r: int) -> int:
+    """The r-ary greedy merge with zero-weight dummies padding the
+    non-increasing ``weights`` to ``(n - 1) % (r - 1) == 0``, r at a time;
+    one weight costs itself.  The reference for ``oracle.huffman_greedy``."""
+    if len(weights) == 1:
+        return weights[0]
+    heap = list(weights) + [0] * ((1 - len(weights)) % (r - 1))
+    heapq.heapify(heap)
+    cost = 0
+    while len(heap) > 1:
+        merged = sum(heapq.heappop(heap) for _ in range(r))
+        cost += merged
+        heapq.heappush(heap, merged)
+    return cost
 
 
 def huffman_one_ended_words(weights) -> list:

@@ -338,6 +338,13 @@ class TestVerify:
         ("mixed-radix", ["--arities", "2 3"]),
         ("reserved-given", ["--lengths", "1 3"]),
         ("reserved-g", ["--g", "2"]),
+        # radix 2**64: huffman's oracle once padded 2**64 - 2 dummies and
+        # died with OverflowError, exit 1
+        ("huffman", ["--radix", str(2**64)]),
+        ("gmr", ["--radix", str(2**64)]),
+        ("reserved-given", ["--radix", str(2**64), "--lengths", "1 2"]),
+        ("reserved-g", ["--radix", str(2**64), "--g", "2"]),
+        ("mixed-radix", ["--arities", f"{2**64} 2"]),
     ])
     def test_other_problems(self, problem, extra):
         proc = run_cli("verify", "--problem", problem, "--weights", "5 3 2 1", *extra)

@@ -193,10 +193,16 @@ class TestLevelSpec:
         lambda: LevelSpec([3]),
         lambda: LevelSpec([(2, 1, 1)]),
         lambda: LevelSpec(5),
+        lambda: ChoiceLevelSpec(None),
+        lambda: ChoiceLevelSpec([5]),
+        lambda: ChoiceLevelSpec([[3]]),
+        lambda: ChoiceLevelSpec([[(2, 1, 3)]]),
+        lambda: ChoiceLevelSpec([[([2], 1)]]),
     ])
     def test_rejects_malformed_pairs_and_counts(self, make):
         # constant(2, 1, 2.5) and LevelSpec([3]) once raised TypeError, from
-        # [pair] * 2.5 and from unpacking 3 as a pair
+        # [pair] * 2.5 and from unpacking 3 as a pair; ChoiceLevelSpec(None),
+        # ([5]) and ([[(2, 1, 3)]]) raised TypeError or ValueError
         with pytest.raises(InvalidInput):
             make()
 

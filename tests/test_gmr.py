@@ -775,15 +775,17 @@ def _random_table(rng: random.Random, n: int, rp: int) -> dict:
 
 
 def _fold_inputs(seed: int):
-    """``(prev, n, r, c, suffix)`` fill inputs: random tables with holes, and
-    the merged choice tables of reserved-g solves at g = 2..4, r = 2 and 3,
-    each fed to every option of its next level."""
+    """``(prev, i, n, options, suffix)`` level fill inputs: random tables with
+    holes, each with one to three random options, and the merged choice
+    tables of reserved-g solves at g = 2..4, r = 2 and 3, each with the
+    option set of its next level."""
     rng = random.Random(seed)
     for _ in range(60):
         n = rng.randint(1, 40)
         w = normalize_weights(random_weights(rng, n))
-        yield (_random_table(rng, n, rng.randint(2, 6)), n, rng.randint(2, n + 4),
-               rng.randint(1, 3), w.suffix)
+        options = [(rng.randint(2, n + 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        yield (_random_table(rng, n, rng.randint(2, 6)), rng.randint(1, 6), n,
+               list(dict.fromkeys(options)), w.suffix)
     for g in (2, 3, 4):
         for radix in (2, 3):
             for cutoff in (True, False):
@@ -793,20 +795,38 @@ def _fold_inputs(seed: int):
                 spec = problems.PROBLEMS["reserved-g"].levels(params, n)
                 tables = problems.solve("reserved-g", w, params, cutoff=cutoff).dp.tables
                 for table in tables[:-1]:
-                    for r, c in spec.options(table.level + 1):
-                        yield table.costs, n, r, c, w.suffix
+                    i = table.level + 1
+                    yield table.costs, i, n, spec.options(i), w.suffix
+
+
+def _merged_folds(prev, i, n, options, suffix, algorithm, dense, **kw):
+    """The per-option ``reference_fill_level`` folds merged by minimum in
+    option order: the merged table, the ``(cost, i, m)`` of each finished
+    state that lowered its entry, and the summed cells."""
+    costs, zeros, cells = {}, [], 0
+    for r, c in options:
+        table, k = reference_fill_level(prev, n, r, c, suffix, algorithm, dense, **kw)
+        cells += k
+        for (m, b), v in table.items():
+            if v < costs.get((m, b), UNREACHABLE):
+                costs[m, b] = v
+                if not b:
+                    zeros.append((v, i, m))
+    return costs, zeros, cells
 
 
 class TestReferenceFold:
     """``_fill_level`` reads only pushed candidates, ``reference_fill_level``
-    every row entry, holes included.  Both store the same entries in the
-    same order and count the same cells, under every storage rule."""
+    every row entry, holes included.  One ``_fill_level`` call over a level's
+    options stores the same entries in the same order, reports the same
+    finished states and counts the same cells as the per-option folds merged
+    by minimum, under every storage rule."""
 
     @pytest.mark.parametrize("algorithm", ["naive", "batched"])
     def test_fill_matches_the_hole_reading_fold(self, algorithm):
         rng = random.Random(2024)
-        compared = stored = 0
-        for prev, n, r, c, suffix in _fold_inputs(seed=1212):
+        compared = stored = merged = 0
+        for prev, i, n, options, suffix in _fold_inputs(seed=1212):
             arities = {rng.randint(2, n + 3) for _ in range(rng.randint(1, 4))}
             ref_windows = {d: finish_window(n, arities, d) for d in range(1, n + 1)}
             cap = min(n, rng.randint(2, 12))
@@ -817,14 +837,15 @@ class TestReferenceFold:
                 (False, dict(windows=_FinishWindows(n, arities)), dict(windows=ref_windows)),
                 (False, dict(cap=0), dict(cap=0)),
             ]:
-                got = {}
-                zeros, cells = _fill_level(prev, got, n, r, c, suffix, algorithm, dense, **kw)
-                want = reference_fill_level(prev, n, r, c, suffix, algorithm, dense, **ref_kw)
-                assert list(got.items()) == list(want[0].items())
-                assert (zeros, cells) == want[1:]
-                compared += 1
+                got, *rest = _fill_level(prev, i, n, options, suffix, algorithm, dense, **kw)
+                want, *want_rest = _merged_folds(prev, i, n, options, suffix, algorithm, dense,
+                                                 **ref_kw)
+                assert list(got.items()) == list(want.items())
+                assert rest == want_rest
+                compared += len(options)
                 stored += len(got)
-        assert compared >= 1000 and stored >= 50_000
+                merged += len(options) > 1 and len(got)
+        assert compared >= 1000 and stored >= 50_000 and merged >= 20_000
 
     @pytest.mark.parametrize("algorithm", ["naive", "batched"])
     @pytest.mark.parametrize("r, want, cells", [
@@ -839,12 +860,10 @@ class TestReferenceFold:
         # (2, 1), (3, 1) and the finished (8, 0) reach and (4, 0) does not.
         w = normalize_weights([5, 3, 2, 1])
         prev = {(0, 2): 10, (2, 1): 4, (4, 0): 9, (1, 2): 1, (3, 1): 7, (5, 0): 20, (8, 0): 3}
-        got = {}
-        zeros, k = _fill_level(prev, got, 4, r, 1, w.suffix, algorithm, False, cap=0)
+        got, zeros, k = _fill_level(prev, 3, 4, [(r, 1)], w.suffix, algorithm, False, cap=0)
         assert list(got.items()) == list(want.items())
-        assert (zeros, k) == ([(m, v) for (m, _), v in want.items()], cells)
-        costs, *rest = reference_fill_level(prev, 4, r, 1, w.suffix, algorithm, False, cap=0)
-        assert (costs, rest) == (got, [zeros, k])
+        assert (zeros, k) == ([(v, 3, m) for (m, _), v in want.items()], cells)
+        assert reference_fill_level(prev, 4, r, 1, w.suffix, algorithm, False, cap=0) == (got, k)
 
     def test_finish_windows_match_the_range_formula(self):
         rng = random.Random(77)

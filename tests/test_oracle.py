@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import random_weights
+from helpers import padded_huffman, random_weights
 
 from prefixcodes import (
     BudgetExceeded,
@@ -35,6 +35,25 @@ class TestHuffmanGreedy:
 
     def test_single_weight_convention(self):
         assert huffman_greedy(normalize_weights([7]), 2) == 7
+
+    def test_matches_the_padded_merge(self):
+        rng = random.Random(34)
+        for _ in range(400):
+            w = normalize_weights(random_weights(rng, rng.randint(1, 40)))
+            for r in range(2, 10):
+                assert huffman_greedy(w, r) == padded_huffman(w.weights, r), (w, r)
+
+    @pytest.mark.parametrize("r", [2**64, 2**300])
+    def test_radix_beyond_memory_merges_once(self, r):
+        # once padded with r - 2 dummies: 2**64 raised OverflowError
+        w = normalize_weights([3, 2, 1])
+        assert huffman_greedy(w, r) == 6
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, True, "3", 1, 0])
+    def test_rejects_a_bad_radix(self, r):
+        # 2.5 once raised TypeError from the padding count
+        with pytest.raises(InvalidInput):
+            huffman_greedy(normalize_weights([3, 2, 1]), r)
 
 
 class TestEnumerateGmr:
